@@ -31,7 +31,7 @@ type campaignParams struct {
 	scale       float64
 	workers     int
 	pins        map[string]string
-	round       time.Duration // nominal duration of one round (see units)
+	round       time.Duration // nominal duration of one round (see env.startPhase)
 }
 
 func defaultCampaignParams() campaignParams {
@@ -43,7 +43,7 @@ func defaultCampaignParams() campaignParams {
 		scale:       0.02,
 		workers:     2,
 		pins:        loadPins(),
-		round:       5500 * time.Millisecond,
+		round:       6 * time.Second,
 	}
 }
 
@@ -181,7 +181,8 @@ func runCampaign(ctx context.Context, e *env, p campaignParams) (*outcome, error
 	before := readMem()
 	start := time.Now()
 	calls := len(p.benchmarks) * (len(p.coldDesigns) + len(p.warmDesigns))
-	for n := 0; n < units(e.budget, p.round, (minLatencySamples+calls-1)/calls); n++ {
+	pace := e.startPhase(p.round, (minLatencySamples+calls-1)/calls)
+	for n := 0; pace.more(n); n++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -7,10 +7,12 @@
 //
 // Usage:
 //
-//	pilotbench [-workload name|all] [-seed n] [-seconds s] [-trace 0|1]
-//	           [-out file] [-spans dir] [-pilotserve path]
+//	pilotbench [-workload name|all] [-seed n] [-seconds run_seconds]
+//	           [-trace 0|1] [-out file] [-spans dir] [-pilotserve path]
 //	pilotbench compare <setA> <setB>
 //
+// BENCHMARK.json's run_seconds alone sets how much work a run does;
+// -seconds, which callers of the benchmark pass, must equal it.
 // bench/run.sh builds pilotbench and pilotserve from the checkout and
 // runs this command from the repository root; bench/README.md describes
 // the workloads, the metrics and how their bounds were chosen.
@@ -49,7 +51,7 @@ func main() {
 type options struct {
 	workload   string
 	seed       uint64
-	seconds    float64
+	seconds    int
 	trace      int
 	out        string
 	spans      string
@@ -69,13 +71,15 @@ var runners = map[string]runner{
 	wServe: func(ctx context.Context, e *env) (*outcome, error) { return runServe(ctx, e, defaultServeParams()) },
 }
 
-// env is what a workload runner gets from the command line.
+// env is what a workload runner gets from the command line and
+// BENCHMARK.json.
 type env struct {
 	seed       uint64
-	budget     time.Duration // how long the timed phase should last
+	budget     time.Duration // nominal length of the timed phase (run_seconds)
 	pilotserve string        // pilotserve binary (serve-closed)
 	tmp        string        // scratch directory, removed afterwards
 	cal        *calibrator   // scales measured times to a nominal host speed
+	pace       *pacer        // the timed phase's pacer, once it has begun
 
 	// spans records the benchmark's own spans around every layer call;
 	// nil (a valid no-op recorder) unless the run is traced.
@@ -85,6 +89,14 @@ type env struct {
 
 // traced reports whether this run records spans and per-layer metrics.
 func (e *env) traced() bool { return e.spans != nil }
+
+// startPhase begins the timed phase: units of work of the given nominal
+// duration, as many as the budget holds and at least least, within the
+// wall-clock limit.
+func (e *env) startPhase(nominal time.Duration, least int) *pacer {
+	e.pace = newPacer(e.budget, nominal, time.Duration(wallLimit*float64(e.budget)), least)
+	return e.pace
+}
 
 // outcome is a workload's measurement and its correctness tally.
 type outcome struct {
@@ -145,7 +157,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs.StringVar(&o.workload, "workload", "all", "workload to run: "+strings.Join(allWorkloads, ", ")+", or all")
 	fs.Uint64Var(&o.seed, "seed", 1, "input seed (1 is the default, 7 the held-out seed)")
-	fs.Float64Var(&o.seconds, "seconds", 20, "length of each workload's timed phase in seconds")
+	fs.IntVar(&o.seconds, "seconds", 0, "run_seconds of BENCHMARK.json, which alone sets the run's length; any other value is refused")
 	fs.IntVar(&o.trace, "trace", 0, "1 = traced run: per-layer metrics and span files instead of end-to-end metrics")
 	fs.StringVar(&o.out, "out", "", "append each result to this file as one JSON line")
 	fs.StringVar(&o.spans, "spans", filepath.Join(".bench_build", "spans"), "directory for the span files of traced runs")
@@ -162,8 +174,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		names = []string{o.workload}
 	}
-	if fs.NArg() != 0 || (o.trace != 0 && o.trace != 1) || !(o.seconds > 0) || (*child && len(names) != 1) {
-		fmt.Fprintln(stderr, "usage: pilotbench [-workload name|all] [-seed n] [-seconds s] [-trace 0|1] [-out file]")
+	if fs.NArg() != 0 || (o.trace != 0 && o.trace != 1) || (*child && len(names) != 1) {
+		fmt.Fprintln(stderr, "usage: pilotbench [-workload name|all] [-seed n] [-seconds run_seconds] [-trace 0|1] [-out file]")
 		return 2
 	}
 	spec, err := loadSpec()
@@ -171,8 +183,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	if o.seconds != 0 && o.seconds != spec.RunSeconds {
+		fmt.Fprintf(stderr, "-seconds %d differs from run_seconds %d in %s, which sets the run's length\n",
+			o.seconds, spec.RunSeconds, specFile)
+		return 2
+	}
 	if *child {
-		return runChild(ctx, o, stdout, stderr)
+		return runChild(ctx, o, spec, stdout, stderr)
 	}
 
 	var lines []record
@@ -222,7 +239,7 @@ func spawn(ctx context.Context, o options, name string, stderr io.Writer) (*resu
 		return nil, err
 	}
 	cmd := exec.CommandContext(ctx, exe, "-child", "-workload", name,
-		"-seed", fmt.Sprint(o.seed), "-seconds", fmt.Sprint(o.seconds), "-trace", fmt.Sprint(o.trace),
+		"-seed", fmt.Sprint(o.seed), "-trace", fmt.Sprint(o.trace),
 		"-spans", o.spans, "-pilotserve", o.pilotserve)
 	var out bytes.Buffer
 	cmd.Stdout = &out
@@ -250,7 +267,7 @@ func lastLine(b []byte) []byte {
 }
 
 // runChild measures one workload in this process and prints its result.
-func runChild(ctx context.Context, o options, stdout, stderr io.Writer) int {
+func runChild(ctx context.Context, o options, spec *benchSpec, stdout, stderr io.Writer) int {
 	tmp, err := os.MkdirTemp("", "pilotbench-")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -259,7 +276,7 @@ func runChild(ctx context.Context, o options, stdout, stderr io.Writer) int {
 	defer os.RemoveAll(tmp)
 	e := &env{
 		seed:       o.seed,
-		budget:     time.Duration(o.seconds * float64(time.Second)),
+		budget:     time.Duration(spec.RunSeconds) * time.Second,
 		pilotserve: o.pilotserve,
 		tmp:        tmp,
 		cal:        newCalibrator(),
@@ -283,6 +300,9 @@ func runChild(ctx context.Context, o options, stdout, stderr io.Writer) int {
 		}
 	}
 	oc.metrics["host.scale"] = e.cal.runScale(time.Time{})
+	if e.pace != nil && e.pace.truncated.Load() {
+		oc.metrics["host.truncated"] = 1
+	}
 	res := result{
 		Workload: o.workload, Seed: o.seed, Trace: o.trace,
 		Correct: oc.failed == 0, Attempted: oc.attempted, Failed: oc.failed,
@@ -354,6 +374,10 @@ func printTable(w io.Writer, spec *benchSpec, res *result, rl resultLine) {
 	}
 	fmt.Fprintf(w, "  timed phase %.1f s wall; times are scaled to the nominal host speed by %.3f (see bench/README.md)\n",
 		res.Metrics["host.phase_s"], res.Metrics["host.scale"])
+	if res.Metrics["host.truncated"] != 0 {
+		fmt.Fprintf(w, "  TRUNCATED: the host was too slow for the planned work within %.2f x run_seconds of wall-clock time\n",
+			wallLimit)
+	}
 	if v, ok := res.Metrics["rf.energy_saving_pct"]; ok {
 		fmt.Fprintf(w, "  model: RF dynamic-energy saving %.2f%% (paper 54%%), hybrid-GTO cycle overhead %.2f%% (paper <2%%), %0.f simulated cycles\n",
 			v, res.Metrics["rf.cycle_overhead_pct"], res.Metrics["sim.cycles"])

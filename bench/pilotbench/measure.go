@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pilotrf/internal/benchstat"
@@ -42,33 +44,102 @@ func setupMedian(cal *calibrator, setup func() (teardown func(), err error)) (fl
 	return benchstat.Summarize(secs).Median, nil
 }
 
-// units is how many units of work a run does: the budget over one
-// unit's nominal duration, and at least least. The budget fixes the
-// work, never the host's speed, so every run of a commit does the same
-// work and every per-operation figure weighs its operations alike.
-func units(budget, nominal time.Duration, least int) int {
-	return max(least, int(budget/nominal))
+// wallLimit bounds a timed phase's wall-clock time, as a multiple of
+// its nominal length (run_seconds). A run does a fixed amount of work,
+// so that every per-operation figure weighs the same operations alike;
+// only on a host so slow that the work would overrun the limit does the
+// phase stop early, at a unit boundary, and the run say it was
+// truncated.
+const wallLimit = 1.5
+
+// pacer decides whether a timed phase starts another unit of work: a
+// pass over the suite, a campaign round or a served job. It is safe for
+// concurrent use.
+type pacer struct {
+	start          time.Time
+	limit          time.Duration
+	planned, least int
+	truncated      atomic.Bool
 }
 
-// readMem snapshots the Go runtime's allocation and GC counters.
-func readMem() runtime.MemStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms
+// newPacer plans the budget over one unit's nominal duration, and at
+// least least units, to end within limit of wall-clock time from now.
+func newPacer(budget, nominal, limit time.Duration, least int) *pacer {
+	least = max(1, least)
+	return &pacer{start: time.Now(), limit: limit, planned: max(least, int(budget/nominal)), least: least}
+}
+
+// more reports whether the phase starts another unit with done units
+// started: always below the least, never past the plan, and otherwise
+// only while another unit at the mean pace so far would end within the
+// limit. Once it has said no for the limit, it says no for good.
+func (p *pacer) more(done int) bool {
+	switch {
+	case done >= p.planned || p.truncated.Load():
+		return false
+	case done < p.least:
+		return true
+	}
+	elapsed := time.Since(p.start)
+	if elapsed+elapsed/time.Duration(done) > p.limit {
+		p.truncated.Store(true)
+		return false
+	}
+	return true
+}
+
+// memSnap is a snapshot of the Go runtime's allocation and GC counters.
+// gcCPU and totalCPU are cumulative GC and available CPU time, in any
+// one unit, as of the last completed collection.
+type memSnap struct {
+	ms              runtime.MemStats
+	gcCPU, totalCPU float64
+}
+
+// CPU-time classes GCCPUFraction is made of: GC time other than idle
+// marking, over the CPU time GOMAXPROCS makes available.
+var cpuSamples = []metrics.Sample{
+	{Name: "/cpu/classes/gc/total:cpu-seconds"},
+	{Name: "/cpu/classes/gc/mark/idle:cpu-seconds"},
+	{Name: "/cpu/classes/total:cpu-seconds"},
+}
+
+// readMem snapshots this process's allocation and GC counters.
+func readMem() memSnap {
+	var s memSnap
+	runtime.ReadMemStats(&s.ms)
+	metrics.Read(cpuSamples)
+	s.gcCPU = cpuSamples[0].Value.Float64() - cpuSamples[1].Value.Float64()
+	s.totalCPU = cpuSamples[2].Value.Float64()
+	return s
+}
+
+// remoteMem is a snapshot of another process's counters, from its
+// MemStats and the time it was started. The runtime updates
+// GCCPUFraction at the end of each collection, over the CPU time
+// available since the process started, so the GC CPU time up to that
+// collection is the fraction times the time since the start.
+func remoteMem(ms runtime.MemStats, started time.Time) memSnap {
+	s := memSnap{ms: ms}
+	if ms.LastGC != 0 {
+		s.totalCPU = float64(int64(ms.LastGC)-started.UnixNano()) / 1e9
+		s.gcCPU = ms.GCCPUFraction * s.totalCPU
+	}
+	return s
 }
 
 // memMetrics records allocations per operation between two snapshots.
-func memMetrics(m map[string]float64, a, b *runtime.MemStats, ops float64) {
-	m["allocs_per_op"] = ratio(float64(b.Mallocs-a.Mallocs), ops)
-	m["bytes_per_op"] = ratio(float64(b.TotalAlloc-a.TotalAlloc), ops)
+func memMetrics(m map[string]float64, a, b *memSnap, ops float64) {
+	m["allocs_per_op"] = ratio(float64(b.ms.Mallocs-a.ms.Mallocs), ops)
+	m["bytes_per_op"] = ratio(float64(b.ms.TotalAlloc-a.ms.TotalAlloc), ops)
 }
 
 // gcMetrics records the collector's cost between two snapshots taken
 // secs (nominal) apart, scaling its pause time by the run's host scale.
-func gcMetrics(m map[string]float64, a, b *runtime.MemStats, secs, scale float64) {
-	m["go.gc_pause_ms"] = scale * float64(b.PauseTotalNs-a.PauseTotalNs) / 1e6
-	m["go.gc_cycles_per_s"] = ratio(float64(b.NumGC-a.NumGC), secs)
-	m["go.gc_cpu_frac"] = b.GCCPUFraction
+func gcMetrics(m map[string]float64, a, b *memSnap, secs, scale float64) {
+	m["go.gc_pause_ms"] = scale * float64(b.ms.PauseTotalNs-a.ms.PauseTotalNs) / 1e6
+	m["go.gc_cycles_per_s"] = ratio(float64(b.ms.NumGC-a.ms.NumGC), secs)
+	m["go.gc_cpu_frac"] = ratio(b.gcCPU-a.gcCPU, b.totalCPU-a.totalCPU)
 }
 
 // resetPeakRSS restarts this process's peak resident set (VmHWM) at its

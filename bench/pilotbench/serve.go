@@ -38,7 +38,7 @@ type serveParams struct {
 	verify   int // distinct specs re-run in process and compared byte for byte
 	trials   int
 	scale    float64
-	job      time.Duration // nominal duration of one job (see units)
+	job      time.Duration // nominal duration of one job (see env.startPhase)
 }
 
 func defaultServeParams() serveParams {
@@ -95,9 +95,10 @@ func requests(seed uint64, p serveParams, n int) []int {
 
 // pilotserve is one running server process.
 type pilotserve struct {
-	cmd  *exec.Cmd
-	base string // http://host:port
-	log  *addrWatcher
+	cmd     *exec.Cmd
+	started time.Time // just before the process was started
+	base    string    // http://host:port
+	log     *addrWatcher
 }
 
 // addrWatcher captures a server's log and picks the listen address out
@@ -151,10 +152,11 @@ func startServer(ctx context.Context, bin, dir string, parallel int, hc *http.Cl
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
 	cmd.WaitDelay = 10 * time.Second
+	started := time.Now()
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	s := &pilotserve{cmd: cmd, log: w}
+	s := &pilotserve{cmd: cmd, started: started, log: w}
 	select {
 	case addr := <-w.addr:
 		s.base = "http://" + addr
@@ -329,7 +331,7 @@ func doJob(ctx context.Context, e *env, hc *http.Client, base, client string, id
 }
 
 // runServe measures the serve-closed workload: a pilotserve process
-// answering a fixed number of jobs from closed-loop clients.
+// answering the budget's worth of jobs from closed-loop clients.
 func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	oc := &outcome{metrics: map[string]float64{}}
 	m := oc.metrics
@@ -339,7 +341,6 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	}
 	defer hc.CloseIdleConnections()
 	specs := specPool(p)
-	reqs := requests(e.seed, p, units(e.budget, p.job, minLatencySamples))
 
 	var srv *pilotserve
 	rep := 0
@@ -365,8 +366,10 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	pace := e.startPhase(p.job, minLatencySamples)
+	reqs := requests(e.seed, p, pace.planned)
 	runs := make([]*jobRun, len(reqs))
-	start, active := loadServer(ctx, e, p, func(client string, i int) {
+	start, active := loadServer(ctx, e, p, pace, func(client string, i int) {
 		j, err := doJob(ctx, e, hc, srv.base, client, reqs[i], specs[reqs[i]], i)
 		if err != nil {
 			j.lat = 0
@@ -374,7 +377,7 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 			j.err = err
 		}
 		runs[i] = j
-	}, len(reqs))
+	})
 	m["host.phase_s"] = time.Since(start).Seconds()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -395,6 +398,9 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	var injected, trials float64
 	var served []trace.Span
 	for i, j := range runs {
+		if j == nil {
+			continue // not started: the pacer ended the phase early
+		}
 		oc.attempted++
 		if j.err != nil {
 			oc.fail("job %d (spec %d): %v", i, j.spec, j.err)
@@ -421,8 +427,9 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	}
 	m["peak_rss_mib"] = rss
 	m["ops_per_s"] = ratio(done, active)
-	memMetrics(m, &before.Memstats, &after.Memstats, done)
-	gcMetrics(m, &before.Memstats, &after.Memstats, active, e.cal.runScale(start))
+	memBefore, memAfter := remoteMem(before.Memstats, srv.started), remoteMem(after.Memstats, srv.started)
+	memMetrics(m, &memBefore, &memAfter, done)
+	gcMetrics(m, &memBefore, &memAfter, active, e.cal.runScale(start))
 	if err := latencyMetrics(m, "us_per_op", usPerOp); err != nil {
 		return nil, err
 	}
@@ -430,7 +437,7 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 	m["jobs.cache_hit_ratio"] = ratio(delta("cache_hits"), delta("cache_hits")+delta("cache_misses"))
 	m["jobs.steals_per_ktask"] = ratio(1e3*delta("jobs_steals"), delta("jobs_completed"))
 	m["fault.injected_per_trial"] = ratio(injected, trials)
-	m["serve.rejected_frac"] = ratio(rejected, float64(len(runs)))
+	m["serve.rejected_frac"] = ratio(rejected, float64(oc.attempted))
 	m["serve.submit_frac"] = ratio(submitMS, totalMS)
 	m["serve.first_line_frac"] = ratio(firstMS, totalMS)
 	if e.traced() {
@@ -458,12 +465,13 @@ func runServe(ctx context.Context, e *env, p serveParams) (*outcome, error) {
 // the other workloads it cannot run before every job.
 const serveCalEvery = 200 * time.Millisecond
 
-// loadServer runs n jobs from p.clients closed-loop clients, each taking
-// the next job index as soon as its previous job ends. Every
-// serveCalEvery the clients pause between jobs while the host is
-// calibrated with the server idle. It returns when all jobs ended, with the load's start
-// and its active (unpaused) time in nominal seconds.
-func loadServer(ctx context.Context, e *env, p serveParams, job func(client string, i int), n int) (time.Time, float64) {
+// loadServer runs jobs from p.clients closed-loop clients, each taking
+// the next job index as soon as its previous job ends, for as long as
+// the pacer allows. Every serveCalEvery the clients pause between jobs
+// while the host is calibrated with the server idle. It returns when all
+// jobs ended, with the load's start and its active (unpaused) time in
+// nominal seconds.
+func loadServer(ctx context.Context, e *env, p serveParams, pace *pacer, job func(client string, i int)) (time.Time, float64) {
 	var gate sync.RWMutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -494,7 +502,7 @@ func loadServer(ctx context.Context, e *env, p serveParams, job func(client stri
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if !pace.more(i) {
 					return
 				}
 				gate.RLock()
@@ -521,7 +529,7 @@ func loadServer(ctx context.Context, e *env, p serveParams, job func(client stri
 func verifyServe(ctx context.Context, oc *outcome, p serveParams, specs []campaign.Spec, runs []*jobRun) error {
 	bySpec := map[int][]byte{}
 	for _, j := range runs {
-		if j.report == nil {
+		if j == nil || j.report == nil {
 			continue
 		}
 		if prev, ok := bySpec[j.spec]; !ok {

@@ -19,12 +19,27 @@ func TestBenchmarkJSONIsValid(t *testing.T) {
 			t.Errorf("workload %d is %q, want %q", i, w.Name, allWorkloads[i])
 		}
 	}
-	// A full comparison makes 4 + 22 runs per workload; all of them, with
-	// their set-up and checks, must fit in 3420 s.
-	if runs := 4 + 22*len(spec.Workloads); float64(runs*(spec.RunSeconds+10)) > 3420 {
-		t.Errorf("%d runs of %d s plus overhead exceed the time cap", runs, spec.RunSeconds)
+	// A full comparison makes 4 + 22 runs per workload and two cold
+	// builds; all of them must fit in 3420 s. A run's timed phase never
+	// outlasts wallLimit × run_seconds; the rest is the overhead measured
+	// on the reference host, with a margin.
+	runs := 4 + 22*len(spec.Workloads)
+	worst := float64(runs)*(wallLimit*float64(spec.RunSeconds)+maxRunOverhead) + 2*maxColdBuild
+	if worst > 3420 {
+		t.Errorf("%d runs of at most %.0f s plus overhead take %.0f s, over the 3420 s cap",
+			runs, wallLimit*float64(spec.RunSeconds), worst)
 	}
 }
+
+// Measured on the reference host (2 vCPUs, Go 1.24), with margin: a
+// cold build of pilotbench and pilotserve by bench/run.sh took 23 s; a
+// run's wall-clock time outside its timed phase (the cached build,
+// process starts, nine set-ups, the untimed checks) was at most 2.2 s
+// over 80 untraced runs and 5.3 s over 20 traced ones.
+const (
+	maxColdBuild   = 45.0
+	maxRunOverhead = 5.5
+)
 
 // mutate applies f to the parsed BENCHMARK.json and re-encodes it.
 func mutate(t *testing.T, f func(m map[string]interface{})) []byte {

@@ -47,16 +47,16 @@ type suiteParams struct {
 	scale    float64
 	observed bool              // attach every observer to every run
 	pins     map[string]string // pinned cell digests (see pinKey)
-	pass     time.Duration     // nominal duration of one pass (see units)
+	pass     time.Duration     // nominal duration of one pass (see env.startPhase)
 }
 
 func detachedParams() suiteParams {
-	return suiteParams{schemes: design.Names(), scale: detachedScale, pins: loadPins(), pass: 10 * time.Second}
+	return suiteParams{schemes: design.Names(), scale: detachedScale, pins: loadPins(), pass: 12 * time.Second}
 }
 
 func observedParams() suiteParams {
 	return suiteParams{schemes: observedSchemes, scale: observedScale, observed: true, pins: loadPins(),
-		pass: 5 * time.Second}
+		pass: 6 * time.Second}
 }
 
 // cell is one (scheme, workload) simulation of a suite.
@@ -241,11 +241,11 @@ func runSuite(ctx context.Context, e *env, p suiteParams) (*outcome, error) {
 	var callMS, usPerOp, rssMiB []float64
 	var winstr, secs, rawSecs float64
 	var total cellRun // summed observer counts, phases and census
-	passes := units(e.budget, p.pass, (minLatencySamples+len(cells)-1)/len(cells))
 	sp := e.root.Context().Start("suite.passes")
 	before := readMem()
 	start := time.Now()
-	for pass := 0; pass < passes; pass++ {
+	pace := e.startPhase(p.pass, (minLatencySamples+len(cells)-1)/len(cells))
+	for pass := 0; pace.more(pass); pass++ {
 		for _, i := range order {
 			if err := ctx.Err(); err != nil {
 				return nil, err
