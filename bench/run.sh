@@ -12,6 +12,10 @@ export GOCACHE="$build/gocache" GOPATH="$build/gopath" GOMODCACHE="$build/gopath
 export XDG_CONFIG_HOME="$build/config" TMPDIR="$build/tmp" GOTOOLCHAIN=local GOFLAGS=
 mkdir -p "$build/bin" "$TMPDIR"
 
+# With telemetry on, the go command starts a detached process that
+# outlives this script; turn it off in the private config directory
+# before any other go command runs.
+go telemetry off
 go build -o "$build/bin/pilotserve" ./cmd/pilotserve
 (cd bench && go build -o "$build/bin/pilotbench" ./pilotbench)
 exec "$build/bin/pilotbench" -pilotserve "$build/bin/pilotserve" "$@"
