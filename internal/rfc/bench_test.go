@@ -35,11 +35,13 @@ func BenchmarkWriteEvict(b *testing.B) {
 
 func BenchmarkFlushWarp(b *testing.B) {
 	c := New(DefaultConfig(8))
+	var buf []isa.Reg
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < 6; r++ {
 			c.Write(0, isa.Reg(r))
 		}
-		c.FlushWarp(0)
+		buf = c.FlushWarp(0, buf[:0])
 	}
 }

@@ -273,19 +273,21 @@ func (c *Cache) install(es []entry, r isa.Reg, dirty bool) (victim isa.Reg, writ
 
 // FlushWarp writes back the warp's dirty entries and invalidates all of
 // them — the two-level scheduler calls this when the warp is demoted
-// from the active pool. It returns the registers written back to the MRF.
-func (c *Cache) FlushWarp(warp int) []isa.Reg {
+// from the active pool. It appends the registers written back to the MRF
+// to dst and returns the extended slice, so a caller that passes the same
+// buffer each time flushes without allocating.
+func (c *Cache) FlushWarp(warp int, dst []isa.Reg) []isa.Reg {
 	es := c.slot(warp)
-	var dirty []isa.Reg
+	n := len(dst)
 	for i := range es {
 		if es[i].valid && es[i].dirty {
-			dirty = append(dirty, es[i].reg)
+			dst = append(dst, es[i].reg)
 		}
 		es[i] = entry{}
 	}
 	c.stats.Flushes++
-	c.stats.DirtyWB += uint64(len(dirty))
-	return dirty
+	c.stats.DirtyWB += uint64(len(dst) - n)
+	return dst
 }
 
 // ValidEntries returns the number of valid entries for a warp (for tests

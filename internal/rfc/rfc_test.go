@@ -47,7 +47,7 @@ func TestWriteAllocatesDirty(t *testing.T) {
 		t.Fatal("read after write missed")
 	}
 	// Flushing must write the dirty value back.
-	if wb := c.FlushWarp(0); len(wb) != 1 || wb[0] != isa.R(3) {
+	if wb := c.FlushWarp(0, nil); len(wb) != 1 || wb[0] != isa.R(3) {
 		t.Errorf("flush wrote back %v, want [R3]", wb)
 	}
 }
@@ -128,7 +128,7 @@ func TestFlushInvalidatesAll(t *testing.T) {
 	c := newCache(t, 4, 1, FIFO)
 	c.Write(0, isa.R(1))
 	c.Read(0, isa.R(2))
-	wb := c.FlushWarp(0)
+	wb := c.FlushWarp(0, nil)
 	if len(wb) != 1 || wb[0] != isa.R(1) {
 		t.Errorf("flush writebacks = %v, want [R1] (only the dirty entry)", wb)
 	}
@@ -137,6 +137,28 @@ func TestFlushInvalidatesAll(t *testing.T) {
 	}
 	if c.Stats().Flushes != 1 {
 		t.Error("flush not counted")
+	}
+}
+
+// TestFlushWarpAppendsToCallerBuffer: FlushWarp keeps dst's elements,
+// counts only its own writebacks, and flushes into a reused buffer
+// without allocating.
+func TestFlushWarpAppendsToCallerBuffer(t *testing.T) {
+	c := newCache(t, 4, 1, FIFO)
+	c.Write(0, isa.R(1))
+	got := c.FlushWarp(0, []isa.Reg{isa.R(7)})
+	if len(got) != 2 || got[0] != isa.R(7) || got[1] != isa.R(1) {
+		t.Errorf("flush = %v, want [R7 R1]", got)
+	}
+	if wb := c.Stats().DirtyWB; wb != 1 {
+		t.Errorf("dirty writebacks = %d, want 1", wb)
+	}
+	buf := make([]isa.Reg, 0, 4)
+	if a := testing.AllocsPerRun(100, func() {
+		c.Write(0, isa.R(2))
+		buf = c.FlushWarp(0, buf[:0])
+	}); a != 0 {
+		t.Errorf("FlushWarp into a reused buffer allocates %.1f per call, want 0", a)
 	}
 }
 

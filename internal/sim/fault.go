@@ -77,7 +77,9 @@ func (s *sm) inject(shot fault.Shot, lowPower bool) {
 		}
 		cam.FlipBit(entry, shot.Bit)
 		st.CAMCorrupted++
-		s.trace(TraceModeSwitch, -1, -1, "CAM upset entry %d bit %d", entry, shot.Bit)
+		if s.cfg.Tracer != nil {
+			s.trace(TraceModeSwitch, -1, -1, "CAM upset entry %d bit %d", entry, shot.Bit)
+		}
 		return
 	}
 
@@ -137,8 +139,10 @@ func (s *sm) applyCellFault(f fault.CellFault) {
 		// Storage intact; the corruption materializes at a read.
 	}
 	s.faults = append(s.faults, pf)
-	s.trace(TraceModeSwitch, f.Warp, -1, "%s fault %s lane %d bit %d (%s)",
-		f.Kind, f.Reg, f.Lane, f.Bit, f.Part)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceModeSwitch, f.Warp, -1, "%s fault %s lane %d bit %d (%s)",
+			f.Kind, f.Reg, f.Lane, f.Bit, f.Part)
+	}
 }
 
 // pinned returns the value a stuck-at fault forces its bit to.

@@ -1,46 +1,98 @@
 package sim
 
 import (
-	"container/heap"
-
 	"pilotrf/internal/isa"
 	"pilotrf/internal/regfile"
 )
 
-// event is a scheduled callback in the SM's timing model.
+// eventKind selects the handler runEvents dispatches a fired event to.
+type eventKind uint8
+
+const (
+	evBankDone  eventKind = iota // a bank transaction completes: req
+	evWriteback                  // an execution pipe finishes: w, in
+	evMemDone                    // a global-memory transaction returns: w, in
+)
+
+// event is one scheduled occurrence in the SM's timing model: a kind and
+// the payload its handler reads. It is plain data, so scheduling one
+// allocates nothing once the heap has grown to the SM's peak number of
+// events in flight.
 type event struct {
 	cycle int64
 	seq   uint64 // tie-break for deterministic ordering
-	fn    func()
+	kind  eventKind
+	w     *warpCtx
+	in    *isa.Instruction
+	req   bankReq
 }
 
+// before orders events by cycle, then by scheduling order. The pair is
+// unique, so it alone fixes the order in which events fire.
+func (e *event) before(o *event) bool {
+	if e.cycle != o.cycle {
+		return e.cycle < o.cycle
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before.
 type eventHeap []event
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface (earlier cycle first, then arrival).
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
+// push adds e, moving it up past every parent it fires before.
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
 
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// pop removes and returns the earliest event of a non-empty heap.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
+
+// writeDone is what a bank write does when it retires, besides the bank
+// occupancy and energy every access costs.
+type writeDone uint8
+
+const (
+	doneNone     writeDone = iota // background write: an RFC eviction or flush
+	doneComplete                  // the instruction completes; its result was forwarded
+	doneRelease                   // the destination's scoreboard bit clears, then the instruction completes
+)
 
 // bankReq is one register file bank transaction.
 type bankReq struct {
@@ -48,9 +100,8 @@ type bankReq struct {
 	arch    isa.Reg // architected register (for routing stats)
 	phys    isa.Reg // physical register (fixes the bank)
 	isWrite bool
+	done    writeDone      // what a write does when it retires
 	col     *collectorUnit // collector awaiting this read; nil for writes
-	// onDone runs when the transaction completes (writeback bookkeeping).
-	onDone func()
 }
 
 // bankState is one RF bank: a FIFO of requests served one at a time; the
@@ -73,11 +124,32 @@ type collectorUnit struct {
 	readyAt int64
 }
 
+// newCollector returns a cleared collector unit for an issuing
+// instruction, reusing one that dispatch freed when there is one; at
+// most OperandCollectors units are ever allocated.
+func (s *sm) newCollector(w *warpCtx, in *isa.Instruction, execMask uint32) *collectorUnit {
+	var col *collectorUnit
+	if n := len(s.freeCollectors); n > 0 {
+		col = s.freeCollectors[n-1]
+		s.freeCollectors = s.freeCollectors[:n-1]
+	} else {
+		col = new(collectorUnit)
+	}
+	*col = collectorUnit{warp: w, in: in, execMask: execMask}
+	return col
+}
+
+// memReq is one global-memory transaction: the warp and its instruction.
+type memReq struct {
+	w  *warpCtx
+	in *isa.Instruction
+}
+
 // memUnit is the SM's global-memory interface: fixed latency with a
 // bounded number of in-flight transactions.
 type memUnit struct {
 	inflight int
-	waiting  []func() // transactions waiting for a slot
+	waiting  []memReq // transactions waiting for a slot, oldest first
 }
 
 // tickBanks advances every bank: each bank accepts one request per cycle
@@ -109,7 +181,7 @@ func (s *sm) tickBanks() {
 				b, kind, req.arch, part, lat)
 		}
 		bank.busyUntil = s.now + 1
-		s.schedule(s.now+int64(lat), func() { s.completeBankReq(req) })
+		s.schedule(s.now+int64(lat), event{kind: evBankDone, req: req})
 	}
 }
 
@@ -141,8 +213,12 @@ func (s *sm) completeBankReq(req bankReq) {
 		// deterministic.
 		return
 	}
-	if req.onDone != nil {
-		req.onDone()
+	switch req.done {
+	case doneRelease:
+		req.warp.pendingRegs &^= 1 << uint(req.arch)
+		s.completeInstr(req.warp)
+	case doneComplete:
+		s.completeInstr(req.warp)
 	}
 }
 
@@ -155,52 +231,74 @@ func (s *sm) enqueueBankRead(col *collectorUnit, arch isa.Reg) {
 	})
 }
 
-// enqueueBankWrite queues a destination write; onDone runs when the write
-// retires (scoreboard release).
-func (s *sm) enqueueBankWrite(w *warpCtx, arch isa.Reg, onDone func()) {
+// enqueueBankWrite queues a destination write; done says what its
+// retirement does (scoreboard release, instruction completion).
+func (s *sm) enqueueBankWrite(w *warpCtx, arch isa.Reg, done writeDone) {
 	phys := s.rf.PhysicalReg(arch)
 	b := s.rf.BankOf(w.slot, phys)
 	s.banks[b].queue = append(s.banks[b].queue, bankReq{
-		warp: w, arch: arch, phys: phys, isWrite: true, onDone: onDone,
+		warp: w, arch: arch, phys: phys, isWrite: true, done: done,
 	})
 }
 
-// schedule registers fn to run at the given cycle (>= now).
-func (s *sm) schedule(cycle int64, fn func()) {
+// schedule queues e to fire at the given cycle (>= now).
+func (s *sm) schedule(cycle int64, e event) {
 	s.eventSeq++
-	heap.Push(&s.events, event{cycle: cycle, seq: s.eventSeq, fn: fn})
+	e.cycle, e.seq = cycle, s.eventSeq
+	s.events.push(e)
 }
 
 // runEvents fires all events due at the current cycle.
 func (s *sm) runEvents() {
 	for len(s.events) > 0 && s.events[0].cycle <= s.now {
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		if s.pf != nil {
 			s.pf.fired++
 		}
-		e.fn()
+		switch e.kind {
+		case evBankDone:
+			s.completeBankReq(e.req)
+		case evWriteback:
+			s.writeback(e.w, e.in)
+		case evMemDone:
+			s.memDone(e.w, e.in)
+		}
 	}
 }
 
-// memDispatch issues a global-memory transaction; done runs after the
-// memory latency. Excess transactions wait for a free slot.
-func (s *sm) memDispatch(done func()) {
-	start := func() {
-		s.mem.inflight++
-		s.schedule(s.now+int64(s.cfg.MemLatency), func() {
-			s.mem.inflight--
-			if len(s.mem.waiting) > 0 {
-				next := s.mem.waiting[0]
-				copy(s.mem.waiting, s.mem.waiting[1:])
-				s.mem.waiting = s.mem.waiting[:len(s.mem.waiting)-1]
-				next()
-			}
-			done()
-		})
-	}
+// memDispatch issues warp w's global-memory instruction in; it returns
+// (memDone) after the memory latency. Excess transactions wait for a
+// free slot.
+func (s *sm) memDispatch(w *warpCtx, in *isa.Instruction) {
 	if s.mem.inflight < s.cfg.MaxMemInflight {
-		start()
+		s.memStart(w, in)
 	} else {
-		s.mem.waiting = append(s.mem.waiting, start)
+		s.mem.waiting = append(s.mem.waiting, memReq{w: w, in: in})
 	}
+}
+
+// memStart occupies a memory slot for one transaction.
+func (s *sm) memStart(w *warpCtx, in *isa.Instruction) {
+	s.mem.inflight++
+	s.schedule(s.now+int64(s.cfg.MemLatency), event{kind: evMemDone, w: w, in: in})
+}
+
+// memDone retires a global-memory transaction: its slot passes to the
+// oldest waiting transaction, then the instruction writes back.
+func (s *sm) memDone(w *warpCtx, in *isa.Instruction) {
+	s.mem.inflight--
+	if len(s.mem.waiting) > 0 {
+		next := s.mem.waiting[0]
+		copy(s.mem.waiting, s.mem.waiting[1:])
+		s.mem.waiting = s.mem.waiting[:len(s.mem.waiting)-1]
+		s.memStart(next.w, next.in)
+	}
+	if s.cfg.Tracer != nil {
+		s.trace(TraceMemDone, w.slot, -1, "%s", in.Op)
+	}
+	w.memInFlight--
+	if s.cfg.Policy == PolicyTL {
+		s.schedulers[w.slot%s.cfg.Schedulers].promote(s)
+	}
+	s.writeback(w, in)
 }

@@ -134,8 +134,9 @@ func (sc *schedState) demote(sm *sm, slot int) {
 			sc.pending = append(sc.pending, slot)
 			if sm.rfcCache != nil {
 				w := sm.warps[slot]
-				for _, r := range sm.rfcCache.FlushWarp(slot) {
-					sm.enqueueBankWrite(w, r, nil)
+				sm.flushBuf = sm.rfcCache.FlushWarp(slot, sm.flushBuf[:0])
+				for _, r := range sm.flushBuf {
+					sm.enqueueBankWrite(w, r, doneNone)
 				}
 			}
 			sc.promote(sm)

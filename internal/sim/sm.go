@@ -24,7 +24,11 @@ type sm struct {
 	banks             []bankState
 	collectors        int // units currently in use
 	pendingCollectors []*collectorUnit
+	freeCollectors    []*collectorUnit // dispatched units, reused by newCollector
 	mem               memUnit
+	// flushBuf receives the registers an RFC flush writes back; one
+	// buffer serves every two-level-scheduler demote.
+	flushBuf []isa.Reg
 
 	rf       *regfile.File
 	profCtl  *profile.Controller
@@ -234,7 +238,9 @@ func (s *sm) launchCTA(ctaID int) {
 		}
 	}
 	s.residentCTAs++
-	s.trace(TraceCTALaunch, -1, -1, "cta %d (%d warps)", ctaID, warpsPer)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceCTALaunch, -1, -1, "cta %d (%d warps)", ctaID, warpsPer)
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindCTALaunch, -1, -1, uint64(ctaID), uint64(warpsPer), "")
 	}
@@ -303,7 +309,13 @@ func (s *sm) tick() {
 		a.OnIssue(s.issuedEpoch)
 		a.Tick()
 		if low := a.LowPower(); low != s.wasLowPower {
-			s.trace(TraceModeSwitch, -1, -1, "FRF %s power", map[bool]string{true: "low", false: "high"}[low])
+			if s.cfg.Tracer != nil {
+				mode := "high"
+				if low {
+					mode = "low"
+				}
+				s.trace(TraceModeSwitch, -1, -1, "FRF %s power", mode)
+			}
 			if s.rec != nil {
 				var toLow uint64
 				if low {
@@ -399,7 +411,9 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	s.issuedEpoch++
 	w.lastIssue = s.now
 	s.run.stats.ThreadInstrs += uint64(popcount(activeMask))
-	s.trace(TraceIssue, w.slot, w.pc(), "%s [lanes %d]", in.String(), popcount(activeMask))
+	if s.cfg.Tracer != nil {
+		s.trace(TraceIssue, w.slot, w.pc(), "%s [lanes %d]", in.String(), popcount(activeMask))
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindIssue, w.slot, w.pc(), uint64(in.Op), uint64(activeMask), in.Op.String())
 	}
@@ -456,7 +470,7 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	w.inFlight++
 
 	// Operand collection: reads via the RFC (if enabled) or the banks.
-	col := &collectorUnit{warp: w, in: in, execMask: execMask}
+	col := s.newCollector(w, in, execMask)
 	if s.rfcCache != nil {
 		// The RFC read stage takes a cycle of its own; hits are
 		// cheap in energy, not free in time.
@@ -517,7 +531,9 @@ func (s *sm) issueControl(sc *schedState, w *warpCtx, in *isa.Instruction, activ
 		w.advance()
 		w.atBarrier = true
 		w.cta.arrived++
-		s.trace(TraceBarrier, w.slot, -1, "arrived (%d/%d)", w.cta.arrived, w.cta.live)
+		if s.cfg.Tracer != nil {
+			s.trace(TraceBarrier, w.slot, -1, "arrived (%d/%d)", w.cta.arrived, w.cta.live)
+		}
 		s.checkBarrier(w.cta)
 		if s.cfg.Policy == PolicyTL {
 			sc.demote(s, w.slot)
@@ -546,7 +562,9 @@ func (s *sm) retireWarp(w *warpCtx) {
 	if s.gate != nil {
 		s.gate.OnWarpRetire(w.slot)
 	}
-	s.trace(TraceWarpRetire, w.slot, -1, "cta %d", w.cta.id)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceWarpRetire, w.slot, -1, "cta %d", w.cta.id)
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindWarpRetire, w.slot, -1, uint64(w.cta.id), 0, "")
 	}
@@ -554,7 +572,9 @@ func (s *sm) retireWarp(w *warpCtx) {
 		s.profCtl.OnWarpComplete(w.slot)
 		s.pilotFinish = s.now
 		s.ranPilot = true
-		s.trace(TracePilotDone, w.slot, -1, "pilot finished; mapping updated")
+		if s.cfg.Tracer != nil {
+			s.trace(TracePilotDone, w.slot, -1, "pilot finished; mapping updated")
+		}
 		if s.rec != nil {
 			s.record(flightrec.KindSwapInstall, w.slot, -1, s.mappingHash(), 0, "pilot-complete")
 		}
@@ -665,6 +685,7 @@ func (s *sm) tickCollectors() {
 			s.pf.dispatched++
 		}
 		s.dispatch(col)
+		s.freeCollectors = append(s.freeCollectors, col)
 	}
 	s.pendingCollectors = kept
 }
@@ -673,22 +694,19 @@ func (s *sm) tickCollectors() {
 // writeback.
 func (s *sm) dispatch(col *collectorUnit) {
 	w, in := col.warp, col.in
-	s.trace(TraceDispatch, w.slot, -1, "%s to %s", in.Op, in.Op.ClassOf())
+	if s.cfg.Tracer != nil {
+		s.trace(TraceDispatch, w.slot, -1, "%s to %s", in.Op, in.Op.ClassOf())
+	}
 	switch {
 	case in.Op.IsGlobalMemory():
-		s.trace(TraceMemStart, w.slot, -1, "%s", in.Op)
-		s.memDispatch(func() {
-			s.trace(TraceMemDone, w.slot, -1, "%s", in.Op)
-			w.memInFlight--
-			if s.cfg.Policy == PolicyTL {
-				s.schedulers[w.slot%s.cfg.Schedulers].promote(s)
-			}
-			s.writeback(w, in)
-		})
+		if s.cfg.Tracer != nil {
+			s.trace(TraceMemStart, w.slot, -1, "%s", in.Op)
+		}
+		s.memDispatch(w, in)
 	case in.Op == isa.OpLDS || in.Op == isa.OpSTS:
-		s.schedule(s.now+int64(s.cfg.SharedLatency), func() { s.writeback(w, in) })
+		s.schedule(s.now+int64(s.cfg.SharedLatency), event{kind: evWriteback, w: w, in: in})
 	default:
-		s.schedule(s.now+int64(s.unitLatency(in)), func() { s.writeback(w, in) })
+		s.schedule(s.now+int64(s.unitLatency(in)), event{kind: evWriteback, w: w, in: in})
 	}
 }
 
@@ -706,7 +724,9 @@ func (s *sm) unitLatency(in *isa.Instruction) int {
 // writeback retires an instruction: predicate results complete here;
 // register results go through an RFC write or a bank write transaction.
 func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
-	s.trace(TraceWriteback, w.slot, -1, "%s", in.Op)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceWriteback, w.slot, -1, "%s", in.Op)
+	}
 	if in.PDst.Valid() {
 		w.pendingPreds &^= 1 << uint(in.PDst)
 	}
@@ -719,16 +739,13 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// Only active-pool warps own RFC storage; a demoted warp's
 		// late results bypass the cache straight to the MRF.
 		if s.cfg.Policy == PolicyTL && !s.schedulers[w.slot%s.cfg.Schedulers].inActive(w.slot) {
-			s.enqueueBankWrite(w, d, func() {
-				w.pendingRegs &^= 1 << uint(d)
-				s.completeInstr(w)
-			})
+			s.enqueueBankWrite(w, d, doneRelease)
 			return
 		}
 		// Results write into the RFC; dirty evictions emit MRF bank
 		// writes that retire in the background.
 		if victim, wb := s.rfcCache.Write(w.slot, d); wb {
-			s.enqueueBankWrite(w, victim, nil)
+			s.enqueueBankWrite(w, victim, doneNone)
 		}
 		w.pendingRegs &^= 1 << uint(d)
 		s.completeInstr(w)
@@ -738,13 +755,10 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// The result is forwarded to dependents now; the bank write
 		// retires in the background (energy + occupancy only).
 		w.pendingRegs &^= 1 << uint(d)
-		s.enqueueBankWrite(w, d, func() { s.completeInstr(w) })
+		s.enqueueBankWrite(w, d, doneComplete)
 		return
 	}
-	s.enqueueBankWrite(w, d, func() {
-		w.pendingRegs &^= 1 << uint(d)
-		s.completeInstr(w)
-	})
+	s.enqueueBankWrite(w, d, doneRelease)
 }
 
 func (s *sm) completeInstr(w *warpCtx) {

@@ -169,11 +169,10 @@ func (t *RingTracer) CountKind(k TraceKind) int {
 	return n
 }
 
-// trace emits an event if a tracer is configured.
+// trace formats and emits one tracer event. Callers must hold
+// s.cfg.Tracer != nil, so that with no tracer attached the arguments —
+// an instruction's disassembly, boxed integers — are never evaluated.
 func (s *sm) trace(kind TraceKind, warp, pc int, format string, args ...interface{}) {
-	if s.cfg.Tracer == nil {
-		return
-	}
 	detail := format
 	if len(args) > 0 {
 		detail = fmt.Sprintf(format, args...)
