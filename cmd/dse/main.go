@@ -107,8 +107,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 func splitNames(s string) ([]string, error) {
 	names := splitList(s)
 	for _, n := range names {
-		if _, ok := design.Lookup(n); !ok {
-			return nil, fmt.Errorf("unknown scheme %q (valid: %s)", n, strings.Join(design.SortedNames(), ", "))
+		if _, err := design.Resolve(n); err != nil {
+			return nil, err
 		}
 	}
 	return names, nil

@@ -169,8 +169,8 @@ func run() int {
 		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		if _, ok := design.Lookup(name); !ok {
-			fmt.Fprintf(os.Stderr, "unknown design %q (valid: %s)\n", name, strings.Join(design.SortedNames(), ", "))
+		if _, err := design.Resolve(name); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
 		designList = append(designList, name)

@@ -66,6 +66,7 @@ import (
 	"strings"
 
 	"pilotrf/internal/campaign"
+	"pilotrf/internal/design"
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/trace"
 )
@@ -113,7 +114,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("faultcampaign", flag.ContinueOnError)
 	var (
 		benchName = fs.String("bench", "", "comma-separated benchmark names (empty = all)")
-		designs   = fs.String("designs", "mrf-ntv,part,part-adaptive", "comma-separated designs (mrf-stv | mrf-ntv | part | part-adaptive)")
+		designs   = fs.String("designs", "mrf-ntv,part,part-adaptive", "comma-separated design schemes, each at its default knobs ("+strings.Join(design.Names(), " | ")+")")
 		protect   = fs.String("protect", "none,parity,secded,paper", "comma-separated protection schemes (none | parity | secded | paper)")
 		trials    = fs.Int("trials", 5, "seeded injection trials per cell")
 		rate      = fs.Float64("rate", 2e-11, "accelerated soft-error rate (upsets/bit/cycle at STV)")

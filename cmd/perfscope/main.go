@@ -38,7 +38,7 @@ import (
 	"os"
 	"strings"
 
-	"pilotrf/internal/campaign"
+	"pilotrf/internal/design"
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/perfscope"
 	"pilotrf/internal/sim"
@@ -61,14 +61,14 @@ func main() {
 // cell is one workload x design profiling task.
 type cell struct {
 	w      workloads.Workload
-	design string
+	scheme design.Scheme
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("perfscope", flag.ContinueOnError)
 	var (
 		benchList  = fs.String("bench", "", "comma-separated benchmark names (empty = all)")
-		designList = fs.String("designs", "mrf-stv,mrf-ntv,part,part-adaptive", "comma-separated designs to profile")
+		designList = fs.String("designs", "mrf-stv,mrf-ntv,part,part-adaptive", "comma-separated design schemes to profile, each at its default knobs")
 		sms        = fs.Int("sms", 2, "number of SMs")
 		scale      = fs.Float64("scale", 1, "CTA count scale factor")
 		seed       = fs.Uint64("seed", 0, "memory-content seed (0 = default)")
@@ -89,16 +89,17 @@ func run(args []string, stdout io.Writer) error {
 		return usageError{fmt.Errorf("scale must be positive, got %v", *scale)}
 	}
 
-	var designs []string
+	var designs []design.Scheme
 	for _, name := range strings.Split(*designList, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		if _, err := campaign.ParseDesign(name); err != nil {
+		sch, err := design.Resolve(name)
+		if err != nil {
 			return usageError{err}
 		}
-		designs = append(designs, name)
+		designs = append(designs, sch)
 	}
 	if len(designs) == 0 {
 		return usageError{errors.New("no designs selected")}
@@ -128,7 +129,7 @@ func run(args []string, stdout io.Writer) error {
 	cells := make([]cell, 0, len(wls)*len(designs))
 	for _, w := range wls {
 		for _, d := range designs {
-			cells = append(cells, cell{w: w.Scale(*scale), design: d})
+			cells = append(cells, cell{w: w.Scale(*scale), scheme: d})
 		}
 	}
 
@@ -141,11 +142,10 @@ func run(args []string, stdout io.Writer) error {
 	for i, c := range cells {
 		c := c
 		tasks[i] = func(context.Context) (interface{}, error) {
-			d, err := campaign.ParseDesign(c.design)
+			cfg, err := sim.DefaultConfig().WithScheme(c.scheme, c.scheme.DefaultKnobs())
 			if err != nil {
 				return nil, err
 			}
-			cfg := sim.DefaultConfig().WithDesign(d)
 			cfg.NumSMs = *sms
 			if *seed != 0 {
 				cfg.Seed = *seed
@@ -157,9 +157,9 @@ func run(args []string, stdout io.Writer) error {
 				return nil, err
 			}
 			if _, err := g.RunKernels(c.w.Name, c.w.Kernels); err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", c.w.Name, c.design, err)
+				return nil, fmt.Errorf("%s/%s: %w", c.w.Name, c.scheme.Name(), err)
 			}
-			return perfscope.NewEntry(c.w.Name, c.design, p), nil
+			return perfscope.NewEntry(c.w.Name, c.scheme.Name(), p), nil
 		}
 	}
 	batch, err := pool.Submit(context.Background(), tasks)

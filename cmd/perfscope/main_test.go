@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/perfscope"
+	"pilotrf/internal/sim"
+	"pilotrf/internal/workloads"
 )
 
 // sweep runs the driver with the given worker count and returns the
@@ -118,5 +122,54 @@ func TestSweepBadFlags(t *testing.T) {
 		if _, ok := err.(usageError); !ok {
 			t.Errorf("args %v: error %v is not a usageError", args, err)
 		}
+	}
+}
+
+// TestSweepRunsSchemeSettings: a scheme whose settings go beyond its
+// base RF (rfc-hints: an RFC under the two-level scheduler in front of
+// an NTV MRF) is profiled with those settings. Its census SM-cycles
+// equal a direct WithScheme run and differ from mrf-ntv's.
+func TestSweepRunsSchemeSettings(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	err := run([]string{
+		"-bench", "sgemm", "-designs", "mrf-ntv,rfc-hints", "-sms", "1", "-scale", "0.05", "-out", out,
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := perfscope.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for _, e := range r.Entries {
+		got[e.Design] = e.Census.SMCycles
+	}
+
+	sch := design.MustLookup("rfc-hints")
+	cfg, err := sim.DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumSMs = 1
+	p := perfscope.New(false)
+	cfg.Perf = p
+	w, err := workloads.ByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.Scale(0.05)
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RunKernels(w.Name, w.Kernels); err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Census().SMCycles; got["rfc-hints"] != want {
+		t.Errorf("rfc-hints census %d SM-cycles, a direct WithScheme run %d", got["rfc-hints"], want)
+	}
+	if got["rfc-hints"] == got["mrf-ntv"] {
+		t.Errorf("rfc-hints profiled as its base MRF: %d SM-cycles, like mrf-ntv", got["rfc-hints"])
 	}
 }

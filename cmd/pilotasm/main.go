@@ -14,26 +14,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"pilotrf/internal/asm"
 	"pilotrf/internal/cfg"
+	"pilotrf/internal/design"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/profile"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/workloads"
 )
 
 func main() {
 	var (
-		dis     = flag.String("dis", "", "disassemble a bundled benchmark's kernels")
-		runFile = flag.String("run", "", "assemble and run an assembly file")
-		check   = flag.String("check", "", "assemble and validate an assembly file")
-		dot     = flag.String("dot", "", "assemble a file and emit its control flow graph as Graphviz DOT")
-		threads = flag.Int("threads", 256, "threads per CTA for -run")
-		ctas    = flag.Int("ctas", 32, "CTAs for -run")
-		design  = flag.String("design", "part-adaptive", "mrf-stv | mrf-ntv | part | part-adaptive")
-		prof    = flag.String("profile", "hybrid", "static | compiler | pilot | hybrid")
+		dis        = flag.String("dis", "", "disassemble a bundled benchmark's kernels")
+		runFile    = flag.String("run", "", "assemble and run an assembly file")
+		check      = flag.String("check", "", "assemble and validate an assembly file")
+		dot        = flag.String("dot", "", "assemble a file and emit its control flow graph as Graphviz DOT")
+		threads    = flag.Int("threads", 256, "threads per CTA for -run")
+		ctas       = flag.Int("ctas", 32, "CTAs for -run")
+		designName = flag.String("design", "part-adaptive", strings.Join(design.Names(), " | "))
+		prof       = flag.String("profile", "hybrid", "static | compiler | pilot | hybrid")
 	)
 	flag.Parse()
 
@@ -59,18 +60,13 @@ func main() {
 			prog.Name, prog.Len(), prog.NumRegs)
 	case *runFile != "":
 		prog := mustAssemble(*runFile)
-		cfg := sim.DefaultConfig()
-		switch *design {
-		case "mrf-stv":
-			cfg = cfg.WithDesign(regfile.DesignMonolithicSTV)
-		case "mrf-ntv":
-			cfg = cfg.WithDesign(regfile.DesignMonolithicNTV)
-		case "part":
-			cfg = cfg.WithDesign(regfile.DesignPartitioned)
-		case "part-adaptive":
-			cfg = cfg.WithDesign(regfile.DesignPartitionedAdaptive)
-		default:
-			fatal(fmt.Errorf("unknown design %q", *design))
+		sch, err := design.Resolve(*designName)
+		if err != nil {
+			fatal(err)
+		}
+		cfg, err := sim.DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
+		if err != nil {
+			fatal(err)
 		}
 		switch *prof {
 		case "static":

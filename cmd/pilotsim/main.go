@@ -290,9 +290,9 @@ func run(args []string, stdout io.Writer) error {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	sch, ok := design.Lookup(*designName)
-	if !ok {
-		return usageError{fmt.Errorf("unknown design %q (valid: %s)", *designName, strings.Join(design.SortedNames(), ", "))}
+	sch, err := design.Resolve(*designName)
+	if err != nil {
+		return usageError{err}
 	}
 	switch *prof {
 	case "static":
@@ -321,7 +321,7 @@ func run(args []string, stdout io.Writer) error {
 	// The scheme applies after -sched so a scheme that mandates its own
 	// scheduler (the RFC schemes run two-level, per the paper) wins over
 	// the flag's default; the four legacy designs leave -sched alone.
-	cfg, err := cfg.WithScheme(sch, sch.DefaultKnobs())
+	cfg, err = cfg.WithScheme(sch, sch.DefaultKnobs())
 	if err != nil {
 		return err
 	}

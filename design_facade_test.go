@@ -45,8 +45,8 @@ func TestNewSchemeSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Config().UseRFC {
-		t.Error("rfc scheme simulator has UseRFC off")
+	if s.Config().RFC.EntriesPerWarp == 0 {
+		t.Error("rfc scheme simulator has no RFC")
 	}
 	res, err := s.RunBenchmark("sgemm")
 	if err != nil {

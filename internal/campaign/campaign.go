@@ -28,7 +28,6 @@ import (
 	"pilotrf/internal/design"
 	"pilotrf/internal/fault"
 	"pilotrf/internal/jobs"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/trace"
 	"pilotrf/internal/workloads"
@@ -42,11 +41,13 @@ const Schema = "pilotrf-faultcampaign/v1"
 
 // goldenVersion versions the cached golden-run snapshot independently of
 // the report schema; bump it when the simulator's dataflow digests
-// change meaning and every cached golden becomes a miss.
-const goldenVersion = "golden/v1"
+// change meaning and every cached golden becomes a miss. v2: v1 entries
+// for schemes with settings beyond their base RF (rfc, rfc-hints) were
+// computed without those settings.
+const goldenVersion = "golden/v2"
 
-// cellVersion versions cached finished cells.
-const cellVersion = "cell/v1"
+// cellVersion versions cached finished cells (v2: as goldenVersion).
+const cellVersion = "cell/v2"
 
 // Outcomes counts trial classifications within one campaign cell.
 type Outcomes struct {
@@ -87,8 +88,8 @@ type Report struct {
 type Spec struct {
 	// Benchmarks lists workload names (empty = the full Table I suite).
 	Benchmarks []string `json:"benchmarks,omitempty"`
-	// Designs lists RF designs by CLI name (empty = mrf-ntv, part,
-	// part-adaptive).
+	// Designs lists registered design schemes by name, each run at its
+	// default knobs (empty = mrf-ntv, part, part-adaptive).
 	Designs []string `json:"designs,omitempty"`
 	// Protect lists protection schemes by name (empty = none, parity,
 	// secded, paper).
@@ -135,22 +136,10 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// ParseDesign maps the CLI design names (shared by pilotsim,
-// faultcampaign, and the job server) to designs through the design
-// scheme registry: any registered scheme name is accepted and resolves
-// to its underlying register-file design at default knobs.
-func ParseDesign(name string) (regfile.Design, error) {
-	sch, ok := design.Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("unknown design %q (valid: %s)", name, strings.Join(design.SortedNames(), ", "))
-	}
-	return sch.Base(sch.DefaultKnobs()), nil
-}
-
 // plan is a validated, fully-resolved spec.
 type plan struct {
 	spec    Spec
-	designs []regfile.Design
+	configs []sim.Config // per design, in spec order
 	schemes []fault.Scheme
 	wls     []workloads.Workload
 }
@@ -172,11 +161,16 @@ func compile(s Spec) (*plan, error) {
 		return nil, fmt.Errorf("scale must be positive, got %v", s.Scale)
 	}
 	for _, name := range s.Designs {
-		d, err := ParseDesign(strings.TrimSpace(name))
+		sch, err := design.Resolve(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		p.designs = append(p.designs, d)
+		cfg, err := sim.DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
+		if err != nil {
+			return nil, err
+		}
+		cfg.NumSMs = s.SMs
+		p.configs = append(p.configs, cfg)
 	}
 	for _, name := range s.Protect {
 		sch, err := fault.ParseScheme(strings.TrimSpace(name))
@@ -214,7 +208,7 @@ func (s Spec) NumJobs() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cells := len(p.designs) * len(p.wls)
+	cells := len(p.configs) * len(p.wls)
 	return cells + cells*len(p.schemes)*p.spec.Trials, nil
 }
 
@@ -462,7 +456,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 		di, wi int
 		key    jobs.Key
 	}
-	goldens := make([]goldenSnapshot, len(p.designs)*len(p.wls))
+	goldens := make([]goldenSnapshot, len(p.configs)*len(p.wls))
 	goldenAt := func(di, wi int) int { return di*len(p.wls) + wi }
 	var missing []goldenJob
 	for di, name := range s.Designs {
@@ -495,10 +489,8 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 			sp.SetAttr("design", s.Designs[j.di])
 			sp.SetAttr("workload", p.wls[j.wi].Name)
 			sp.SetAttr("cache", "miss")
-			cfg := sim.DefaultConfig().WithDesign(p.designs[j.di])
-			cfg.NumSMs = s.SMs
 			w := p.wls[j.wi].Scale(s.Scale)
-			snap, err := runGolden(cfg, w)
+			snap, err := runGolden(p.configs[j.di], w)
 			if err != nil {
 				return nil, fmt.Errorf("golden %s/%s: %w", s.Designs[j.di], w.Name, err)
 			}
@@ -597,10 +589,8 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 				defer sp.End()
 				sp.SetAttr("trial", strconv.Itoa(j.trial))
 				sp.SetAttr("seed", strconv.FormatUint(seed, 10))
-				cfg := sim.DefaultConfig().WithDesign(p.designs[j.di])
-				cfg.NumSMs = s.SMs
 				w := p.wls[j.wi].Scale(s.Scale)
-				tr, err := runTrial(cfg, w, goldens[goldenAt(j.di, j.wi)], p.schemes[j.si], s.Rate, seed)
+				tr, err := runTrial(p.configs[j.di], w, goldens[goldenAt(j.di, j.wi)], p.schemes[j.si], s.Rate, seed)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/%s: %w", s.Designs[j.di], s.Protect[j.si], w.Name, err)
 				}

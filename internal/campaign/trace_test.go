@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"strconv"
 	"testing"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/jobs"
+	"pilotrf/internal/sim"
 	"pilotrf/internal/trace"
+	"pilotrf/internal/workloads"
 )
 
 // runTraced runs the test spec with a deterministic (no-wall) recorder
@@ -181,5 +185,51 @@ func TestCampaignTraceUnderParentContext(t *testing.T) {
 func TestCampaignNoTraceNoRecorder(t *testing.T) {
 	if _, err := Run(context.Background(), testSpec(), Options{Pool: newPool(t, 1, nil)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGoldenRunsSchemeSettings: a scheme whose settings go beyond its
+// base RF (rfc-hints: an RFC under the two-level scheduler in front of
+// an NTV MRF) runs its golden reference with those settings. The golden
+// span's cycles equal a direct WithScheme run and differ from mrf-ntv's.
+func TestGoldenRunsSchemeSettings(t *testing.T) {
+	spec := testSpec()
+	spec.Designs = []string{"mrf-ntv", "rfc-hints"}
+	spec.Protect = []string{"none"}
+	spec.Trials = 1
+	rec := trace.NewRecorder(false)
+	if _, err := Run(context.Background(), spec, Options{Pool: newPool(t, 2, nil), Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	cycles := map[string]string{}
+	for _, s := range rec.Spans() {
+		if s.Name == "golden" {
+			cycles[s.Attrs["design"]] = s.Attrs["cycles"]
+		}
+	}
+	sch := design.MustLookup("rfc-hints")
+	cfg, err := sim.DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumSMs = spec.SMs
+	w, err := workloads.ByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.Scale(spec.Scale)
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := g.RunKernels(w.Name, w.Kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.FormatInt(rs.TotalCycles(), 10); cycles["rfc-hints"] != want {
+		t.Errorf("rfc-hints golden ran %s cycles, a direct WithScheme run %s", cycles["rfc-hints"], want)
+	}
+	if cycles["rfc-hints"] == cycles["mrf-ntv"] {
+		t.Errorf("rfc-hints golden ran as its base MRF: %s cycles, like mrf-ntv", cycles["rfc-hints"])
 	}
 }

@@ -72,14 +72,12 @@ type Settings struct {
 	// require; TLActiveWarps, when positive, sizes its active pool.
 	TwoLevel      bool
 	TLActiveWarps int
-	// UseRFC puts a register file cache in front of the (monolithic) RF;
-	// RFC sizes it and RFCCompilerHints switches it to compiler-managed
-	// allocation. RFCMRFLatency, when positive, overrides the backing
+	// RFC, when it has entries, puts a register file cache in front of
+	// the (monolithic) RF; RFCCompilerHints switches it to
+	// compiler-managed allocation. The cache is backed by the RF's own
 	// MRF latency.
-	UseRFC           bool
 	RFC              rfc.Config
 	RFCCompilerHints bool
-	RFCMRFLatency    int
 	// Gating, when non-nil, attaches the liveness gating tracker.
 	Gating *GatingConfig
 }
@@ -165,6 +163,15 @@ func Lookup(name string) (Scheme, bool) {
 	return nil, false
 }
 
+// Resolve returns the scheme registered under name, or an error listing
+// every valid name (the form the command-line tools report).
+func Resolve(name string) (Scheme, error) {
+	if s, ok := Lookup(name); ok {
+		return s, nil
+	}
+	return nil, fmt.Errorf("unknown design %q (valid: %s)", name, strings.Join(SortedNames(), ", "))
+}
+
 // MustLookup returns the scheme registered under name, panicking if it
 // does not exist (for tests and init-time wiring).
 func MustLookup(name string) Scheme {
@@ -192,8 +199,8 @@ func Names() []string {
 	return out
 }
 
-// SortedNames returns the scheme names sorted alphabetically (for usage
-// messages).
+// SortedNames returns the scheme names sorted alphabetically (for the
+// Resolve error).
 func SortedNames() []string {
 	out := Names()
 	sort.Strings(out)

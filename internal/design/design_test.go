@@ -27,6 +27,13 @@ func TestRegistryContents(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup accepted an unknown name")
 	}
+	if s, err := Resolve("rfc-hints"); err != nil || s.Name() != "rfc-hints" {
+		t.Errorf("Resolve(rfc-hints) = %v, %v", s, err)
+	}
+	_, err := Resolve("nope")
+	if want := `unknown design "nope" (valid: greener, mrf-ntv, mrf-stv, part, part-adaptive, rfc, rfc-hints)`; err == nil || err.Error() != want {
+		t.Errorf("Resolve(nope) error = %v, want %s", err, want)
+	}
 	for _, s := range All() {
 		if s.Doc() == "" {
 			t.Errorf("%s: empty doc", s.Name())
@@ -254,7 +261,7 @@ func TestSettingsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !set.UseRFC || !set.RFCCompilerHints || !set.TwoLevel {
+	if !set.RFCCompilerHints || !set.TwoLevel {
 		t.Errorf("rfc-hints settings missing cache/hints/scheduler: %+v", set)
 	}
 	if set.RFC.EntriesPerWarp != rfcDefEntries {
@@ -267,8 +274,8 @@ func TestSettingsShapes(t *testing.T) {
 	if set.RFCCompilerHints {
 		t.Error("classic rfc must not set compiler hints")
 	}
-	if set.RFCMRFLatency != 1 {
-		t.Errorf("rfc@stv MRF latency %d, want 1", set.RFCMRFLatency)
+	if set.RF.Lat.MRF != 1 {
+		t.Errorf("rfc@stv MRF latency %d, want 1", set.RF.Lat.MRF)
 	}
 	set, err = MustLookup("greener").Settings(Knobs{Size: 8})
 	if err != nil {

@@ -60,17 +60,11 @@ func (g greener) Settings(k Knobs) (Settings, error) {
 	if err := g.Validate(k); err != nil {
 		return Settings{}, err
 	}
-	base := g.Base(k)
-	set := Settings{RF: regfile.DefaultConfig(base)}
-	if base == regfile.DesignMonolithicNTV {
-		set.RFCMRFLatency = 3
-	}
 	gran := k.Size
 	if gran == 0 {
 		gran = 1
 	}
-	set.Gating = &GatingConfig{Granularity: gran}
-	return set, nil
+	return Settings{RF: regfile.DefaultConfig(g.Base(k)), Gating: &GatingConfig{Granularity: gran}}, nil
 }
 
 // Energy implements Scheme: dynamic energy is the base MRF's; leakage is

@@ -55,18 +55,12 @@ func (m monolithic) Validate(k Knobs) error {
 // Grid implements Scheme.
 func (m monolithic) Grid() []Knobs { return []Knobs{{}} }
 
-// Settings implements Scheme, reproducing sim.Config.WithDesign exactly:
-// the NTV MRF also slows the (unused) RFC-backing latency so a scheme
-// and a WithDesign configuration are bit-identical.
+// Settings implements Scheme: the design's default register file.
 func (m monolithic) Settings(k Knobs) (Settings, error) {
 	if err := m.Validate(k); err != nil {
 		return Settings{}, err
 	}
-	set := Settings{RF: regfile.DefaultConfig(m.base)}
-	if m.base == regfile.DesignMonolithicNTV {
-		set.RFCMRFLatency = 3
-	}
-	return set, nil
+	return Settings{RF: regfile.DefaultConfig(m.base)}, nil
 }
 
 // Energy implements Scheme with the aggregate pricing model.

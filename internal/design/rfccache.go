@@ -82,12 +82,10 @@ func (s rfcScheme) Settings(k Knobs) (Settings, error) {
 	if err := s.Validate(k); err != nil {
 		return Settings{}, err
 	}
-	base := s.Base(k)
-	set := Settings{
-		RF:            regfile.DefaultConfig(base),
+	return Settings{
+		RF:            regfile.DefaultConfig(s.Base(k)),
 		TwoLevel:      true,
 		TLActiveWarps: rfcActiveWarps,
-		UseRFC:        true,
 		RFC: rfc.Config{
 			EntriesPerWarp:     s.entries(k),
 			Warps:              rfcActiveWarps,
@@ -95,12 +93,7 @@ func (s rfcScheme) Settings(k Knobs) (Settings, error) {
 			AllocateOnReadMiss: true,
 		},
 		RFCCompilerHints: s.hints,
-		RFCMRFLatency:    1,
-	}
-	if base == regfile.DesignMonolithicNTV {
-		set.RFCMRFLatency = 3
-	}
-	return set, nil
+	}, nil
 }
 
 // array returns the FinCACTI model of the cache storage at these knobs.

@@ -147,8 +147,8 @@ func Sweep(ctx context.Context, opts Options) (*Report, error) {
 func resolveSchemes(names []string) ([]pointSpec, error) {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
-		if _, ok := design.Lookup(n); !ok {
-			return nil, fmt.Errorf("dse: unknown scheme %q (valid: %v)", n, design.SortedNames())
+		if _, err := design.Resolve(n); err != nil {
+			return nil, fmt.Errorf("dse: %w", err)
 		}
 		want[n] = true
 	}

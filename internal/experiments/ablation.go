@@ -39,7 +39,7 @@ func FRFSizeSweep(r *Runner) []FRFSizePoint {
 	for _, n := range []int{2, 3, 4, 5, 6, 8} {
 		var shares, savings, ratios []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			cfg := r.designConfig("part-adaptive")
 			cfg.RF.FRFRegs = n
 			cfg.ProfTopN = n
 			rs := r.run(w, cfg, "frfsize-"+strconv.Itoa(n))
@@ -94,15 +94,15 @@ func ForwardingAblation(r *Runner) []ForwardingPoint {
 		}
 		var hyb, ntv []float64
 		for _, w := range workloads.All() {
-			baseCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+			baseCfg := r.designConfig("mrf-stv")
 			baseCfg.WritebackForwarding = fwd
 			base := float64(r.run(w, baseCfg, "fwd-base-"+suffix).TotalCycles())
 
-			hybCfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			hybCfg := r.designConfig("part-adaptive")
 			hybCfg.WritebackForwarding = fwd
 			hyb = append(hyb, float64(r.run(w, hybCfg, "fwd-part-"+suffix).TotalCycles())/base)
 
-			ntvCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicNTV)
+			ntvCfg := r.designConfig("mrf-ntv")
 			ntvCfg.WritebackForwarding = fwd
 			ntv = append(ntv, float64(r.run(w, ntvCfg, "fwd-ntv-"+suffix).TotalCycles())/base)
 		}
@@ -132,7 +132,7 @@ func PilotChoiceSensitivity(r *Runner) []PilotChoicePoint {
 	for _, idx := range []int{0, 1, 3} {
 		var shares []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+			cfg := r.designConfig("part")
 			cfg.Profiling = profile.TechniquePilot
 			cfg.PilotWarpIndex = idx
 			rs := r.run(w, cfg, "pilot-idx-"+strconv.Itoa(idx))
@@ -207,7 +207,7 @@ func ProfilingTechniqueAblation(r *Runner) []TechniqueEnergyRow {
 	for _, tech := range techniques {
 		var shares, savings, ratios []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			cfg := r.designConfig("part-adaptive")
 			cfg.Profiling = tech
 			rs := r.run(w, cfg, "abl-"+tech.String())
 			shares = append(shares, rs.FRFShare())

@@ -86,7 +86,7 @@ func Figure11(r *Runner) Figure11Result {
 	var sa, sp, sn []float64
 	for _, w := range workloads.All() {
 		adaptive := r.hybridRun(w)
-		partCfg := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+		partCfg := r.designConfig("part")
 		partOnly := r.run(w, partCfg, "part-hybrid-noadaptive")
 
 		base := energy.BaselineDynamicPJ(adaptive.TotalAccesses())
@@ -156,7 +156,7 @@ func Breakdown(r *Runner, benchmark string) EnergyBreakdown {
 	}
 	adaptive := r.hybridRun(w)
 	base := r.baselineRun(w)
-	ntvCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicNTV)
+	ntvCfg := r.designConfig("mrf-ntv")
 	ntv := r.run(w, ntvCfg, "base-ntv-gto")
 
 	mk := func(d regfile.Design, rs sim.RunStats) energy.Report {

@@ -50,7 +50,7 @@ type EnergyReportRow struct {
 func EnergyReport(r *Runner) []EnergyReportRow {
 	rows := make([]EnergyReportRow, 0, len(workloads.All()))
 	for _, w := range workloads.All() {
-		cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		cfg := r.designConfig("part-adaptive")
 		cfg.Profiling = profile.TechniqueHybrid
 		led := energy.NewLedger(cfg.RF.Design, 0)
 		audit := &profile.AuditLog{}

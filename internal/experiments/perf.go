@@ -45,28 +45,28 @@ func Figure12(r *Runner) Figure12Result {
 	for _, w := range workloads.All() {
 		baseGTO := float64(r.baselineRun(w).TotalCycles())
 
-		baseTLCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+		baseTLCfg := r.designConfig("mrf-stv")
 		baseTLCfg.Policy = sim.PolicyTL
 		baseTL := float64(r.run(w, baseTLCfg, "base-stv-tl").TotalCycles())
 
-		baseLRRCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+		baseLRRCfg := r.designConfig("mrf-stv")
 		baseLRRCfg.Policy = sim.PolicyLRR
 		baseLRR := float64(r.run(w, baseLRRCfg, "base-stv-lrr").TotalCycles())
 
 		hybrid := float64(r.hybridRun(w).TotalCycles())
 
-		compCfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		compCfg := r.designConfig("part-adaptive")
 		compCfg.Profiling = profile.TechniqueCompiler
 		comp := float64(r.run(w, compCfg, "part-adaptive-compiler").TotalCycles())
 
-		ntvCfg := r.baseConfig().WithDesign(regfile.DesignMonolithicNTV)
+		ntvCfg := r.designConfig("mrf-ntv")
 		ntv := float64(r.run(w, ntvCfg, "base-ntv-gto").TotalCycles())
 
-		tlCfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		tlCfg := r.designConfig("part-adaptive")
 		tlCfg.Policy = sim.PolicyTL
 		tl := float64(r.run(w, tlCfg, "part-adaptive-hybrid-tl").TotalCycles())
 
-		lrrCfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		lrrCfg := r.designConfig("part-adaptive")
 		lrrCfg.Policy = sim.PolicyLRR
 		lrr := float64(r.run(w, lrrCfg, "part-adaptive-hybrid-lrr").TotalCycles())
 
@@ -107,7 +107,7 @@ func SRFLatencySensitivity(r *Runner) []LatencyPoint {
 	for _, srf := range []int{3, 4, 5} {
 		var ratios []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			cfg := r.designConfig("part-adaptive")
 			cfg.RF.Lat.SRF = srf
 			key := "part-srf-" + itoa(srf)
 			cycles := float64(r.run(w, cfg, key).TotalCycles())
@@ -134,7 +134,7 @@ func EpochSensitivity(r *Runner) []EpochPoint {
 	for _, epoch := range []int{25, 50, 100, 200} {
 		var ratios, lows []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			cfg := r.designConfig("part-adaptive")
 			cfg.RF.Adaptive.EpochCycles = epoch
 			cfg.RF.Adaptive = cfg.RF.Adaptive.WithThresholdRatio(0.2)
 			key := "part-epoch-" + itoa(epoch)
@@ -170,7 +170,7 @@ func ThresholdSweep(r *Runner) []ThresholdPoint {
 	for _, th := range []int{40, 85, 160, 240} {
 		var ratios, lows []float64
 		for _, w := range workloads.All() {
-			cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			cfg := r.designConfig("part-adaptive")
 			cfg.RF.Adaptive.Threshold = th
 			key := "part-th-" + itoa(th)
 			rs := r.run(w, cfg, key)
@@ -196,7 +196,7 @@ func ThresholdSweep(r *Runner) []ThresholdPoint {
 func SwapTablePenalty(r *Runner) float64 {
 	var ratios []float64
 	for _, w := range workloads.All() {
-		cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		cfg := r.designConfig("part-adaptive")
 		cfg.RF.Lat.FRFHigh++
 		cfg.RF.Lat.FRFLow++
 		cfg.RF.Lat.SRF++

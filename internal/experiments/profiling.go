@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"pilotrf/internal/profile"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
 	"pilotrf/internal/workloads"
@@ -49,7 +48,7 @@ func Table1(r *Runner) []Table1Row {
 // hybridRun is the paper's preferred configuration: partitioned +
 // adaptive FRF, hybrid profiling, GTO scheduler.
 func (r *Runner) hybridRun(w workloads.Workload) sim.RunStats {
-	cfg := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := r.designConfig("part-adaptive")
 	cfg.Profiling = profile.TechniqueHybrid
 	return r.run(w, cfg, "part-adaptive-hybrid-gto")
 }
@@ -104,7 +103,7 @@ type Figure4Row struct {
 func Figure4(r *Runner) []Figure4Row {
 	var rows []Figure4Row
 	for _, w := range workloads.All() {
-		base := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+		base := r.designConfig("part")
 
 		comp := base
 		comp.Profiling = profile.TechniqueCompiler
@@ -132,7 +131,7 @@ func StaticFirstNShare(r *Runner, benchmark string) float64 {
 	if err != nil {
 		panic(err)
 	}
-	cfg := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := r.designConfig("part")
 	cfg.Profiling = profile.TechniqueStaticFirstN
 	return r.run(w, cfg, "part-static").FRFShare()
 }
@@ -155,7 +154,7 @@ type CodeDynamicsRow struct {
 func CodeDynamics(r *Runner) []CodeDynamicsRow {
 	var rows []CodeDynamicsRow
 	for _, w := range workloads.All() {
-		cfg := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+		cfg := r.designConfig("mrf-stv")
 		cfg.CollectPerWarpCTAs = 2
 		rs := r.run(w, cfg, "perwarp")
 		rows = append(rows, codeDynamicsOf(w.Name, rs))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/energy"
 	"pilotrf/internal/fincacti"
 	"pilotrf/internal/finfet"
@@ -71,11 +72,9 @@ func Figure13(r *Runner) []Figure13Row {
 }
 
 func figure13One(r *Runner, fc Figure13Config) Figure13Row {
-	mrfVdd := finfet.NTV
-	mrfDesign := regfile.DesignMonolithicNTV
+	mrfVdd, region := finfet.NTV, "ntv"
 	if fc.MRFVddSTV {
-		mrfVdd = finfet.STV
-		mrfDesign = regfile.DesignMonolithicSTV
+		mrfVdd, region = finfet.STV, "stv"
 	}
 	rfcArray := fincacti.RFCConfig(6, fc.ActiveWarps, fc.RFCBanks, 2, 1)
 
@@ -86,19 +85,16 @@ func figure13One(r *Runner, fc Figure13Config) Figure13Row {
 		// scheduler: the RFC requires the two-level scheduler (its
 		// active-pool restriction is part of the RFC's cost), while
 		// the partitioned RF keeps GTO.
-		baseCfg := r.scaledConfig(fc).WithDesign(regfile.DesignMonolithicSTV)
+		baseCfg := withScheme(r.scaledConfig(fc), "mrf-stv", design.Knobs{})
 		base := r.run(w, baseCfg, "f13-base-"+fc.Label())
 		baseCycles := float64(base.TotalCycles())
 
-		// RFC in front of an MRF at the configured voltage.
-		rfcCfg := r.scaledConfig(fc).WithDesign(mrfDesign)
-		rfcCfg.Policy = sim.PolicyTL
-		rfcCfg.UseRFC = true
+		// RFC in front of an MRF at the configured voltage, its active
+		// pool resized from the scheme's fixed 32 warps to this
+		// configuration's.
+		rfcCfg := withScheme(r.scaledConfig(fc), "rfc", design.Knobs{Voltage: region})
+		rfcCfg.TLActiveWarps = fc.ActiveWarps
 		rfcCfg.RFC = rfc.DefaultConfig(fc.ActiveWarps)
-		rfcCfg.RFCMRFLatency = 1
-		if !fc.MRFVddSTV {
-			rfcCfg.RFCMRFLatency = 3
-		}
 		rfcRun := r.run(w, rfcCfg, "f13-rfc-"+fc.Label())
 		rfcStats := rfcRun.RFCTotals()
 		breakdown := energy.RFCDynamic(rfcStats, rfcArray, mrfVdd)
@@ -107,7 +103,7 @@ func figure13One(r *Runner, fc Figure13Config) Figure13Row {
 		hits = append(hits, rfcStats.HitRate())
 
 		// Partitioned+adaptive under the same issue configuration.
-		partCfg := r.scaledConfig(fc).WithDesign(regfile.DesignPartitionedAdaptive)
+		partCfg := withScheme(r.scaledConfig(fc), "part-adaptive", design.Knobs{})
 		partRun := r.run(w, partCfg, "f13-part-"+fc.Label())
 		partE = append(partE, energy.DynamicPJ(regfile.DesignPartitionedAdaptive, partRun.PartAccesses())/
 			energy.BaselineDynamicPJ(partRun.TotalAccesses()))

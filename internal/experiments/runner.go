@@ -13,10 +13,10 @@ import (
 	"strconv"
 	"sync"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/isa"
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/profile"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
 	"pilotrf/internal/trace"
@@ -74,6 +74,22 @@ func (r *Runner) baseConfig() sim.Config {
 	return cfg
 }
 
+// designConfig is baseConfig reconfigured for the named design scheme
+// at its default knobs.
+func (r *Runner) designConfig(name string) sim.Config {
+	return withScheme(r.baseConfig(), name, design.Knobs{})
+}
+
+// withScheme reconfigures cfg for a registered design scheme. Experiment
+// scheme names and knobs are constants, so a failure is a bug.
+func withScheme(cfg sim.Config, name string, k design.Knobs) sim.Config {
+	cfg, err := cfg.WithScheme(design.MustLookup(name), k)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return cfg
+}
+
 // run executes a workload under cfg, caching by (workload, key). When
 // another goroutine is already computing the same key, run waits for it
 // instead of duplicating the simulation.
@@ -122,45 +138,45 @@ func (r *Runner) Warm() {
 		key string
 	}
 	warmJobs := []job{
-		{func() sim.Config { return r.baseConfig().WithDesign(regfile.DesignMonolithicSTV) }, "base-stv-gto"},
-		{func() sim.Config { return r.baseConfig().WithDesign(regfile.DesignMonolithicNTV) }, "base-ntv-gto"},
+		{func() sim.Config { return r.designConfig("mrf-stv") }, "base-stv-gto"},
+		{func() sim.Config { return r.designConfig("mrf-ntv") }, "base-ntv-gto"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			c := r.designConfig("part-adaptive")
 			c.Profiling = profile.TechniqueHybrid
 			return c
 		}, "part-adaptive-hybrid-gto"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+			c := r.designConfig("part")
 			c.Profiling = profile.TechniqueCompiler
 			return c
 		}, "part-compiler"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitioned)
+			c := r.designConfig("part")
 			c.Profiling = profile.TechniquePilot
 			return c
 		}, "part-pilot"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+			c := r.designConfig("mrf-stv")
 			c.Policy = sim.PolicyTL
 			return c
 		}, "base-stv-tl"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+			c := r.designConfig("mrf-stv")
 			c.Policy = sim.PolicyLRR
 			return c
 		}, "base-stv-lrr"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			c := r.designConfig("part-adaptive")
 			c.Profiling = profile.TechniqueCompiler
 			return c
 		}, "part-adaptive-compiler"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			c := r.designConfig("part-adaptive")
 			c.Policy = sim.PolicyTL
 			return c
 		}, "part-adaptive-hybrid-tl"},
 		{func() sim.Config {
-			c := r.baseConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+			c := r.designConfig("part-adaptive")
 			c.Policy = sim.PolicyLRR
 			return c
 		}, "part-adaptive-hybrid-lrr"},
@@ -241,7 +257,7 @@ func (r *Runner) runPerKernelOracle(w workloads.Workload, cfg sim.Config, topN i
 
 // baselineRun is the MRF@STV GTO run every normalization uses.
 func (r *Runner) baselineRun(w workloads.Workload) sim.RunStats {
-	cfg := r.baseConfig().WithDesign(regfile.DesignMonolithicSTV)
+	cfg := r.designConfig("mrf-stv")
 	return r.run(w, cfg, "base-stv-gto")
 }
 

@@ -111,19 +111,15 @@ type Config struct {
 	// profile.TechniqueOracle (from a prior run).
 	Oracle []isa.Reg
 
-	// UseRFC replaces the partitioned/monolithic access path with a
-	// register file cache in front of the MRF.
-	UseRFC bool
-	// RFC sizes the cache (per active warp).
+	// RFC, when EntriesPerWarp is positive, puts a register file cache
+	// (sized per active warp) in front of a monolithic MRF, which backs
+	// it at RF.Lat.MRF.
 	RFC rfc.Config
 	// RFCCompilerHints switches the RFC to compiler-assisted allocation:
 	// at each kernel launch the compiler's static top-N registers (N =
 	// the RFC's entries per warp) become the cache's admission hints and
 	// every other register bypasses to the MRF (arXiv 2310.17501).
 	RFCCompilerHints bool
-	// RFCMRFLatency is the access latency of the MRF behind the RFC
-	// (1 at STV, 3 at NTV).
-	RFCMRFLatency int
 
 	// Gating, when set, attaches a liveness gating tracker per SM
 	// (GREENER-style register power gating): rows wake on first write,
@@ -241,7 +237,6 @@ func DefaultConfig() Config {
 		RF:                 regfile.DefaultConfig(regfile.DesignMonolithicSTV),
 		Profiling:          profile.TechniqueHybrid,
 		ProfTopN:           4,
-		RFCMRFLatency:      1,
 		ALULatency:         4,
 		FPULatency:         4,
 		SFULatency:         16,
@@ -262,16 +257,6 @@ func KeplerConfig() Config {
 	return cfg
 }
 
-// WithDesign returns the config reconfigured for an RF design, adjusting
-// the MRF latency consistently.
-func (c Config) WithDesign(d regfile.Design) Config {
-	c.RF = regfile.DefaultConfig(d)
-	if d == regfile.DesignMonolithicNTV {
-		c.RFCMRFLatency = 3
-	}
-	return c
-}
-
 // Validate checks structural invariants.
 func (c *Config) Validate() error {
 	switch {
@@ -289,12 +274,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: TL active pool %d smaller than %d schedulers", c.TLActiveWarps, c.Schedulers)
 	case c.Policy == PolicyFetchGroup && c.FetchGroupWarps <= 0:
 		return fmt.Errorf("sim: fetch group of %d warps", c.FetchGroupWarps)
-	case c.UseRFC && c.RFC.Warps <= 0:
+	case c.RFC.EntriesPerWarp < 0:
+		return fmt.Errorf("sim: %d RFC entries per warp", c.RFC.EntriesPerWarp)
+	case c.RFC.EntriesPerWarp > 0 && c.RFC.Warps <= 0:
 		return fmt.Errorf("sim: RFC enabled without warp storage")
-	case c.UseRFC && c.RF.Design != regfile.DesignMonolithicSTV && c.RF.Design != regfile.DesignMonolithicNTV:
+	case c.RFC.EntriesPerWarp > 0 && c.RF.Design != regfile.DesignMonolithicSTV && c.RF.Design != regfile.DesignMonolithicNTV:
 		return fmt.Errorf("sim: the RFC fronts a monolithic MRF, not a partitioned design")
-	case c.RFCCompilerHints && !c.UseRFC:
-		return fmt.Errorf("sim: RFC compiler hints without UseRFC")
+	case c.RFCCompilerHints && c.RFC.EntriesPerWarp == 0:
+		return fmt.Errorf("sim: RFC compiler hints without an RFC")
 	case c.Gating != nil && c.Gating.Granularity <= 0:
 		return fmt.Errorf("sim: gating granularity %d", c.Gating.Granularity)
 	case c.ProfTopN <= 0:

@@ -6,10 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"pilotrf/internal/design"
 	"pilotrf/internal/energy"
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/workloads"
@@ -20,8 +18,9 @@ import (
 //	go test ./internal/sim -run TestDesignRefactorGoldens -update-goldens
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite the design-refactor golden files")
 
-// goldenSlug maps a legacy design to its golden file basename.
-func goldenSlug(d regfile.Design) string {
+// schemeName maps a paper design to its registered scheme name, which is
+// also its golden file basename.
+func schemeName(d regfile.Design) string {
 	switch d {
 	case regfile.DesignMonolithicSTV:
 		return "mrf-stv"
@@ -68,15 +67,10 @@ func TestDesignRefactorGoldens(t *testing.T) {
 		regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV,
 		regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive,
 	} {
-		// Configure through the plug-in registry, not WithDesign: the
-		// goldens predate internal/design, so a byte-identical run
+		// The goldens predate internal/design, so a byte-identical run
 		// proves the whole scheme path is behaviourally transparent.
-		sch := design.MustLookup(goldenSlug(d))
 		led := energy.NewLedger(d, 0)
-		cfg, err := testConfig().WithScheme(sch, sch.DefaultKnobs())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := schemeConfig(t, schemeName(d))
 		cfg.Energy = led
 		rec := NewFlightRecorder(&cfg, "design-golden", 0)
 		cfg.Record = rec
@@ -114,28 +108,8 @@ func TestDesignRefactorGoldens(t *testing.T) {
 		if err := rec.Log().WriteNDJSON(&flight); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join("testdata", "goldens", goldenSlug(d)+".stats.json"), statsJSON)
-		checkGolden(t, filepath.Join("testdata", "goldens", goldenSlug(d)+".flightrec.ndjson"), flight.Bytes())
-	}
-}
-
-// TestWithSchemeMatchesWithDesign pins the refactor contract at the
-// configuration level: for every legacy design, WithScheme at default
-// knobs produces exactly the Config WithDesign always has.
-func TestWithSchemeMatchesWithDesign(t *testing.T) {
-	for _, d := range []regfile.Design{
-		regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV,
-		regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive,
-	} {
-		sch := design.MustLookup(goldenSlug(d))
-		want := testConfig().WithDesign(d)
-		got, err := testConfig().WithScheme(sch, sch.DefaultKnobs())
-		if err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: WithScheme config diverges from WithDesign:\n got %+v\nwant %+v", d, got, want)
-		}
+		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".stats.json"), statsJSON)
+		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".flightrec.ndjson"), flight.Bytes())
 	}
 }
 

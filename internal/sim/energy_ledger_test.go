@@ -128,7 +128,7 @@ func TestEnergyChargePathZeroAlloc(t *testing.T) {
 		t.Errorf("disabled countPartAccess allocates %.1f per call, want 0", a)
 	}
 
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	cfg.Energy = energy.NewLedger(regfile.DesignPartitionedAdaptive, 1<<30)
 	s = build(cfg)
 	if a := testing.AllocsPerRun(1000, func() {
@@ -145,7 +145,7 @@ func TestEnergyChargePathZeroAlloc(t *testing.T) {
 func TestEnergyLedgerEpochAndHeatExports(t *testing.T) {
 	d := regfile.DesignPartitionedAdaptive
 	led := energy.NewLedger(d, 25)
-	cfg := testConfig().WithDesign(d)
+	cfg := schemeConfig(t, schemeName(d))
 	cfg.Energy = led
 	mustRun(t, cfg, tracedKernel(t))
 
@@ -216,7 +216,7 @@ func TestEnergyPerfettoCounterTracks(t *testing.T) {
 	d := regfile.DesignPartitionedAdaptive
 	var out strings.Builder
 	tr := NewPerfettoTracer(&out)
-	cfg := testConfig().WithDesign(d)
+	cfg := schemeConfig(t, schemeName(d))
 	cfg.Energy = energy.NewLedger(d, 25)
 	cfg.Tracer = tr
 	mustRun(t, cfg, tracedKernel(t))
@@ -257,7 +257,7 @@ func TestEnergyPerfettoCounterTracks(t *testing.T) {
 func TestSwapAuditRecordsPlacements(t *testing.T) {
 	run := func(tech profile.Technique) *profile.AuditLog {
 		log := &profile.AuditLog{}
-		cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+		cfg := schemeConfig(t, "part-adaptive")
 		cfg.Profiling = tech
 		cfg.Audit = log
 		mustRun(t, cfg, tracedKernel(t))

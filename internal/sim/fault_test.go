@@ -20,7 +20,7 @@ import (
 // bit-identical results to the plain baseline.
 func TestFaultDisabledZeroPerturbation(t *testing.T) {
 	for _, d := range []regfile.Design{regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive} {
-		base := testConfig().WithDesign(d)
+		base := schemeConfig(t, schemeName(d))
 
 		zeroRate := base
 		zeroRate.Fault = &fault.Config{Rate: 0, Seed: 9}
@@ -179,7 +179,7 @@ func faultyRun(t *testing.T, cfg Config, adds int) (KernelStats, error, *fault.D
 // corrections, keep the exact cycle count of a fault-free run, and keep
 // the dataflow digest equal to golden — correction is invisible.
 func TestSECDEDCorrectsTransparently(t *testing.T) {
-	base := testConfig().WithDesign(regfile.DesignPartitioned)
+	base := schemeConfig(t, "part")
 	goldenKS, err, golden := faultyRun(t, base, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSECDEDCorrectsTransparently(t *testing.T) {
 // detected, the warp re-issues, and the retried read observes clean
 // data — so the digest stays golden while retries cost cycles.
 func TestParityReadPathRetrySucceeds(t *testing.T) {
-	base := testConfig().WithDesign(regfile.DesignPartitioned)
+	base := schemeConfig(t, "part")
 	goldenKS, err, golden := faultyRun(t, base, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestParityReadPathRetrySucceeds(t *testing.T) {
 // detected on every read but never corrected; retries exhaust and the
 // kernel aborts with the structured unrecoverable error, not a panic.
 func TestParityStuckAtExhaustsRetries(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Protect = fault.FullParity()
 	cfg.Fault = &fault.Config{Rate: 2e-9, Seed: 17, StuckAtFrac: 1, ReadPathFrac: -1}
 	ks, err, _ := faultyRun(t, cfg, 40)
@@ -267,7 +267,7 @@ func TestParityStuckAtExhaustsRetries(t *testing.T) {
 // registers are consumed silently and the digest diverges — the SDC
 // outcome the campaign classifier keys on.
 func TestUnprotectedSilentCorruption(t *testing.T) {
-	base := testConfig().WithDesign(regfile.DesignPartitioned)
+	base := schemeConfig(t, "part")
 	_, err, golden := faultyRun(t, base, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestUnprotectedSilentCorruption(t *testing.T) {
 func TestProtectionOverheadConservation(t *testing.T) {
 	for _, d := range []regfile.Design{regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive} {
 		led := energy.NewLedger(d, 0)
-		cfg := testConfig().WithDesign(d)
+		cfg := schemeConfig(t, schemeName(d))
 		cfg.Energy = led
 		cfg.Protect = fault.PaperScheme()
 		var parts [4]uint64
@@ -333,8 +333,7 @@ func TestProtectionOverheadConservation(t *testing.T) {
 // drain the aborted kernel's counters — cycle count included — instead
 // of returning hollow stats.
 func TestCycleLimitAbortTypedAndDrained(t *testing.T) {
-	cfg := DefaultConfig().WithDesign(regfile.DesignPartitionedAdaptive)
-	cfg.NumSMs = 1
+	cfg := schemeConfig(t, "part-adaptive")
 	cfg.MaxCycles = 10
 	g, err := New(cfg)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"pilotrf/internal/design"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/perfscope"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/stats"
 )
 
@@ -51,7 +50,7 @@ func TestPerfscopeDoesNotPerturbTiming(t *testing.T) {
 // census agrees with the telemetry stall attribution's total.
 func TestPerfscopeCensusPartitions(t *testing.T) {
 	k := seedKernel(t)
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	cfg.Stalls = true
 	ks, p := perfRun(t, cfg, k, false)
 	c := p.Census()
@@ -79,7 +78,7 @@ func TestPerfscopeCensusPartitions(t *testing.T) {
 // byte-reproducible report rests on).
 func TestPerfscopeCensusDeterministic(t *testing.T) {
 	k := seedKernel(t)
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	_, p1 := perfRun(t, cfg, k, false)
 	_, p2 := perfRun(t, cfg, k, true) // wall-clock must not change the census
 	if p1.Census() != p2.Census() {

@@ -192,9 +192,6 @@ func (s *sm) routeAccess(req bankReq) (regfile.Partition, int) {
 	cfg := s.rf.Config()
 	switch cfg.Design {
 	case regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV:
-		if s.cfg.UseRFC {
-			return regfile.PartMRF, s.cfg.RFCMRFLatency
-		}
 		return regfile.PartMRF, cfg.Lat.MRF
 	}
 	if int(req.phys) < cfg.FRFRegs {

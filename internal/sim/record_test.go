@@ -99,7 +99,7 @@ func TestRecordDisabledZeroAlloc(t *testing.T) {
 
 func TestRecordingEventStreamShape(t *testing.T) {
 	k := seedKernel(t)
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	ks, log := recordRun(t, cfg, k, 16)
 
 	if got := log.CountKind(flightrec.KindKernelBegin); got != 1 {

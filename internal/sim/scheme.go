@@ -5,9 +5,9 @@ import (
 )
 
 // WithScheme returns the config reconfigured for a registered design
-// scheme at the given knobs. For the four legacy schemes at default
-// knobs the result is identical to WithDesign — the design plug-in
-// refactor is observably pure, which the pre-refactor goldens assert.
+// scheme at the given knobs; it is the only way a design name becomes a
+// simulator configuration. The pre-refactor goldens assert the paper's
+// four designs simulate exactly as they did before schemes existed.
 func (c Config) WithScheme(s design.Scheme, k design.Knobs) (Config, error) {
 	set, err := s.Settings(k)
 	if err != nil {
@@ -23,14 +23,8 @@ func (c Config) WithScheme(s design.Scheme, k design.Knobs) (Config, error) {
 			c.TLActiveWarps = set.TLActiveWarps
 		}
 	}
-	c.UseRFC = set.UseRFC
+	c.RFC = set.RFC
 	c.RFCCompilerHints = set.RFCCompilerHints
-	if set.UseRFC {
-		c.RFC = set.RFC
-	}
-	if set.RFCMRFLatency > 0 {
-		c.RFCMRFLatency = set.RFCMRFLatency
-	}
 	c.Gating = set.Gating
 	return c, nil
 }

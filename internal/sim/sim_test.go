@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/isa"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/profile"
@@ -14,6 +15,18 @@ import (
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
+	return cfg
+}
+
+// schemeConfig returns testConfig reconfigured for the named design
+// scheme at its default knobs.
+func schemeConfig(t testing.TB, name string) Config {
+	t.Helper()
+	sch := design.MustLookup(name)
+	cfg, err := testConfig().WithScheme(sch, sch.DefaultKnobs())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cfg
 }
 
@@ -217,8 +230,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestNTVSlowerThanSTV(t *testing.T) {
 	k := straightLine(t, 40)
-	stv := mustRun(t, testConfig().WithDesign(regfile.DesignMonolithicSTV), k)
-	ntv := mustRun(t, testConfig().WithDesign(regfile.DesignMonolithicNTV), k)
+	stv := mustRun(t, schemeConfig(t, "mrf-stv"), k)
+	ntv := mustRun(t, schemeConfig(t, "mrf-ntv"), k)
 	if ntv.Cycles <= stv.Cycles {
 		t.Errorf("NTV (%d cycles) not slower than STV (%d)", ntv.Cycles, stv.Cycles)
 	}
@@ -240,7 +253,7 @@ func hotRegKernel(t *testing.T, ctas int) *kernel.Kernel {
 }
 
 func TestPartitionedRoutesToSRFWithoutProfiling(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Profiling = profile.TechniqueStaticFirstN
 	ks := mustRun(t, cfg, hotRegKernel(t, 2))
 	frf := ks.PartAccesses[regfile.PartFRFHigh] + ks.PartAccesses[regfile.PartFRFLow]
@@ -251,7 +264,7 @@ func TestPartitionedRoutesToSRFWithoutProfiling(t *testing.T) {
 }
 
 func TestHybridProfilingLiftsFRFShare(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Profiling = profile.TechniqueStaticFirstN
 	static := mustRun(t, cfg, hotRegKernel(t, 8))
 	cfg.Profiling = profile.TechniqueHybrid
@@ -272,7 +285,7 @@ func TestOracleAtLeastAsGoodAsPilot(t *testing.T) {
 	for i, kv := range top {
 		oracle[i] = isa.Reg(kv.Key)
 	}
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Profiling = profile.TechniqueOracle
 	cfg.Oracle = oracle
 	o := mustRun(t, cfg, k)
@@ -285,7 +298,7 @@ func TestOracleAtLeastAsGoodAsPilot(t *testing.T) {
 }
 
 func TestPilotFractionSmallWithManyCTAs(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Profiling = profile.TechniqueHybrid
 	few := mustRun(t, cfg, hotRegKernel(t, 2))
 	many := mustRun(t, cfg, hotRegKernel(t, 64))
@@ -313,7 +326,7 @@ func memStallKernel(t *testing.T) *kernel.Kernel {
 }
 
 func TestAdaptiveFRFLowModeOnMemoryStalls(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	ks := mustRun(t, cfg, memStallKernel(t))
 	if ks.LowEpochFraction <= 0 {
 		t.Error("memory-stalled kernel never entered low-power epochs")
@@ -324,7 +337,7 @@ func TestAdaptiveFRFLowModeOnMemoryStalls(t *testing.T) {
 }
 
 func TestAdaptiveOffNeverUsesLowMode(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	ks := mustRun(t, cfg, memStallKernel(t))
 	if ks.PartAccesses[regfile.PartFRFLow] != 0 {
 		t.Error("non-adaptive design used FRF low mode")
@@ -345,7 +358,6 @@ func TestSchedulerPoliciesAllComplete(t *testing.T) {
 func TestRFCHitsAndMRFTraffic(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = PolicyTL
-	cfg.UseRFC = true
 	cfg.RFC = rfc.DefaultConfig(cfg.TLActiveWarps)
 	ks := mustRun(t, cfg, hotRegKernel(t, 4))
 	if ks.RFC.ReadHits == 0 {
@@ -441,12 +453,21 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("accepted non-divisible warp slots")
 	}
 	bad = testConfig()
-	bad.UseRFC = true
+	bad.RFC = rfc.Config{EntriesPerWarp: 6}
 	if _, err := New(bad); err == nil {
 		t.Error("accepted RFC without warp storage")
 	}
-	bad = testConfig().WithDesign(regfile.DesignPartitioned)
-	bad.UseRFC = true
+	bad = testConfig()
+	bad.RFC = rfc.Config{EntriesPerWarp: -1, Warps: 8}
+	if _, err := New(bad); err == nil {
+		t.Error("accepted a negative RFC size")
+	}
+	bad = testConfig()
+	bad.RFCCompilerHints = true
+	if _, err := New(bad); err == nil {
+		t.Error("accepted RFC compiler hints without an RFC")
+	}
+	bad = schemeConfig(t, "part")
 	bad.RFC = rfc.DefaultConfig(8)
 	if _, err := New(bad); err == nil {
 		t.Error("accepted RFC in front of a partitioned RF")

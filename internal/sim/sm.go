@@ -111,7 +111,7 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 	if cfg.Profiling == profile.TechniqueOracle {
 		s.profCtl.SetOracle(cfg.Oracle)
 	}
-	if cfg.UseRFC {
+	if cfg.RFC.EntriesPerWarp > 0 {
 		rc := cfg.RFC
 		if rc.Warps < cfg.WarpSlotsPerSM {
 			// RFC storage is addressed by warp slot; size it to the

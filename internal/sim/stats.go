@@ -46,7 +46,8 @@ type KernelStats struct {
 	// in low-power mode, averaged over SMs.
 	LowEpochFraction float64
 
-	// RFC holds the register-file-cache event counts when UseRFC is set.
+	// RFC holds the register-file-cache event counts when the config
+	// has an RFC.
 	RFC rfc.Stats
 
 	// Gating holds the liveness-gating row-cycle counters when

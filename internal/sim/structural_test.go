@@ -5,7 +5,6 @@ import (
 
 	"pilotrf/internal/isa"
 	"pilotrf/internal/kernel"
-	"pilotrf/internal/regfile"
 )
 
 // Structural-hazard tests: the simulator must stay correct (and must
@@ -96,9 +95,9 @@ func TestWritebackForwardingFaster(t *testing.T) {
 	k := &kernel.Kernel{Prog: b.MustBuild(), ThreadsPerCTA: 32, NumCTAs: 1}
 	// Forwarding pays when the register write itself is slow: use the
 	// NTV design (3-cycle accesses).
-	off := testConfig().WithDesign(regfile.DesignMonolithicNTV)
+	off := schemeConfig(t, "mrf-ntv")
 	slow := mustRun(t, off, k)
-	on := testConfig().WithDesign(regfile.DesignMonolithicNTV)
+	on := schemeConfig(t, "mrf-ntv")
 	on.WritebackForwarding = true
 	fast := mustRun(t, on, k)
 	if fast.Cycles >= slow.Cycles {

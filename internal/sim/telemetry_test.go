@@ -7,7 +7,6 @@ import (
 
 	"pilotrf/internal/design"
 	"pilotrf/internal/kernel"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/stats"
 	"pilotrf/internal/workloads"
 )
@@ -49,7 +48,7 @@ func TestStallBreakdownSumsAcrossDesignsAndPolicies(t *testing.T) {
 // tier-1 workload suite: for every benchmark (scaled down for test
 // speed), the attribution must account for every stall cycle exactly.
 func TestStallBreakdownSumsOnAllWorkloads(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	cfg.Stalls = true
 	for _, w := range workloads.All() {
 		w = w.Scale(0.05)
@@ -106,7 +105,7 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 }
 
 func TestMetricsSeriesShape(t *testing.T) {
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	rec := NewMetricsRecorder(50)
 	cfg.Metrics = rec
 	ks := mustRun(t, cfg, tracedKernel(t))

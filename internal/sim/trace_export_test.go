@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"pilotrf/internal/regfile"
 )
 
 // perfettoDoc mirrors the JSON container the exporter writes.
@@ -24,7 +22,7 @@ type perfettoDoc struct {
 func TestPerfettoRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	pt := NewPerfettoTracer(&buf)
-	cfg := testConfig().WithDesign(regfile.DesignPartitionedAdaptive)
+	cfg := schemeConfig(t, "part-adaptive")
 	cfg.Tracer = pt
 	mustRun(t, cfg, tracedKernel(t))
 	if err := pt.Flush(); err != nil {

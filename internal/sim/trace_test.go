@@ -7,7 +7,6 @@ import (
 	"pilotrf/internal/isa"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/profile"
-	"pilotrf/internal/regfile"
 )
 
 func tracedKernel(t *testing.T) *kernel.Kernel {
@@ -91,7 +90,7 @@ func TestTraceBankPartitions(t *testing.T) {
 	b.IADD(isa.R(5), isa.R(0), isa.R(4))
 	b.EXIT()
 	k := &kernel.Kernel{Prog: b.MustBuild(), ThreadsPerCTA: 32, NumCTAs: 1}
-	cfg := testConfig().WithDesign(regfile.DesignPartitioned)
+	cfg := schemeConfig(t, "part")
 	cfg.Profiling = profile.TechniqueStaticFirstN
 	cfg.Tracer = tracer
 	mustRun(t, cfg, k)

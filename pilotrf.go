@@ -196,7 +196,8 @@ type Simulator struct {
 // NewSimulator validates the options and returns a simulator.
 func NewSimulator(opts Options) (*Simulator, error) {
 	opts = opts.withDefaults()
-	cfg := sim.DefaultConfig().WithDesign(opts.Design)
+	cfg := sim.DefaultConfig()
+	cfg.RF = regfile.DefaultConfig(opts.Design)
 	cfg.NumSMs = opts.SMs
 	cfg.Profiling = opts.Profiling
 	cfg.Policy = opts.Scheduler
