@@ -33,8 +33,8 @@
 // regressions and improvements. Equally deterministic: committing the
 // report alongside the history keeps both regenerable.
 //
-// Exit status, like cmd/benchdiff: 0 clean, 1 violations (gate) or
-// recording violations (record), 2 usage or read errors.
+// Exit status: 0 clean, 1 violations (gate) or recording violations
+// (record), 2 usage or read errors.
 package main
 
 import (

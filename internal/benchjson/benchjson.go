@@ -124,7 +124,7 @@ func Read(r io.Reader) (Report, error) {
 // Index maps a report's benchmarks by name, returning an error naming
 // the first duplicate. Duplicate benchmark names would make one result
 // silently win over the other in any by-name comparison, so consumers
-// that gate on reports (benchdiff, the history store) must reject them.
+// that gate on reports (the history store) must reject them.
 func Index(r Report) (map[string]Benchmark, error) {
 	m := make(map[string]Benchmark, len(r.Benchmarks))
 	for _, b := range r.Benchmarks {

@@ -75,7 +75,7 @@ type BenchmarkSamples struct {
 	NsPerOp []float64 `json:"ns_per_op"`
 	// Metrics holds the deterministic b.ReportMetric values. Rate
 	// metrics (unit suffix "/s") are wall-clock in disguise and are
-	// treated as informational by gates, same as cmd/benchdiff.
+	// treated as informational by gates.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

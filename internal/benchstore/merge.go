@@ -32,9 +32,9 @@ func (e *VarianceError) Error() string {
 }
 
 // Informational reports whether a metric measures wall-clock rather
-// than simulated behavior (per-second rates like Mcycles/s). Same rule
-// as cmd/benchdiff: such metrics are never gated and never required to
-// be stable across samples.
+// than simulated behavior (per-second rates like Mcycles/s): such
+// metrics are never gated and never required to be stable across
+// samples.
 func Informational(key string) bool {
 	return strings.HasSuffix(key, "/s")
 }

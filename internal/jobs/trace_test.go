@@ -172,7 +172,7 @@ func TestPoolTracingDisabledNoSpans(t *testing.T) {
 }
 
 // BenchmarkPoolTaskTracingDisabled / Enabled put the hot-path cost on
-// the benchdiff record.
+// the benchmark history record.
 func benchmarkPoolTasks(b *testing.B, traced bool) {
 	p, err := New(Config{Workers: 1})
 	if err != nil {
