@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pilotrf/internal/energy"
@@ -139,6 +140,49 @@ func TestSDCClassificationLiveVsDeadRegister(t *testing.T) {
 	})
 	if !dead.Equal(golden) {
 		t.Error("flip in a dead register diverged the digest (should be masked)")
+	}
+}
+
+// TestCAMUpsetTraceDetail aims a CAM shot through sm.inject on an
+// unprotected swapping table and checks the corrupted entry and the
+// wording of the tracer event that reports it.
+func TestCAMUpsetTraceDetail(t *testing.T) {
+	cfg := schemeConfig(t, "part")
+	cfg.Fault = &fault.Config{Rate: 0, Seed: 5}
+	ring := NewRingTracer(8)
+	cfg.Tracer = ring
+	k := wideKernel(t, 4)
+	ks := KernelStats{RegHist: stats.NewHistogram(k.Prog.NumRegs)}
+	run := &runState{cfg: &cfg, kern: k, stats: &ks}
+	s, err := newSM(0, &cfg, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam := s.rf.CAM()
+	cam.Configure([]isa.Reg{isa.R(4), isa.R(5)}, cfg.RF.FRFRegs)
+	before := cam.Entries()
+
+	const bit = 7
+	s.inject(fault.Shot{Target: fault.TargetCAM, Bit: bit}, false)
+	if st := s.inj.Stats(); st.CAMCorrupted != 1 {
+		t.Fatalf("CAMCorrupted = %d, want 1", st.CAMCorrupted)
+	}
+	entry := -1
+	for i, e := range cam.Entries() {
+		if e != before[i] {
+			entry = i
+		}
+	}
+	if entry < 0 {
+		t.Fatal("CAM shot changed no entry")
+	}
+	evs := ring.Events()
+	if len(evs) != 1 {
+		t.Fatalf("traced %d events, want 1: %v", len(evs), evs)
+	}
+	want := fmt.Sprintf("CAM upset entry %d bit %d", entry, bit)
+	if e := evs[0]; e.Kind != TraceModeSwitch || e.Warp != -1 || e.PC != -1 || e.Detail != want {
+		t.Errorf("traced %v, want a mode-switch event %q", e, want)
 	}
 }
 
