@@ -115,7 +115,7 @@ func TestOpPredicates(t *testing.T) {
 
 func TestOpStringsUnique(t *testing.T) {
 	seen := map[string]Op{}
-	for op := Op(0); op < numOps; op++ {
+	for op := Op(0); op < NumOps; op++ {
 		name := op.String()
 		if strings.HasPrefix(name, "OP_") {
 			t.Errorf("opcode %d has no mnemonic", op)

@@ -56,7 +56,8 @@ const (
 	OpEXIT // thread terminates
 	OpBAR  // CTA-wide barrier
 
-	numOps
+	// NumOps counts the opcodes: every Op below it is defined.
+	NumOps
 )
 
 // Class groups opcodes by the execution unit that services them.
@@ -94,7 +95,7 @@ type opInfo struct {
 	class Class
 }
 
-var opTable = [numOps]opInfo{
+var opTable = [NumOps]opInfo{
 	OpNOP:   {"NOP", ClassALU},
 	OpMOV:   {"MOV", ClassALU},
 	OpMOVI:  {"MOVI", ClassALU},
@@ -134,7 +135,7 @@ var opTable = [numOps]opInfo{
 
 // OpByName returns the opcode with the given mnemonic.
 func OpByName(name string) (Op, bool) {
-	for op := Op(0); op < numOps; op++ {
+	for op := Op(0); op < NumOps; op++ {
 		if opTable[op].name == name {
 			return op, true
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"pilotrf/internal/fault"
 	"pilotrf/internal/isa"
 	"pilotrf/internal/regfile"
@@ -78,7 +80,7 @@ func (s *sm) inject(shot fault.Shot, lowPower bool) {
 		cam.FlipBit(entry, shot.Bit)
 		st.CAMCorrupted++
 		if s.cfg.Tracer != nil {
-			s.trace(TraceModeSwitch, -1, -1, "CAM upset entry %d bit %d", entry, shot.Bit)
+			s.trace(TraceModeSwitch, -1, -1, fmt.Sprintf("CAM upset entry %d bit %d", entry, shot.Bit))
 		}
 		return
 	}
@@ -140,8 +142,8 @@ func (s *sm) applyCellFault(f fault.CellFault) {
 	}
 	s.faults = append(s.faults, pf)
 	if s.cfg.Tracer != nil {
-		s.trace(TraceModeSwitch, f.Warp, -1, "%s fault %s lane %d bit %d (%s)",
-			f.Kind, f.Reg, f.Lane, f.Bit, f.Part)
+		s.trace(TraceModeSwitch, f.Warp, -1, fmt.Sprintf("%s fault %s lane %d bit %d (%s)",
+			f.Kind, f.Reg, f.Lane, f.Bit, f.Part))
 	}
 }
 

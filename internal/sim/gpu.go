@@ -27,6 +27,11 @@ type runState struct {
 	// energy charges (0 when the ledger is disabled).
 	enKernel int64
 
+	// disasm caches the disassembly of each pc that a tracer saw issue.
+	// It lives here, not on the kernel.Program that concurrent runs
+	// share.
+	disasm []string
+
 	// fatal, when set by a fault adjudication (retry exhaustion on an
 	// uncorrectable error), aborts the kernel at the next cycle boundary.
 	// The run still drains its observers — epochs flush, the ledger
@@ -39,6 +44,18 @@ func (r *runState) nextWarpID() int {
 	id := r.warpCounter
 	r.warpCounter++
 	return id
+}
+
+// disassembly returns the disassembly of the instruction at pc,
+// rendering it on first use.
+func (r *runState) disassembly(pc int) string {
+	if r.disasm == nil {
+		r.disasm = make([]string, r.kern.Prog.Len())
+	}
+	if r.disasm[pc] == "" {
+		r.disasm[pc] = r.kern.Prog.At(pc).String()
+	}
+	return r.disasm[pc]
 }
 
 // registerWarpHist enables per-warp access collection for a warp.

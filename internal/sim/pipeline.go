@@ -173,12 +173,7 @@ func (s *sm) tickBanks() {
 		}
 		s.countPartAccess(part, req.warp.slot, req.arch)
 		if s.cfg.Tracer != nil {
-			kind := "read"
-			if req.isWrite {
-				kind = "write"
-			}
-			s.trace(TraceBankAccess, req.warp.slot, -1, "bank %d %s %s -> %s (%d cyc)",
-				b, kind, req.arch, part, lat)
+			s.trace(TraceBankAccess, req.warp.slot, -1, s.bankDetail(b, req.isWrite, req.arch, part, lat))
 		}
 		bank.busyUntil = s.now + 1
 		s.schedule(s.now+int64(lat), event{kind: evBankDone, req: req})
@@ -291,7 +286,7 @@ func (s *sm) memDone(w *warpCtx, in *isa.Instruction) {
 		s.memStart(next.w, next.in)
 	}
 	if s.cfg.Tracer != nil {
-		s.trace(TraceMemDone, w.slot, -1, "%s", in.Op)
+		s.trace(TraceMemDone, w.slot, -1, in.Op.String())
 	}
 	w.memInFlight--
 	if s.cfg.Policy == PolicyTL {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"pilotrf/internal/design"
@@ -271,5 +272,26 @@ func TestRecordingNDJSONRoundTripReplays(t *testing.T) {
 	}
 	if chk.ChecksumEvery() != 32 {
 		t.Errorf("round-tripped checksum interval = %d, want 32", chk.ChecksumEvery())
+	}
+}
+
+// TestFnvAdd32MatchesFnvAdd: folding a 32-bit value with fnvAdd32 gives
+// the hash fnvAdd gives for the zero-extended value, bit for bit, so
+// the checksums in recorded goldens do not depend on which fold ran.
+func TestFnvAdd32MatchesFnvAdd(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 32))
+	check := func(h uint64, v uint32) {
+		t.Helper()
+		if got, want := fnvAdd32(h, v), fnvAdd(h, uint64(v)); got != want {
+			t.Fatalf("fnvAdd32(%#x, %#x) = %#x, want fnvAdd's %#x", h, v, got, want)
+		}
+	}
+	for _, v := range []uint32{0, 0xff, 1 << 31, 0xffffffff} {
+		check(fnvOffset, v)
+		check(0, v)
+		check(rng.Uint64(), v)
+	}
+	for i := 0; i < 10000; i++ {
+		check(rng.Uint64(), rng.Uint32())
 	}
 }

@@ -33,9 +33,13 @@ func newSchedState(id int, slots []int, policy Policy, activePool int) *schedSta
 	return s
 }
 
-// pickWarp returns the next warp slot to attempt issue from, or -1. The
-// canIssue callback must be side-effect free; the scheduler probes
-// candidates with it.
+// pickWarp returns the next warp slot to attempt issue from, or -1,
+// probing candidates with canIssue. The probe has a side effect:
+// sm.canIssue counts one CollectorStalls per probe that fails on the
+// collector hazard, and pickGTO probes a stalled greedy warp twice (once
+// as the greedy warp, once in its oldest-first scan). The number and
+// order of probes are therefore part of the pinned statistics; a faster
+// policy must make exactly the same probes.
 func (sc *schedState) pickWarp(sm *sm, canIssue func(slot int) bool) int {
 	switch sm.cfg.Policy {
 	case PolicyLRR:

@@ -61,6 +61,9 @@ type sm struct {
 	recEvery  int64
 	recCycles int64
 
+	// detail is scratch space for building hot tracer details.
+	detail []byte
+
 	// Telemetry (nil unless Config.Stalls or Config.Metrics is set).
 	tel *smTelemetry
 	// Energy attribution (nil unless Config.Energy is set).
@@ -239,7 +242,7 @@ func (s *sm) launchCTA(ctaID int) {
 	}
 	s.residentCTAs++
 	if s.cfg.Tracer != nil {
-		s.trace(TraceCTALaunch, -1, -1, "cta %d (%d warps)", ctaID, warpsPer)
+		s.trace(TraceCTALaunch, -1, -1, fmt.Sprintf("cta %d (%d warps)", ctaID, warpsPer))
 	}
 	if s.rec != nil {
 		s.record(flightrec.KindCTALaunch, -1, -1, uint64(ctaID), uint64(warpsPer), "")
@@ -310,11 +313,11 @@ func (s *sm) tick() {
 		a.Tick()
 		if low := a.LowPower(); low != s.wasLowPower {
 			if s.cfg.Tracer != nil {
-				mode := "high"
+				mode := "FRF high power"
 				if low {
-					mode = "low"
+					mode = "FRF low power"
 				}
-				s.trace(TraceModeSwitch, -1, -1, "FRF %s power", mode)
+				s.trace(TraceModeSwitch, -1, -1, mode)
 			}
 			if s.rec != nil {
 				var toLow uint64
@@ -367,8 +370,11 @@ func (s *sm) scheduleIssue(sc *schedState) {
 	}
 }
 
-// canIssue is the side-effect-free issue check: residency, barriers,
-// branch shadow, scoreboard, and structural (collector) hazards.
+// canIssue is the issue check: residency, barriers, branch shadow,
+// scoreboard, and structural (collector) hazards. It is not free of side
+// effects: a probe that fails on the collector hazard adds one to
+// CollectorStalls, so every probe, repeats included, shows in the
+// statistics (see schedState.pickWarp).
 func (s *sm) canIssue(slot int) bool {
 	w := s.warps[slot]
 	if w == nil || w.done || w.atBarrier || w.blockedUntil > s.now || w.finished() {
@@ -412,7 +418,7 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	w.lastIssue = s.now
 	s.run.stats.ThreadInstrs += uint64(popcount(activeMask))
 	if s.cfg.Tracer != nil {
-		s.trace(TraceIssue, w.slot, w.pc(), "%s [lanes %d]", in.String(), popcount(activeMask))
+		s.trace(TraceIssue, w.slot, w.pc(), s.issueDetail(w.pc(), popcount(activeMask)))
 	}
 	if s.rec != nil {
 		s.record(flightrec.KindIssue, w.slot, w.pc(), uint64(in.Op), uint64(activeMask), in.Op.String())
@@ -532,7 +538,7 @@ func (s *sm) issueControl(sc *schedState, w *warpCtx, in *isa.Instruction, activ
 		w.atBarrier = true
 		w.cta.arrived++
 		if s.cfg.Tracer != nil {
-			s.trace(TraceBarrier, w.slot, -1, "arrived (%d/%d)", w.cta.arrived, w.cta.live)
+			s.trace(TraceBarrier, w.slot, -1, fmt.Sprintf("arrived (%d/%d)", w.cta.arrived, w.cta.live))
 		}
 		s.checkBarrier(w.cta)
 		if s.cfg.Policy == PolicyTL {
@@ -563,7 +569,7 @@ func (s *sm) retireWarp(w *warpCtx) {
 		s.gate.OnWarpRetire(w.slot)
 	}
 	if s.cfg.Tracer != nil {
-		s.trace(TraceWarpRetire, w.slot, -1, "cta %d", w.cta.id)
+		s.trace(TraceWarpRetire, w.slot, -1, fmt.Sprintf("cta %d", w.cta.id))
 	}
 	if s.rec != nil {
 		s.record(flightrec.KindWarpRetire, w.slot, -1, uint64(w.cta.id), 0, "")
@@ -695,12 +701,12 @@ func (s *sm) tickCollectors() {
 func (s *sm) dispatch(col *collectorUnit) {
 	w, in := col.warp, col.in
 	if s.cfg.Tracer != nil {
-		s.trace(TraceDispatch, w.slot, -1, "%s to %s", in.Op, in.Op.ClassOf())
+		s.trace(TraceDispatch, w.slot, -1, dispatchDetails[in.Op])
 	}
 	switch {
 	case in.Op.IsGlobalMemory():
 		if s.cfg.Tracer != nil {
-			s.trace(TraceMemStart, w.slot, -1, "%s", in.Op)
+			s.trace(TraceMemStart, w.slot, -1, in.Op.String())
 		}
 		s.memDispatch(w, in)
 	case in.Op == isa.OpLDS || in.Op == isa.OpSTS:
@@ -725,7 +731,7 @@ func (s *sm) unitLatency(in *isa.Instruction) int {
 // register results go through an RFC write or a bank write transaction.
 func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 	if s.cfg.Tracer != nil {
-		s.trace(TraceWriteback, w.slot, -1, "%s", in.Op)
+		s.trace(TraceWriteback, w.slot, -1, in.Op.String())
 	}
 	if in.PDst.Valid() {
 		w.pendingPreds &^= 1 << uint(in.PDst)
