@@ -7,18 +7,17 @@
 //
 //	benchwatch record -history h.ndjson -label PR8 [-samples n]
 //	                  [-commit rev] [-time-unix t]
-//	benchwatch import -history h.ndjson -label PR2 [-commit rev]
-//	                  [-time-unix t] snapshot.json
 //	benchwatch gate   -history h.ndjson [-alpha f] [-min-effect f] [-v]
 //	                  oldLabel newLabel
 //	benchwatch report -history h.ndjson -out report.md [-svg-dir dir]
 //
-// record drives the root bench suite (via the same harness as
-// cmd/experiments -bench-samples) N times and appends one history
+// record runs the root bench suite N times and appends one history
 // record holding the per-benchmark ns/op sample vectors plus the
-// deterministic metric map. Deterministic metrics must be bit-identical
-// across samples; variance in them is reported as a violation (exit 1),
-// never averaged away.
+// deterministic metric map; it is the only writer of the history. A
+// taken label or an unreadable history is refused before the first
+// pass. Deterministic metrics must be bit-identical across samples;
+// variance in them is reported as a violation (exit 1), never averaged
+// away.
 //
 // gate compares two recorded runs: deterministic metrics must match
 // exactly (bit-for-bit), and ns/op sample vectors are tested with a
@@ -49,19 +48,16 @@ import (
 	"strings"
 	"time"
 
-	"pilotrf/internal/benchjson"
 	"pilotrf/internal/benchstat"
 	"pilotrf/internal/benchstore"
-	"pilotrf/internal/experiments"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-const usage = `usage: benchwatch <record|import|gate|report> [flags]
+const usage = `usage: benchwatch <record|gate|report> [flags]
   record -history h.ndjson -label L [-samples n] [-commit rev] [-time-unix t]
-  import -history h.ndjson -label L [-commit rev] [-time-unix t] snapshot.json
   gate   -history h.ndjson [-alpha f] [-min-effect f] [-v] oldLabel newLabel
   report -history h.ndjson -out report.md [-svg-dir dir]`
 
@@ -73,8 +69,6 @@ func run(args []string, stdout io.Writer) int {
 	switch args[0] {
 	case "record":
 		return runRecord(args[1:], stdout)
-	case "import":
-		return runImport(args[1:], stdout)
 	case "gate":
 		return runGate(args[1:], stdout)
 	case "report":
@@ -103,14 +97,24 @@ func runRecord(args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	harness := experiments.BenchHarness{}
-	if *harnessCmd != "" {
-		harness.Command = strings.Fields(*harnessCmd)
+	// One real sample takes minutes, so refuse a taken label or an
+	// unreadable history before the first pass. AppendRecordFile checks
+	// both again when it writes.
+	if h, err := benchstore.ReadHistoryFile(*history); err == nil {
+		if _, taken := h.ByLabel(*label); taken {
+			fmt.Fprintf(os.Stderr, "benchwatch: run label %q already recorded in %s\n", *label, *history)
+			return 2
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	runs := make([][]benchjson.Benchmark, 0, *samples)
+
+	suite := harness{command: strings.Fields(*harnessCmd)}
+	runs := make([][]benchstore.Benchmark, 0, *samples)
 	for i := 1; i <= *samples; i++ {
-		fmt.Fprintf(os.Stderr, "sample %d/%d: %s\n", i, *samples, harness.CommandLine())
-		benches, err := harness.RunSample()
+		fmt.Fprintf(os.Stderr, "sample %d/%d: %s\n", i, *samples, suite.commandLine())
+		benches, err := suite.runSample()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
@@ -138,46 +142,6 @@ func runRecord(args []string, stdout io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "recorded %q: %d benchmarks x %d samples -> %s\n",
 		*label, len(rec.Benchmarks), *samples, *history)
-	return 0
-}
-
-// ---------------------------------------------------------------- import
-
-func runImport(args []string, stdout io.Writer) int {
-	fs := flag.NewFlagSet("benchwatch import", flag.ContinueOnError)
-	history := fs.String("history", "", "history file to append to (required)")
-	label := fs.String("label", "", "run label (required, unique within the history)")
-	commit := fs.String("commit", "", "git revision the snapshot was recorded at")
-	timeUnix := fs.Int64("time-unix", 0, "timestamp of the original run (0 = now)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *history == "" || *label == "" || fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, usage)
-		return 2
-	}
-	path := fs.Arg(0)
-	rep, err := benchjson.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	when := *timeUnix
-	if when == 0 {
-		when = time.Now().Unix()
-	}
-	rec, err := benchstore.ImportReport(*label, *commit, when, benchstore.CurrentHost(),
-		"import:"+filepath.Base(path), rep)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := benchstore.AppendRecordFile(*history, rec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "imported %s as %q (1 sample, %d benchmarks) -> %s\n",
-		path, *label, len(rec.Benchmarks), *history)
 	return 0
 }
 

@@ -180,7 +180,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		"gate bad alpha":  {"gate", "-history", "x.ndjson", "-alpha", "1.5", "a", "b"},
 		"gate bad effect": {"gate", "-history", "x.ndjson", "-min-effect", "-1", "a", "b"},
 		"record no label": {"record", "-history", "x.ndjson"},
-		"import no file":  {"import", "-history", "x.ndjson", "-label", "L"},
 		"report no out":   {"report", "-history", "x.ndjson"},
 	} {
 		if code := run(args, &out); code != 2 {
@@ -267,34 +266,57 @@ func TestRecordMetricVarianceIsViolation(t *testing.T) {
 	}
 }
 
-// TestImportBackfillsCommittedSnapshots: the committed BENCH_PR2/PR3
-// snapshots import as single-sample records and gate clean against
-// each other (their deterministic metrics are bit-identical; the 1v1
-// wall-clock comparison is underpowered by construction).
-func TestImportBackfillsCommittedSnapshots(t *testing.T) {
-	hist := filepath.Join(t.TempDir(), "hist.ndjson")
-	var out bytes.Buffer
-	for _, tc := range []struct{ label, file, ts string }{
-		{"PR2", "../../BENCH_PR2.json", "1785891015"},
-		{"PR3", "../../BENCH_PR3.json", "1785893339"},
+// TestRecordRefusesBeforeSampling: a taken label or an unreadable
+// history exits 2 before the harness runs even once.
+func TestRecordRefusesBeforeSampling(t *testing.T) {
+	taken := writeHistory(t, record("PR8", 1,
+		benchstore.BenchmarkSamples{Name: "BenchmarkA", NsPerOp: []float64{1}}))
+	garbage := filepath.Join(t.TempDir(), "garbage.ndjson")
+	if err := os.WriteFile(garbage, []byte("{nope\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, hist := range map[string]string{"taken label": taken, "unreadable history": garbage} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			script := fakeHarness(t, dir, false)
+			var out bytes.Buffer
+			code := run([]string{"record", "-history", hist, "-label", "PR8", "-samples", "3",
+				"-harness-cmd", "sh " + script}, &out)
+			if code != 2 {
+				t.Fatalf("exit = %d, want 2\n%s", code, out.String())
+			}
+			if _, err := os.Stat(filepath.Join(dir, "count")); !os.IsNotExist(err) {
+				t.Error("harness ran before the history was checked")
+			}
+		})
+	}
+}
+
+// TestRecordHarnessFailures: a harness that exits nonzero, or prints
+// no benchmark line, aborts the recording with exit 2 and writes
+// nothing.
+func TestRecordHarnessFailures(t *testing.T) {
+	for name, body := range map[string]string{
+		"exit 1 after a result": "echo 'BenchmarkA 1 1000 ns/op 500 cycles'\nexit 1\n",
+		"no benchmark lines":    "echo PASS\n",
 	} {
-		code := run([]string{"import", "-history", hist, "-label", tc.label,
-			"-time-unix", tc.ts, tc.file}, &out)
-		if code != 0 {
-			t.Fatalf("import %s: exit = %d\n%s", tc.label, code, out.String())
-		}
-	}
-	// Duplicate label refuses.
-	if code := run([]string{"import", "-history", hist, "-label", "PR2",
-		"-time-unix", "1", "../../BENCH_PR2.json"}, &out); code != 2 {
-		t.Errorf("duplicate import: exit = %d, want 2", code)
-	}
-	out.Reset()
-	if code := run([]string{"gate", "-history", hist, "PR2", "PR3"}, &out); code != 0 {
-		t.Fatalf("gate PR2->PR3: exit = %d\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "0 violations") {
-		t.Errorf("output:\n%s", out.String())
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			script := filepath.Join(dir, "harness.sh")
+			if err := os.WriteFile(script, []byte("#!/bin/sh\n"+body), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			hist := filepath.Join(dir, "hist.ndjson")
+			var out bytes.Buffer
+			code := run([]string{"record", "-history", hist, "-label", "X", "-samples", "1",
+				"-harness-cmd", "sh " + script}, &out)
+			if code != 2 {
+				t.Fatalf("exit = %d, want 2\n%s", code, out.String())
+			}
+			if _, err := os.Stat(hist); !os.IsNotExist(err) {
+				t.Error("failed harness run was recorded anyway")
+			}
+		})
 	}
 }
 

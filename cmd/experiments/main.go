@@ -4,9 +4,6 @@
 // Usage:
 //
 //	experiments [-scale f] [-sms n] [-json out.json] [-http :6060]
-//	            [-bench-json out.json] [-bench-samples n]
-//	            [-bench-history h.ndjson -bench-label PR8
-//	             -bench-commit rev -bench-time-unix t]
 //	            [-only fig1,table1,fig2,fig4,table3,table4,yield,fig10,
 //	             fig11,leakage,fig12,sens,fig13,rfc,swap,area,dynamics,
 //	             voltage,scorecard,ablation,energy,dse]
@@ -19,33 +16,18 @@
 //
 // -http serves expvar and net/http/pprof on the given address so long
 // sweeps can be profiled live (go tool pprof http://host/debug/pprof/profile).
-//
-// -bench-json runs the root bench_test.go harness (go test -run=^$
-// -bench=. -benchtime=1x) and writes the parsed results — ns/op plus
-// every b.ReportMetric headline quantity — as JSON to the given path,
-// then exits. It requires the go toolchain on PATH. -bench-samples N
-// repeats the harness N times; the multi-sample run is appended to a
-// pilotrf-benchhistory/v1 file via -bench-history (with -bench-label
-// naming the run), which is how cmd/benchwatch record drives this
-// suite. Deterministic metrics must be bit-identical across samples;
-// any variance is reported as a violation (exit 1), never averaged
-// away.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"pilotrf/internal/benchjson"
-	"pilotrf/internal/benchstore"
 	"pilotrf/internal/design"
 	"pilotrf/internal/dse"
 	"pilotrf/internal/experiments"
@@ -53,89 +35,6 @@ import (
 	"pilotrf/internal/telemetry"
 	"pilotrf/internal/trace"
 )
-
-// benchOpts configures the bench-harness path of cmd/experiments.
-type benchOpts struct {
-	jsonPath    string // -bench-json: write sample 1 as a pilotrf-bench/v1 report
-	samples     int    // -bench-samples: harness passes to run
-	historyPath string // -bench-history: append the run to this history file
-	label       string // -bench-label: run label in the history
-	commit      string // -bench-commit: git revision recorded with the run
-	timeUnix    int64  // -bench-time-unix: injected timestamp (0 = now)
-}
-
-// runBench executes the harness opts.samples times, writes the
-// single-sample snapshot and/or appends the multi-sample history
-// record. Returns the process exit code: 0 ok, 1 failure or
-// deterministic-metric variance, 2 usage error.
-func runBench(opts benchOpts) int {
-	if opts.samples < 1 {
-		fmt.Fprintf(os.Stderr, "-bench-samples must be >= 1, got %d\n", opts.samples)
-		return 2
-	}
-	if opts.samples > 1 && opts.historyPath == "" {
-		fmt.Fprintln(os.Stderr, "-bench-samples > 1 needs -bench-history: a pilotrf-bench/v1 snapshot holds a single sample")
-		return 2
-	}
-	if (opts.historyPath == "") != (opts.label == "") {
-		fmt.Fprintln(os.Stderr, "-bench-history and -bench-label go together")
-		return 2
-	}
-
-	harness := experiments.BenchHarness{}
-	runs := make([][]benchjson.Benchmark, 0, opts.samples)
-	for i := 1; i <= opts.samples; i++ {
-		fmt.Fprintf(os.Stderr, "sample %d/%d: %s\n", i, opts.samples, harness.CommandLine())
-		benches, err := harness.RunSample()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		runs = append(runs, benches)
-	}
-
-	if opts.jsonPath != "" {
-		rep := benchjson.NewReport(harness.CommandLine(), runs[0])
-		f, err := os.Create(opts.jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := rep.Write(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("wrote %d benchmarks to %s\n", len(runs[0]), opts.jsonPath)
-	}
-
-	if opts.historyPath != "" {
-		when := opts.timeUnix
-		if when == 0 {
-			when = time.Now().Unix()
-		}
-		rec, err := benchstore.MergeSamples(opts.label, opts.commit, when, benchstore.CurrentHost(), runs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			var ve *benchstore.VarianceError
-			if errors.As(err, &ve) {
-				fmt.Fprintln(os.Stderr, "deterministic-metric variance across samples is a simulator bug, not noise; nothing was recorded")
-			}
-			return 1
-		}
-		if err := benchstore.AppendRecordFile(opts.historyPath, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("recorded %q: %d benchmarks x %d samples -> %s\n",
-			opts.label, len(rec.Benchmarks), opts.samples, opts.historyPath)
-	}
-	return 0
-}
 
 func main() {
 	os.Exit(run())
@@ -147,20 +46,14 @@ func main() {
 // report still written).
 func run() int {
 	var (
-		scale        = flag.Float64("scale", 1, "workload CTA scale factor")
-		sms          = flag.Int("sms", 2, "simulated SMs")
-		only         = flag.String("only", "", "comma-separated experiment list (empty = all)")
-		jsonPath     = flag.String("json", "", "also write the results as JSON to this file")
-		parallel     = flag.Int("parallel", jobs.DefaultWorkers(), "worker count for pre-running the shared simulations (0 disables the warm pass)")
-		httpAddr     = flag.String("http", "", "serve expvar/pprof on this address during the sweep (e.g. :6060)")
-		benchJSON    = flag.String("bench-json", "", "run the root benchmark harness and write sample 1 as JSON to this file, then exit")
-		benchSamples = flag.Int("bench-samples", 1, "harness passes to run for -bench-json/-bench-history")
-		benchHistory = flag.String("bench-history", "", "append the multi-sample run to this pilotrf-benchhistory/v1 file")
-		benchLabel   = flag.String("bench-label", "", "run label for the -bench-history record (e.g. PR8)")
-		benchCommit  = flag.String("bench-commit", "", "git revision recorded with the -bench-history record")
-		benchTime    = flag.Int64("bench-time-unix", 0, "injected timestamp for the -bench-history record (0 = now)")
-		spansPath    = flag.String("trace-spans", "", "write the warm pass's span tree here as pilotrf-spans/v1 NDJSON (requires -parallel > 0)")
-		designs      = flag.String("designs", "", "comma-separated design scheme list for the dse section (empty = all registered)")
+		scale     = flag.Float64("scale", 1, "workload CTA scale factor")
+		sms       = flag.Int("sms", 2, "simulated SMs")
+		only      = flag.String("only", "", "comma-separated experiment list (empty = all)")
+		jsonPath  = flag.String("json", "", "also write the results as JSON to this file")
+		parallel  = flag.Int("parallel", jobs.DefaultWorkers(), "worker count for pre-running the shared simulations (0 disables the warm pass)")
+		httpAddr  = flag.String("http", "", "serve expvar/pprof on this address during the sweep (e.g. :6060)")
+		spansPath = flag.String("trace-spans", "", "write the warm pass's span tree here as pilotrf-spans/v1 NDJSON (requires -parallel > 0)")
+		designs   = flag.String("designs", "", "comma-separated design scheme list for the dse section (empty = all registered)")
 	)
 	flag.Parse()
 
@@ -174,17 +67,6 @@ func run() int {
 			return 2
 		}
 		designList = append(designList, name)
-	}
-
-	if *benchJSON != "" || *benchHistory != "" {
-		return runBench(benchOpts{
-			jsonPath:    *benchJSON,
-			samples:     *benchSamples,
-			historyPath: *benchHistory,
-			label:       *benchLabel,
-			commit:      *benchCommit,
-			timeUnix:    *benchTime,
-		})
 	}
 
 	if *httpAddr != "" {

@@ -91,8 +91,9 @@ type Record struct {
 	TimeUnix int64 `json:"time_unix"`
 	// Host fingerprints the recording machine.
 	Host Host `json:"host"`
-	// Source notes provenance for backfilled records (e.g.
-	// "import:BENCH_PR2.json"); empty for live recordings.
+	// Source notes where a backfilled record came from: the PR2, PR3
+	// and PR5 records carry "import:BENCH_PR<n>.json", the single-sample
+	// snapshots they were converted from. Empty for recorded runs.
 	Source string `json:"source,omitempty"`
 	// Benchmarks are the per-benchmark sample sets, sorted by name by
 	// the canonical writer.

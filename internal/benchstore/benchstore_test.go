@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pilotrf/internal/benchjson"
 )
 
 func testHost() Host {
@@ -81,7 +79,7 @@ func TestReadRejections(t *testing.T) {
 		wantSub string
 	}{
 		"empty":            {"", "missing"},
-		"wrong schema":     {`{"schema":"pilotrf-bench/v1"}` + "\n", "schema"},
+		"wrong schema":     {`{"schema":"pilotrf-benchhistory/v0"}` + "\n", "schema"},
 		"truncated record": {lines[0] + recordLine[:len(recordLine)/2], "line 2"},
 		"bad json":         {lines[0] + "{nope\n", "line 2"},
 		"empty label":      {lines[0] + strings.Replace(recordLine, `"label":"PR2"`, `"label":""`, 1), "empty label"},
@@ -167,12 +165,12 @@ func TestAppendValidatesRecord(t *testing.T) {
 	}
 }
 
-func bench(name string, ns float64, metrics map[string]float64) benchjson.Benchmark {
-	return benchjson.Benchmark{Name: name, Procs: 1, Iterations: 1, NsPerOp: ns, Metrics: metrics}
+func bench(name string, ns float64, metrics map[string]float64) Benchmark {
+	return Benchmark{Name: name, Procs: 1, Iterations: 1, NsPerOp: ns, Metrics: metrics}
 }
 
 func TestMergeSamples(t *testing.T) {
-	runs := [][]benchjson.Benchmark{
+	runs := [][]Benchmark{
 		{bench("BenchmarkA", 100, map[string]float64{"cycles": 500, "Mcycles/s": 0.15})},
 		{bench("BenchmarkA", 140, map[string]float64{"cycles": 500, "Mcycles/s": 0.11})},
 		{bench("BenchmarkA", 120, map[string]float64{"cycles": 500, "Mcycles/s": 0.13})},
@@ -195,7 +193,7 @@ func TestMergeSamples(t *testing.T) {
 }
 
 func TestMergeSamplesDetectsMetricVariance(t *testing.T) {
-	runs := [][]benchjson.Benchmark{
+	runs := [][]Benchmark{
 		{bench("BenchmarkA", 100, map[string]float64{"cycles": 500})},
 		{bench("BenchmarkA", 110, map[string]float64{"cycles": 501})},
 	}
@@ -214,7 +212,7 @@ func TestMergeSamplesDetectsMetricVariance(t *testing.T) {
 
 func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 	// Missing benchmark in sample 2.
-	_, err := MergeSamples("x", "", 0, testHost(), [][]benchjson.Benchmark{
+	_, err := MergeSamples("x", "", 0, testHost(), [][]Benchmark{
 		{bench("BenchmarkA", 1, nil), bench("BenchmarkB", 2, nil)},
 		{bench("BenchmarkA", 1, nil)},
 	})
@@ -222,7 +220,7 @@ func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 		t.Error("missing benchmark accepted")
 	}
 	// Extra benchmark in sample 2.
-	_, err = MergeSamples("x", "", 0, testHost(), [][]benchjson.Benchmark{
+	_, err = MergeSamples("x", "", 0, testHost(), [][]Benchmark{
 		{bench("BenchmarkA", 1, nil)},
 		{bench("BenchmarkA", 1, nil), bench("BenchmarkB", 2, nil)},
 	})
@@ -230,7 +228,7 @@ func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 		t.Error("extra benchmark accepted")
 	}
 	// Metric appearing only in sample 2.
-	_, err = MergeSamples("x", "", 0, testHost(), [][]benchjson.Benchmark{
+	_, err = MergeSamples("x", "", 0, testHost(), [][]Benchmark{
 		{bench("BenchmarkA", 1, nil)},
 		{bench("BenchmarkA", 1, map[string]float64{"cycles": 5})},
 	})
@@ -238,7 +236,7 @@ func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 		t.Error("gained metric accepted")
 	}
 	// Metric disappearing in sample 2.
-	_, err = MergeSamples("x", "", 0, testHost(), [][]benchjson.Benchmark{
+	_, err = MergeSamples("x", "", 0, testHost(), [][]Benchmark{
 		{bench("BenchmarkA", 1, map[string]float64{"cycles": 5})},
 		{bench("BenchmarkA", 1, nil)},
 	})
@@ -246,7 +244,7 @@ func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 		t.Error("lost metric accepted")
 	}
 	// Duplicate names within one sample.
-	_, err = MergeSamples("x", "", 0, testHost(), [][]benchjson.Benchmark{
+	_, err = MergeSamples("x", "", 0, testHost(), [][]Benchmark{
 		{bench("BenchmarkA", 1, nil), bench("BenchmarkA", 2, nil)},
 	})
 	if err == nil {
@@ -254,57 +252,5 @@ func TestMergeSamplesDetectsSetVariance(t *testing.T) {
 	}
 	if _, err := MergeSamples("x", "", 0, testHost(), nil); err == nil {
 		t.Error("zero samples accepted")
-	}
-}
-
-func TestImportReport(t *testing.T) {
-	rep := benchjson.NewReport("go test -bench .", []benchjson.Benchmark{
-		bench("BenchmarkB", 200, map[string]float64{"cycles": 9000}),
-		bench("BenchmarkA", 100, map[string]float64{"saving-pct": 53.7}),
-	})
-	rec, err := ImportReport("PR2", "daa2021", 1785891015, testHost(), "import:BENCH_PR2.json", rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Source != "import:BENCH_PR2.json" || rec.Samples() != 1 {
-		t.Errorf("record = %+v", rec)
-	}
-	if rec.Label != "PR2" || rec.Commit != "daa2021" || rec.TimeUnix != 1785891015 {
-		t.Errorf("identity fields = %+v", rec)
-	}
-	// Importing a report with duplicate names must fail.
-	dup := benchjson.NewReport("x", []benchjson.Benchmark{
-		bench("BenchmarkA", 1, nil), bench("BenchmarkA", 2, nil),
-	})
-	if _, err := ImportReport("PR3", "", 0, testHost(), "import:x", dup); err == nil {
-		t.Error("duplicate-name import accepted")
-	}
-}
-
-// TestImportCommittedSnapshots: every committed BENCH_*.json snapshot
-// must import cleanly — the backfill the PR8 history is built from.
-func TestImportCommittedSnapshots(t *testing.T) {
-	matches, err := filepath.Glob("../../BENCH_*.json")
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no committed snapshots found: %v", err)
-	}
-	h := History{}
-	for i, path := range matches {
-		rep, err := benchjson.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		rec, err := ImportReport(filepath.Base(path), "", int64(i), testHost(), "import:"+filepath.Base(path), rep)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		h.Records = append(h.Records, rec)
-	}
-	var buf bytes.Buffer
-	if err := WriteHistory(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHistory(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
 	}
 }

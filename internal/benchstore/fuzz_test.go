@@ -2,6 +2,7 @@ package benchstore
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,39 @@ func FuzzReadHistory(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("round trip not stable")
+		}
+	})
+}
+
+// FuzzParse hammers the `go test -bench` text parser: no panic, and
+// every line it accepts must carry a positive iteration count and
+// re-parse identically (the parser is deterministic on its own output
+// interpretation).
+func FuzzParse(f *testing.F) {
+	f.Add("BenchmarkFigure11_DynamicEnergy-8   1   123456 ns/op   53.7 saving-pct(paper:54)\n")
+	f.Add("goos: linux\ngoarch: amd64\nBenchmarkX 10 5 ns/op\nPASS\nok  pilotrf 1.2s\n")
+	f.Add("BenchmarkNoIters\n")
+	f.Add("Benchmark-0 5\n")
+	f.Add("BenchmarkHuge 9223372036854775807 1e308 ns/op\n")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, data string) {
+		benches, err := Parse(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, b := range benches {
+			if b.Name == "" || !strings.HasPrefix(b.Name, "Benchmark") {
+				t.Fatalf("accepted benchmark with name %q", b.Name)
+			}
+			if b.Procs <= 0 {
+				t.Fatalf("accepted benchmark with procs %d", b.Procs)
+			}
+		}
+		// Parsing the same input twice must agree exactly.
+		again, err := Parse(strings.NewReader(data))
+		if err != nil || !reflect.DeepEqual(benches, again) {
+			t.Fatalf("reparse drift (err %v)", err)
 		}
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"pilotrf/internal/benchjson"
 )
 
 // VarianceError reports deterministic-metric variance across samples of
@@ -45,11 +43,11 @@ func Informational(key string) bool {
 // metric must be bit-identical across samples — rate metrics keep the
 // first sample's value and are exempt. ns/op values are collected into
 // per-benchmark sample vectors in run order.
-func MergeSamples(label, commit string, timeUnix int64, host Host, runs [][]benchjson.Benchmark) (Record, error) {
+func MergeSamples(label, commit string, timeUnix int64, host Host, runs [][]Benchmark) (Record, error) {
 	if len(runs) == 0 {
 		return Record{}, fmt.Errorf("benchstore: no samples to merge")
 	}
-	first, err := benchjson.Index(benchjson.Report{Benchmarks: runs[0]})
+	first, err := index(runs[0])
 	if err != nil {
 		return Record{}, fmt.Errorf("benchstore: sample 1: %w", err)
 	}
@@ -82,7 +80,7 @@ func MergeSamples(label, commit string, timeUnix int64, host Host, runs [][]benc
 	}
 
 	for si, run := range runs[1:] {
-		idx, err := benchjson.Index(benchjson.Report{Benchmarks: run})
+		idx, err := index(run)
 		if err != nil {
 			return Record{}, fmt.Errorf("benchstore: sample %d: %w", si+2, err)
 		}
@@ -118,26 +116,5 @@ func MergeSamples(label, commit string, timeUnix int64, host Host, runs [][]benc
 			}
 		}
 	}
-	return rec, nil
-}
-
-// ImportReport backfills one committed pilotrf-bench/v1 snapshot (e.g.
-// BENCH_PR2.json) as a single-sample history record. The snapshot
-// format predates sample vectors, so each benchmark imports with a
-// one-element ns/op vector; source records the provenance.
-func ImportReport(label, commit string, timeUnix int64, host Host, source string, rep benchjson.Report) (Record, error) {
-	idx, err := benchjson.Index(rep)
-	if err != nil {
-		return Record{}, fmt.Errorf("benchstore: import %s: %w", source, err)
-	}
-	runs := make([]benchjson.Benchmark, 0, len(idx))
-	for _, b := range rep.Benchmarks {
-		runs = append(runs, b)
-	}
-	rec, err := MergeSamples(label, commit, timeUnix, host, [][]benchjson.Benchmark{runs})
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Source = source
 	return rec, nil
 }

@@ -1,9 +1,57 @@
-package benchjson
+package benchstore
 
 import (
 	"strings"
 	"testing"
 )
+
+const sampleOutput = `goos: linux
+goarch: amd64
+pkg: pilotrf
+cpu: some cpu
+BenchmarkFigure11_DynamicEnergy-8   	       1	123456789 ns/op	        53.70 saving-pct(paper:54)	        47.10 ntv-saving-pct(paper:47)
+BenchmarkLeakageSavings   	    5000	    250000 ns/op	        39.00 saving-pct(paper:39)
+PASS
+ok  	pilotrf	4.2s
+`
+
+func TestParseLine(t *testing.T) {
+	b, ok := ParseLine("BenchmarkFigure11_DynamicEnergy-8   	       1	123456789 ns/op	        53.70 saving-pct(paper:54)")
+	if !ok {
+		t.Fatal("benchmark line not recognized")
+	}
+	if b.Name != "BenchmarkFigure11_DynamicEnergy" || b.Procs != 8 {
+		t.Errorf("name/procs = %q/%d", b.Name, b.Procs)
+	}
+	if b.Iterations != 1 || b.NsPerOp != 123456789 {
+		t.Errorf("iterations/ns = %d/%v", b.Iterations, b.NsPerOp)
+	}
+	if got := b.Metrics["saving-pct(paper:54)"]; got != 53.70 {
+		t.Errorf("metric = %v, want 53.70", got)
+	}
+
+	for _, line := range []string{"PASS", "ok  \tpilotrf\t4.2s", "goos: linux", ""} {
+		if _, ok := ParseLine(line); ok {
+			t.Errorf("non-benchmark line %q parsed as benchmark", line)
+		}
+	}
+}
+
+func TestParse(t *testing.T) {
+	bs, err := Parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bs) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2", len(bs))
+	}
+	if bs[1].Name != "BenchmarkLeakageSavings" || bs[1].Procs != 1 {
+		t.Errorf("second benchmark = %+v", bs[1])
+	}
+	if got := bs[1].Metrics["saving-pct(paper:39)"]; got != 39 {
+		t.Errorf("metric = %v, want 39", got)
+	}
+}
 
 // TestParseLineMalformed covers the parser's reject paths: benchmark
 // lines with unparseable numbers must be dropped, not mis-parsed.
@@ -87,44 +135,5 @@ func TestParseSkipsGarbageBetweenResults(t *testing.T) {
 	}
 	if bs[1].Metrics["cycles"] != 1.5 {
 		t.Errorf("metrics = %v", bs[1].Metrics)
-	}
-}
-
-// TestReadErrors covers the report reader's error paths.
-func TestReadErrors(t *testing.T) {
-	cases := []struct {
-		name, input, wantErr string
-	}{
-		{"empty", "", "benchjson"},
-		{"not json", "{broken", "benchjson"},
-		{"truncated json", `{"schema":"pilotrf-bench/v1","benchmarks":[{"name":`, "benchjson"},
-		{"wrong schema", `{"schema":"other/v2"}`, "schema"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Read(strings.NewReader(tc.input))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestReadRoundTrip: Write then Read preserves the report.
-func TestReadRoundTrip(t *testing.T) {
-	rep := NewReport("go test -bench=.", []Benchmark{
-		{Name: "BenchmarkA", Procs: 1, Iterations: 1, NsPerOp: 100,
-			Metrics: map[string]float64{"cycles": 500}},
-	})
-	var sb strings.Builder
-	if err := rep.Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != Schema || len(got.Benchmarks) != 1 || got.Benchmarks[0].Metrics["cycles"] != 500 {
-		t.Fatalf("round trip: %+v", got)
 	}
 }
