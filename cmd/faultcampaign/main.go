@@ -36,10 +36,10 @@
 // -trace-perfetto fetch the job's span tree from the coordinator.
 //
 // The golden runs and every cell's trials are independent simulations;
-// -parallel runs them on a work-stealing pool (internal/jobs) with one
-// worker per core by default. The merge is in canonical submission
-// order, so the report is byte-identical to -parallel 1 for the same
-// flags. -cache-dir persists golden digests and finished cells under
+// -parallel runs them on a worker pool (internal/jobs) with one worker
+// per core by default. The merge is in canonical submission order, so
+// the report is byte-identical to -parallel 1 for the same flags.
+// -cache-dir persists golden digests and finished cells under
 // content-addressed keys: re-sweeps with overlapping grids and
 // campaigns interrupted partway resume instead of recomputing, and a
 // corrupt cache entry silently degrades to recomputation.

@@ -12,9 +12,9 @@
 //
 // The default census-only report is byte-reproducible: the census
 // depends only on architectural state, cells run as independent tasks
-// on a work-stealing pool (internal/jobs), and the report merges in
-// canonical (workload, design) order — so -parallel n writes the same
-// bytes as -parallel 1, and equal flags produce equal files forever.
+// on a worker pool (internal/jobs), and the report merges in canonical
+// (workload, design) order — so -parallel n writes the same bytes as
+// -parallel 1, and equal flags produce equal files forever.
 //
 // -wallclock additionally times every tick phase (events, fault, issue,
 // collect, banks, adaptive, telemetry, energy, record) and attaches the

@@ -1,8 +1,8 @@
 // Command pilotserve is the batch simulation job server: it accepts
-// fault-campaign specs over HTTP, runs them on one shared work-stealing
-// pool (internal/jobs) with a content-addressed result cache, and
-// streams per-job progress. Equal specs produce byte-identical reports,
-// exactly like cmd/faultcampaign.
+// fault-campaign specs over HTTP, runs them on one shared worker pool
+// (internal/jobs) with a content-addressed result cache, and streams
+// per-job progress. Equal specs produce byte-identical reports, exactly
+// like cmd/faultcampaign.
 //
 // Usage:
 //
@@ -103,7 +103,7 @@ func run(args []string) int {
 		addr       = fs.String("addr", ":8091", "listen address")
 		parallel   = fs.Int("parallel", jobs.DefaultWorkers(), "simulation pool worker count")
 		cacheDir   = fs.String("cache-dir", "", "persist golden runs and cells here across jobs and restarts")
-		queueUnits = fs.Int("queue-units", jobs.DefaultQueueDepth, "max admitted simulation jobs (golden runs + trials) in flight")
+		queueUnits = fs.Int("queue-units", defaultQueueUnits, "max admitted simulation jobs (golden runs + trials) in flight")
 		perClient  = fs.Int("per-client", 8, "max in-flight batch jobs per client")
 		role       = fs.String("role", "standalone", "standalone | coordinator | worker")
 		coordURL   = fs.String("coordinator", "", "coordinator base URL (required for -role worker)")

@@ -491,9 +491,9 @@ func TestMetricsPrometheus(t *testing.T) {
 		"# TYPE serve_jobs_completed counter",
 		"serve_jobs_completed 1",
 		// Pool and cache internals surface alongside the serving
-		// series: steals/panics from the work-stealing pool, hit/miss
+		// series: submissions/panics from the worker pool, hit/miss
 		// accounting from the content-addressed result cache.
-		"# TYPE jobs_steals counter",
+		"# TYPE jobs_submitted counter",
 		"# TYPE jobs_panics counter",
 		"# TYPE cache_hits counter",
 		"# TYPE cache_misses counter",

@@ -41,6 +41,10 @@ func buildVersion() string {
 	return version
 }
 
+// defaultQueueUnits is the admission capacity when -queue-units is not
+// given, in simulation jobs (golden runs plus trials).
+const defaultQueueUnits = 4096
+
 // serverConfig sizes the job server. The zero value is not valid; use
 // defaults() or the flag wiring in main.
 type serverConfig struct {
@@ -130,7 +134,7 @@ func (j *serveJob) snapshot() (jobStatus, <-chan struct{}) {
 }
 
 // server is the batch job service: admission control in front of one
-// shared work-stealing pool and result cache.
+// shared worker pool and result cache.
 type server struct {
 	cfg   serverConfig
 	mux   *http.ServeMux
@@ -178,7 +182,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg.workers = jobs.DefaultWorkers()
 	}
 	if cfg.queueUnits <= 0 {
-		cfg.queueUnits = jobs.DefaultQueueDepth
+		cfg.queueUnits = defaultQueueUnits
 	}
 	if cfg.perClient <= 0 {
 		cfg.perClient = 8

@@ -16,11 +16,11 @@
 //	         [-stalls] [-http :6060] [-parallel n] [-perf-out f.json]
 //	         [-fault-rate f] [-fault-seed n] [-protect none|parity|secded|paper]
 //
-// -parallel n runs the benchmarks concurrently on an n-worker
-// work-stealing pool (internal/jobs), merging the summary rows in
-// canonical order so the output is byte-identical to -parallel 1. It is
-// a usage error combined with the shared-observer outputs below, which
-// tee one stream across the whole benchmark loop.
+// -parallel n runs the benchmarks concurrently on an n-worker pool
+// (internal/jobs), merging the summary rows in canonical order so the
+// output is byte-identical to -parallel 1. It is a usage error combined
+// with the shared-observer outputs below, which tee one stream across
+// the whole benchmark loop.
 //
 // Observability: -trace-out writes a Chrome/Perfetto trace_event JSON
 // file (open in ui.perfetto.dev), -events-out streams raw events as

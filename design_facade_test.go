@@ -2,7 +2,10 @@ package pilotrf
 
 import (
 	"context"
+	"math"
 	"testing"
+
+	"pilotrf/internal/energy"
 )
 
 // TestSchemeRegistryFacade checks the design-scheme re-exports: the
@@ -58,6 +61,37 @@ func TestNewSchemeSimulator(t *testing.T) {
 
 	if _, err := NewSchemeSimulator(sch, DesignKnobs{Size: 99}, Options{}); err == nil {
 		t.Error("NewSchemeSimulator accepted an out-of-range knob")
+	}
+}
+
+// TestSchemeSimulatorPricesByScheme: a scheme-built simulator prices
+// every run with its scheme's own energy model, for every registered
+// scheme and whatever opts.Design says.
+func TestSchemeSimulatorPricesByScheme(t *testing.T) {
+	paper := PaperOptions()
+	paper.SMs, paper.Scale = 1, 0.02
+	for _, opts := range []Options{{SMs: 1, Scale: 0.02}, paper} {
+		for _, sch := range AllSchemes() {
+			k := sch.DefaultKnobs()
+			s, err := NewSchemeSimulator(sch, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.RunBenchmark("sgemm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sch.Energy(k, res.Stats.DesignRun())
+			got := res.Energy
+			if got.Design != sch.Base(k) || got.DynamicPJ != want.DynamicPJ || got.LeakagePJ != want.LeakagePJ {
+				t.Errorf("%s (opts.Design %v): priced %v dyn %g leak %g, want %v dyn %g leak %g",
+					sch.Name(), opts.Design, got.Design, got.DynamicPJ, got.LeakagePJ, sch.Base(k), want.DynamicPJ, want.LeakagePJ)
+			}
+			// LeakageMW is the run's average: LeakagePJ spread over its time.
+			if pj := got.LeakageMW * float64(got.Cycles) / energy.ClockGHz; math.Abs(pj-got.LeakagePJ) > 1e-9*got.LeakagePJ {
+				t.Errorf("%s: LeakageMW %g implies %g pJ, want %g", sch.Name(), got.LeakageMW, pj, got.LeakagePJ)
+			}
+		}
 	}
 }
 

@@ -52,10 +52,10 @@ type pointSpec struct {
 	knobs  design.Knobs
 }
 
-// Sweep runs the full scheme-by-knob-by-workload grid on a
-// work-stealing pool and returns the priced, normalized,
-// Pareto-marked report. Tasks merge in canonical submission order, so
-// the report bytes do not depend on Workers.
+// Sweep runs the full scheme-by-knob-by-workload grid on a worker
+// pool and returns the priced, normalized, Pareto-marked report. Tasks
+// merge in canonical submission order, so the report bytes do not
+// depend on Workers.
 func Sweep(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Scale <= 0 {
 		opts.Scale = 1

@@ -128,10 +128,10 @@ func (r *Runner) run(w workloads.Workload, cfg sim.Config, key string) sim.RunSt
 }
 
 // Warm fills the cache for the configurations the standard experiment set
-// reads, running them on a work-stealing jobs.Pool with Workers workers
-// (one per core by default). Experiments afterwards hit the cache;
-// results are identical to sequential execution (every run is
-// deterministic and independent).
+// reads, running them on a jobs.Pool with Workers workers (one per core
+// by default). Experiments afterwards hit the cache; results are
+// identical to sequential execution (every run is deterministic and
+// independent).
 func (r *Runner) Warm() {
 	type job struct {
 		cfg func() sim.Config

@@ -1,6 +1,6 @@
 // Package jobs is the repository's deterministic parallel execution
-// engine: a work-stealing worker pool that runs independent simulation
-// cells concurrently while merging their results in canonical submission
+// engine: a worker pool that runs independent simulation cells
+// concurrently while merging their results in canonical submission
 // order, plus a content-addressed on-disk result cache keyed by FNV-1a
 // job hashes (see cache.go).
 //
@@ -14,16 +14,11 @@
 // chose — the property cmd/faultcampaign's and cmd/pilotsim's regression
 // tests pin down.
 //
-// The pool is a classic work-stealing scheduler in the Blumofe/Leiserson
-// shape: each worker owns a deque of task chunks, pushes and pops at the
-// back (LIFO, for cache locality on freshly submitted work), and steals
-// from the front of a victim's deque (FIFO, taking the oldest — and
-// therefore largest-remaining — chunks) when its own runs dry. Batches
-// are split into chunks and dealt round-robin across the deques at
-// submission, so even a single large batch starts on all cores without
-// any stealing at all; stealing only pays for tail imbalance, which is
-// exactly where simulation cells (whose runtimes vary by orders of
-// magnitude across workloads) need it.
+// The pool is one FIFO of batches under one mutex: an idle worker claims
+// the next unclaimed task of the oldest batch, so a batch starts on every
+// free worker at once and a long task never strands queued work behind
+// it. The queue is unbounded; admission control belongs to the caller
+// (cmd/pilotserve prices and caps the work it admits).
 package jobs
 
 import (
@@ -52,11 +47,6 @@ type Result struct {
 	Err   error
 }
 
-// ErrQueueFull reports that a TrySubmit would exceed the pool's bounded
-// queue. Callers translate it into backpressure (cmd/pilotserve answers
-// HTTP 429 with Retry-After).
-var ErrQueueFull = errors.New("jobs: queue full")
-
 // ErrClosed reports a submission to a closed pool.
 var ErrClosed = errors.New("jobs: pool closed")
 
@@ -76,44 +66,26 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("jobs: task panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// DefaultQueueDepth bounds outstanding (submitted, unfinished) tasks
-// when Config.QueueDepth is zero.
-const DefaultQueueDepth = 4096
-
 // Config sizes a Pool.
 type Config struct {
 	// Workers is the number of worker goroutines. Zero or negative is a
 	// configuration error (use runtime.GOMAXPROCS(0) explicitly for
 	// "one per core"); a deliberately sequential pool has Workers == 1.
 	Workers int
-	// QueueDepth bounds the outstanding tasks across all batches:
-	// Submit blocks (and TrySubmit fails) while a new batch would push
-	// the outstanding count past it. Zero selects DefaultQueueDepth.
-	QueueDepth int
-	// ChunkSize is the number of tasks per deque chunk. Zero sizes
-	// chunks automatically (batch/(4*workers), minimum 1) so a batch
-	// spreads across every worker with stealable remainders.
-	ChunkSize int
 	// Metrics, when set, registers the pool's counters and gauges
-	// (jobs_submitted, jobs_completed, jobs_panics, jobs_steals,
-	// jobs_queued, jobs_running) in the registry, so a live telemetry
-	// endpoint exposes queue pressure.
+	// (jobs_submitted, jobs_completed, jobs_panics, jobs_queued,
+	// jobs_running) in the registry, so a live telemetry endpoint
+	// exposes queue pressure.
 	Metrics *telemetry.Registry
 }
 
-// Pool is a work-stealing worker pool. Create with New, submit batches
-// with Submit/TrySubmit, and stop it with Close.
+// Pool is a FIFO worker pool. Create with New, submit batches with
+// Submit, and stop it with Close.
 type Pool struct {
-	workers    int
-	queueDepth int
-	chunkSize  int
-
-	mu          sync.Mutex
-	cond        *sync.Cond // guards deques/outstanding; signals work and space
-	deques      []dequeSlot
-	nextDeque   int // round-robin deal position
-	outstanding int // submitted, not yet finished
-	closed      bool
+	mu     sync.Mutex
+	cond   *sync.Cond // guards queue and closed; signals new work and Close
+	queue  []*Batch   // batches with unclaimed tasks, oldest first
+	closed bool
 
 	wg sync.WaitGroup
 
@@ -121,37 +93,18 @@ type Pool struct {
 	cSubmitted *telemetry.Counter
 	cCompleted *telemetry.Counter
 	cPanics    *telemetry.Counter
-	cSteals    *telemetry.Counter
 	gQueued    *telemetry.Gauge
 	gRunning   *telemetry.Gauge
-}
-
-// dequeSlot is one worker's chunk deque. The front (index 0) is the
-// steal side; the back is the owner side.
-type dequeSlot struct {
-	chunks []chunk
-}
-
-// chunk is a contiguous range [lo, hi) of one batch's tasks. home is
-// the deque the chunk currently belongs to; stolen marks a chunk taken
-// from another worker's deque (home then still names the victim), which
-// span tracing reports as the task's steal origin.
-type chunk struct {
-	b      *Batch
-	lo, hi int
-	home   int
-	stolen bool
 }
 
 // Batch tracks one submission. Results are indexed by submission
 // position regardless of execution order.
 type Batch struct {
 	ctx     context.Context
-	pool    *Pool
 	tasks   []Task
 	results []Result
+	next    int // first unclaimed task; guarded by the pool's mu
 	done    atomic.Int64
-	total   int
 	fin     chan struct{}
 
 	// Span tracing (zero value = disabled): the span context captured
@@ -167,27 +120,12 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("jobs: %d workers (a pool needs at least one; use runtime.GOMAXPROCS(0) for one per core)", cfg.Workers)
 	}
-	if cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("jobs: negative queue depth %d", cfg.QueueDepth)
-	}
-	if cfg.ChunkSize < 0 {
-		return nil, fmt.Errorf("jobs: negative chunk size %d", cfg.ChunkSize)
-	}
-	p := &Pool{
-		workers:    cfg.Workers,
-		queueDepth: cfg.QueueDepth,
-		chunkSize:  cfg.ChunkSize,
-		deques:     make([]dequeSlot, cfg.Workers),
-	}
-	if p.queueDepth == 0 {
-		p.queueDepth = DefaultQueueDepth
-	}
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	if reg := cfg.Metrics; reg != nil {
 		p.cSubmitted = reg.Counter("jobs_submitted")
 		p.cCompleted = reg.Counter("jobs_completed")
 		p.cPanics = reg.Counter("jobs_panics")
-		p.cSteals = reg.Counter("jobs_steals")
 		p.gQueued = reg.Gauge("jobs_queued")
 		p.gRunning = reg.Gauge("jobs_running")
 	}
@@ -197,9 +135,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	return p, nil
 }
-
-// NumWorkers returns the pool's worker count.
-func (p *Pool) NumWorkers() int { return p.workers }
 
 // Close stops the workers after the already-queued work drains. It is
 // safe to call once; submissions after Close fail with ErrClosed.
@@ -211,29 +146,13 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Submit enqueues tasks as one batch, blocking while the pool's queue is
-// full until space frees, ctx is cancelled, or the pool closes. The
-// batch's results appear in submission order.
+// Submit enqueues tasks as one batch behind every batch already queued.
+// It never blocks. The batch's results appear in submission order.
 func (p *Pool) Submit(ctx context.Context, tasks []Task) (*Batch, error) {
-	return p.submit(ctx, tasks, true)
-}
-
-// TrySubmit is Submit without blocking: when the tasks would push the
-// outstanding count past the queue depth it fails fast with ErrQueueFull.
-func (p *Pool) TrySubmit(ctx context.Context, tasks []Task) (*Batch, error) {
-	return p.submit(ctx, tasks, false)
-}
-
-func (p *Pool) submit(ctx context.Context, tasks []Task, block bool) (*Batch, error) {
-	if len(tasks) > p.queueDepth {
-		return nil, fmt.Errorf("jobs: batch of %d exceeds queue depth %d: %w", len(tasks), p.queueDepth, ErrQueueFull)
-	}
 	b := &Batch{
 		ctx:     ctx,
-		pool:    p,
 		tasks:   tasks,
 		results: make([]Result, len(tasks)),
-		total:   len(tasks),
 		fin:     make(chan struct{}),
 	}
 	if sc := trace.FromContext(ctx); sc.Active() {
@@ -248,148 +167,61 @@ func (p *Pool) submit(ctx context.Context, tasks []Task, block bool) (*Batch, er
 	}
 
 	p.mu.Lock()
-	for !p.closed && p.outstanding+len(tasks) > p.queueDepth {
-		if !block {
-			p.mu.Unlock()
-			return nil, ErrQueueFull
-		}
-		// A cond.Wait cannot watch ctx, so bridge cancellation with a
-		// broadcast: the watcher goroutine pokes every Submit waiter
-		// when ctx dies, and the waiter rechecks ctx below.
-		if err := ctx.Err(); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		stopWatch := p.watchContext(ctx)
-		p.cond.Wait()
-		stopWatch()
-	}
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		p.mu.Unlock()
 		return nil, err
 	}
-
-	p.outstanding += len(tasks)
-	size := p.chunkSize
-	if size <= 0 {
-		size = len(tasks) / (4 * p.workers)
-		if size < 1 {
-			size = 1
-		}
-	}
-	for lo := 0; lo < len(tasks); lo += size {
-		hi := lo + size
-		if hi > len(tasks) {
-			hi = len(tasks)
-		}
-		home := p.nextDeque % p.workers
-		p.nextDeque++
-		d := &p.deques[home]
-		d.chunks = append(d.chunks, chunk{b: b, lo: lo, hi: hi, home: home})
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
 	if p.cSubmitted != nil {
 		p.cSubmitted.Add(uint64(len(tasks)))
 		p.gQueued.Add(int64(len(tasks)))
 	}
+	p.queue = append(p.queue, b)
+	p.cond.Broadcast()
 	return b, nil
 }
 
-// watchContext broadcasts on the pool's cond when ctx is cancelled so a
-// Submit waiter wakes up and observes the cancellation. The returned
-// stop function must be called with p.mu held.
-func (p *Pool) watchContext(ctx context.Context) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		case <-quit:
-		}
-	}()
-	return func() { close(quit) }
-}
-
-// worker is one scheduling loop: drain the own deque back-to-front, then
-// steal front chunks from the other deques, then park.
+// worker is one scheduling loop: claim a task, run it, repeat.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	for {
-		c, ok := p.next(id)
+		b, i, ok := p.claim()
 		if !ok {
 			return
 		}
-		p.runTask(c, id)
+		p.runTask(b, i, id)
 	}
 }
 
-// next pops one task for worker id, splitting chunks so the remainder
-// stays stealable, or parks until work arrives. ok is false when the
-// pool has closed and no work remains.
-func (p *Pool) next(id int) (chunk, bool) {
+// claim takes the oldest batch's next unclaimed task, parking until work
+// arrives. ok is false when the pool has closed and no work remains.
+func (p *Pool) claim() (b *Batch, i int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		// Own deque, owner side (back).
-		if d := &p.deques[id]; len(d.chunks) > 0 {
-			c := d.chunks[len(d.chunks)-1]
-			d.chunks = d.chunks[:len(d.chunks)-1]
-			return p.splitLocked(id, c), true
-		}
-		// Steal: scan victims in a deterministic ring from id+1, taking
-		// the oldest chunk (front) so the victim keeps its hot tail.
-		for off := 1; off < p.workers; off++ {
-			v := &p.deques[(id+off)%p.workers]
-			if len(v.chunks) == 0 {
-				continue
-			}
-			c := v.chunks[0]
-			v.chunks = v.chunks[1:]
-			c.stolen = true // home still names the victim deque
-			if p.cSteals != nil {
-				p.cSteals.Inc()
-			}
-			return p.splitLocked(id, c), true
-		}
+	for len(p.queue) == 0 {
 		if p.closed {
-			return chunk{}, false
+			return nil, 0, false
 		}
 		p.cond.Wait()
 	}
-}
-
-// splitLocked carves the first task off c, pushing any remainder onto
-// worker id's own deque (back, so the owner continues it LIFO while
-// thieves can still take it from the front). Callers hold p.mu.
-func (p *Pool) splitLocked(id int, c chunk) chunk {
-	if c.hi-c.lo > 1 {
-		// The remainder now lives in id's deque: it is only "stolen"
-		// again if another worker later takes it from there.
-		rest := chunk{b: c.b, lo: c.lo + 1, hi: c.hi, home: id}
-		p.deques[id].chunks = append(p.deques[id].chunks, rest)
-		// Another worker may be parked while this remainder is stealable.
-		p.cond.Signal()
-		c.hi = c.lo + 1
+	b = p.queue[0]
+	i = b.next
+	b.next++
+	if b.next == len(b.tasks) {
+		// Shift rather than reslice so the backing array is reused and
+		// a steady stream of batches does not allocate queue space.
+		n := copy(p.queue, p.queue[1:])
+		p.queue[n] = nil
+		p.queue = p.queue[:n]
 	}
-	return c
+	return b, i, true
 }
 
-// runTask executes one task with panic isolation and completion
-// accounting. worker is the executing worker's id; the chunk carries
-// the steal provenance span tracing annotates tasks with.
-func (p *Pool) runTask(c chunk, worker int) {
-	b, i := c.b, c.lo
+// runTask executes task i of b with panic isolation and completion
+// accounting; worker is the executing worker's id.
+func (p *Pool) runTask(b *Batch, i, worker int) {
 	if p.gQueued != nil {
 		p.gQueued.Add(-1)
 		p.gRunning.Add(1)
@@ -397,8 +229,8 @@ func (p *Pool) runTask(c chunk, worker int) {
 	// Span hook: one branch on a captured struct when disabled — no
 	// context lookup, no allocation (test- and benchmark-asserted).
 	// The span id derives from the parent span and submission index,
-	// so the tree is identical whatever worker ran the task; worker,
-	// steal origin, and queue wait are wall-only annotations.
+	// so the tree is identical whatever worker ran the task; worker and
+	// queue wait are wall-only annotations.
 	var sp *trace.ActiveSpan
 	if b.sc.Active() {
 		idx := strconv.Itoa(i)
@@ -408,9 +240,6 @@ func (p *Pool) runTask(c chunk, worker int) {
 			sp.SetWallAttr("queue_ns", strconv.FormatInt(time.Now().UnixNano()-b.submitNS, 10))
 		}
 		sp.SetWallAttr("worker", strconv.Itoa(worker))
-		if c.stolen {
-			sp.SetWallAttr("stolen_from", strconv.Itoa(c.home))
-		}
 	}
 	if err := b.ctx.Err(); err != nil {
 		// The batch was cancelled: charge the task with the
@@ -424,13 +253,7 @@ func (p *Pool) runTask(c chunk, worker int) {
 		p.gRunning.Add(-1)
 		p.cCompleted.Inc()
 	}
-
-	p.mu.Lock()
-	p.outstanding--
-	p.cond.Broadcast() // wake Submit waiters blocked on queue space
-	p.mu.Unlock()
-
-	if b.done.Add(1) == int64(b.total) {
+	if b.done.Add(1) == int64(len(b.tasks)) {
 		close(b.fin)
 	}
 }
@@ -452,11 +275,6 @@ func (p *Pool) invoke(ctx context.Context, t Task) (res Result) {
 // Done returns a channel closed when every task of the batch has
 // finished (successfully, with an error, or skipped by cancellation).
 func (b *Batch) Done() <-chan struct{} { return b.fin }
-
-// Progress returns how many tasks have finished out of the total.
-func (b *Batch) Progress() (done, total int) {
-	return int(b.done.Load()), b.total
-}
 
 // Wait blocks until the batch completes or ctx is cancelled, returning
 // the results in submission order. After a ctx cancellation the batch

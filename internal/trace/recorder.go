@@ -194,9 +194,9 @@ func (a *ActiveSpan) SetAttr(key, value string) {
 	a.span.Attrs[key] = value
 }
 
-// SetWallAttr records a nondeterministic annotation (worker id, steal
-// origin, queue wait). No-op when the recorder does not stamp wall
-// sections, so the deterministic projection is unaffected.
+// SetWallAttr records a nondeterministic annotation (worker id, queue
+// wait). No-op when the recorder does not stamp wall sections, so the
+// deterministic projection is unaffected.
 func (a *ActiveSpan) SetWallAttr(key, value string) {
 	if a == nil || a.span.Wall == nil {
 		return

@@ -12,9 +12,9 @@
 // identical tree of IDs, parentage, and annotations whether the pool
 // runs one worker or sixty-four, on this machine or a future remote
 // worker node. Everything nondeterministic — timestamps, queue waits,
-// which worker ran a task, steal origins — lives in a clearly-marked
-// optional Wall section, exactly like perfscope's wall split, and is
-// excluded from the reproducibility contract.
+// which worker ran a task — lives in a clearly-marked optional Wall
+// section, exactly like perfscope's wall split, and is excluded from the
+// reproducibility contract.
 //
 // Spans are exported three ways:
 //
@@ -43,15 +43,14 @@ const Schema = "pilotrf-spans/v1"
 
 // Wall is the nondeterministic section of a span: wall-clock interval
 // plus free-form annotations that depend on scheduling (worker id,
-// steal origin, queue wait). It is excluded from the deterministic
-// span-tree contract; StripWall removes it for reproducibility
-// comparisons.
+// queue wait). It is excluded from the deterministic span-tree
+// contract; StripWall removes it for reproducibility comparisons.
 type Wall struct {
 	// StartUnixNS and EndUnixNS bound the span in Unix nanoseconds.
 	StartUnixNS int64 `json:"start_unix_ns"`
 	EndUnixNS   int64 `json:"end_unix_ns"`
 	// Attrs carries nondeterministic annotations (e.g. "worker",
-	// "stolen_from", "queue_ns").
+	// "queue_ns").
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 

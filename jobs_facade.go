@@ -7,18 +7,17 @@ import (
 	"pilotrf/internal/jobs"
 )
 
-// The simulation-service layer: a deterministic work-stealing pool, a
+// The simulation-service layer: a deterministic worker pool, a
 // content-addressed result cache, and the fault-campaign engine built
 // on both. cmd/faultcampaign, cmd/experiments, cmd/pilotsim -parallel,
 // and the cmd/pilotserve job server all run on these primitives; the
 // facade re-exports them so library users can embed the same engine.
 type (
-	// WorkerPool runs independent tasks on per-worker deques with work
-	// stealing, merging results in canonical submission order — parallel
-	// runs produce byte-identical output to sequential ones.
+	// WorkerPool runs independent tasks from one FIFO queue, merging
+	// results in canonical submission order — parallel runs produce
+	// byte-identical output to sequential ones.
 	WorkerPool = jobs.Pool
-	// PoolConfig sizes a WorkerPool (workers, queue depth, chunk size,
-	// optional metrics registry).
+	// PoolConfig sizes a WorkerPool (workers, optional metrics registry).
 	PoolConfig = jobs.Config
 	// PoolTask is one unit of pool work.
 	PoolTask = jobs.Task
@@ -51,7 +50,7 @@ type (
 // CampaignSchema identifies the campaign report format.
 const CampaignSchema = campaign.Schema
 
-// NewWorkerPool starts a work-stealing pool; Close it when done.
+// NewWorkerPool starts a worker pool; Close it when done.
 func NewWorkerPool(cfg PoolConfig) (*WorkerPool, error) { return jobs.New(cfg) }
 
 // OpenResultCache opens (creating if needed) a content-addressed result

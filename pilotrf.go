@@ -79,9 +79,10 @@ func SchemeNames() []string { return design.Names() }
 
 // NewSchemeSimulator builds a Simulator configured by a registered
 // design scheme at the given knobs: the scheme picks the register file
-// organization, scheduler, RFC, and gating settings, while opts
-// supplies the rest (SMs, profiling, scale). opts.Design, opts.Scheduler,
-// and opts.FRFRegisters are ignored — the scheme owns them.
+// organization, scheduler, RFC, and gating settings and prices each
+// run's energy, while opts supplies the rest (SMs, profiling, scale).
+// opts.Design, opts.Scheduler, and opts.FRFRegisters are ignored — the
+// scheme owns them.
 func NewSchemeSimulator(scheme DesignScheme, knobs DesignKnobs, opts Options) (*Simulator, error) {
 	opts = opts.withDefaults()
 	cfg, err := sim.DefaultConfig().WithScheme(scheme, knobs)
@@ -93,7 +94,7 @@ func NewSchemeSimulator(scheme DesignScheme, knobs DesignKnobs, opts Options) (*
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Simulator{opts: opts, cfg: cfg}, nil
+	return &Simulator{opts: opts, cfg: cfg, scheme: scheme, knobs: knobs}, nil
 }
 
 // DSEOptions configures a design-space-exploration sweep (see RunDSE).
@@ -191,6 +192,10 @@ func (o Options) withDefaults() Options {
 type Simulator struct {
 	opts Options
 	cfg  sim.Config
+	// scheme and knobs price a NewSchemeSimulator's runs; a nil scheme
+	// prices by opts.Design.
+	scheme DesignScheme
+	knobs  DesignKnobs
 }
 
 // NewSimulator validates the options and returns a simulator.
@@ -554,11 +559,19 @@ func (s *Simulator) runWorkload(w workloads.Workload) (Result, error) {
 }
 
 func (s *Simulator) resultOf(rs sim.RunStats) Result {
-	return Result{
-		Stats:             rs,
-		Energy:            energy.ForRun(s.opts.Design, rs.PartAccesses(), rs.TotalCycles()),
-		BaselineDynamicPJ: energy.BaselineDynamicPJ(rs.TotalAccesses()),
+	res := Result{Stats: rs, BaselineDynamicPJ: energy.BaselineDynamicPJ(rs.TotalAccesses())}
+	cycles := rs.TotalCycles()
+	if s.scheme == nil {
+		res.Energy = energy.ForRun(s.opts.Design, rs.PartAccesses(), cycles)
+		return res
 	}
+	b := s.scheme.Energy(s.knobs, rs.DesignRun())
+	res.Energy = energy.Report{Design: s.scheme.Base(s.knobs), Cycles: cycles, DynamicPJ: b.DynamicPJ, LeakagePJ: b.LeakagePJ}
+	if cycles > 0 {
+		// The run's average leakage power (pJ / ns = mW).
+		res.Energy.LeakageMW = b.LeakagePJ * energy.ClockGHz / float64(cycles)
+	}
+	return res
 }
 
 // RunKernels executes custom kernels (built with NewKernelBuilder) on the
