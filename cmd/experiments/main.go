@@ -6,35 +6,37 @@
 //	experiments [-scale f] [-sms n] [-json out.json] [-http :6060]
 //	            [-only fig1,table1,fig2,fig4,table3,table4,yield,fig10,
 //	             fig11,leakage,fig12,sens,fig13,rfc,swap,area,dynamics,
-//	             voltage,scorecard,ablation,energy,dse]
-//	            [-designs mrf-stv,part-adaptive,...]
+//	             voltage,scorecard,ablation,energy]
 //
-// -only dse sweeps the registered register-file design schemes across
-// their knob grids and prints the energy-vs-IPC Pareto frontier;
-// -designs restricts that sweep to a comma-separated scheme list (an
-// unknown name is a usage error that lists the valid ones).
+// An unknown -only section is a usage error that lists the valid ones.
+// cmd/dse sweeps the register-file design schemes.
 //
 // -http serves expvar and net/http/pprof on the given address so long
 // sweeps can be profiled live (go tool pprof http://host/debug/pprof/profile).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
-	"pilotrf/internal/design"
-	"pilotrf/internal/dse"
 	"pilotrf/internal/experiments"
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/telemetry"
 	"pilotrf/internal/trace"
 )
+
+// sections are the -only names, in the order the sweep prints them.
+var sections = []string{
+	"fig1", "table3", "yield", "table4", "area", "swap", "table1", "fig2",
+	"fig4", "dynamics", "fig10", "fig11", "leakage", "fig12", "sens", "rfc",
+	"fig13", "voltage", "energy", "scorecard", "ablation",
+}
 
 func main() {
 	os.Exit(run())
@@ -53,20 +55,19 @@ func run() int {
 		parallel  = flag.Int("parallel", jobs.DefaultWorkers(), "worker count for pre-running the shared simulations (0 disables the warm pass)")
 		httpAddr  = flag.String("http", "", "serve expvar/pprof on this address during the sweep (e.g. :6060)")
 		spansPath = flag.String("trace-spans", "", "write the warm pass's span tree here as pilotrf-spans/v1 NDJSON (requires -parallel > 0)")
-		designs   = flag.String("designs", "", "comma-separated design scheme list for the dse section (empty = all registered)")
 	)
 	flag.Parse()
 
-	var designList []string
-	for _, name := range strings.Split(*designs, ",") {
+	want := map[string]bool{}
+	for _, name := range strings.Split(*only, ",") {
 		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		if _, err := design.Resolve(name); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if !slices.Contains(sections, name) {
+			fmt.Fprintf(os.Stderr, "unknown -only section %q (valid: %s)\n", name, strings.Join(sections, ", "))
 			return 2
 		}
-		designList = append(designList, name)
+		want[name] = true
 	}
 
 	if *httpAddr != "" {
@@ -118,12 +119,6 @@ func run() int {
 		return stopped
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*only, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			want[name] = true
-		}
-	}
 	sel := func(name string) bool {
 		return !interrupted() && (len(want) == 0 || want[name])
 	}
@@ -372,27 +367,6 @@ func run() int {
 		report["scorecard"] = rows
 		fmt.Print(experiments.ScorecardText(rows))
 		fmt.Println()
-	}
-
-	if sel("dse") {
-		fmt.Println("=== Design-space exploration: scheme x knob grid, energy-vs-IPC Pareto frontier ===")
-		rep, err := dse.Sweep(context.Background(), dse.Options{
-			Schemes: designList,
-			Scale:   *scale,
-			SMs:     *sms,
-			Workers: r.Workers,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		report["dse"] = rep
-		if err := dse.WriteTable(os.Stdout, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("  %d of %d points on the Pareto frontier (baseline %s)\n\n",
-			len(dse.Frontier(rep.Points)), len(rep.Points), rep.Baseline)
 	}
 
 	if sel("ablation") {

@@ -3,6 +3,7 @@ package pilotrf
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"pilotrf/internal/energy"
@@ -83,15 +84,70 @@ func TestSchemeSimulatorPricesByScheme(t *testing.T) {
 			}
 			want := sch.Energy(k, res.Stats.DesignRun())
 			got := res.Energy
-			if got.Design != sch.Base(k) || got.DynamicPJ != want.DynamicPJ || got.LeakagePJ != want.LeakagePJ {
-				t.Errorf("%s (opts.Design %v): priced %v dyn %g leak %g, want %v dyn %g leak %g",
-					sch.Name(), opts.Design, got.Design, got.DynamicPJ, got.LeakagePJ, sch.Base(k), want.DynamicPJ, want.LeakagePJ)
+			if got != want || got.Design != s.Config().RF.Design {
+				t.Errorf("%s (opts.Design %v): priced %+v, want %+v on %v",
+					sch.Name(), opts.Design, got, want, s.Config().RF.Design)
 			}
 			// LeakageMW is the run's average: LeakagePJ spread over its time.
 			if pj := got.LeakageMW * float64(got.Cycles) / energy.ClockGHz; math.Abs(pj-got.LeakagePJ) > 1e-9*got.LeakagePJ {
 				t.Errorf("%s: LeakageMW %g implies %g pJ, want %g", sch.Name(), got.LeakageMW, pj, got.LeakagePJ)
 			}
 		}
+	}
+}
+
+// TestNewSimulatorRunsItsScheme: NewSimulator is the scheme path. Each
+// Design simulates and prices exactly as its registered scheme, with
+// FRFRegisters as a partitioned scheme's Size knob (so profiling
+// promotes as many registers as the FRF holds); monolithic designs
+// ignore FRFRegisters.
+func TestNewSimulatorRunsItsScheme(t *testing.T) {
+	run := func(s *Simulator, err error) Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunBenchmark("sgemm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		d      Design
+		scheme string
+	}{
+		{DesignMonolithicSTV, "mrf-stv"},
+		{DesignMonolithicNTV, "mrf-ntv"},
+		{DesignPartitioned, "part"},
+		{DesignPartitionedAdaptive, "part-adaptive"},
+	} {
+		sch, ok := LookupScheme(c.scheme)
+		if !ok {
+			t.Fatalf("%s not registered", c.scheme)
+		}
+		for _, n := range []int{2, 4, 6} {
+			opts := PaperOptions()
+			opts.SMs, opts.Scale, opts.Design, opts.FRFRegisters = 1, 0.02, c.d, n
+			var k DesignKnobs
+			if c.d.Partitioned() {
+				k.Size = n
+			}
+			got := run(NewSimulator(opts))
+			want := run(NewSchemeSimulator(sch, k, opts))
+			if !reflect.DeepEqual(got.Stats, want.Stats) || got.Energy != want.Energy {
+				t.Errorf("%v with %d FRF registers: %d cycles, %+v; %s at %s: %d cycles, %+v",
+					c.d, n, got.Cycles(), got.Energy, c.scheme, k, want.Cycles(), want.Energy)
+			}
+		}
+	}
+}
+
+// TestNewSimulatorRejectsUnknownDesign: a Design with no registered
+// scheme is an error at construction, not a panic when a run is priced.
+func TestNewSimulatorRejectsUnknownDesign(t *testing.T) {
+	if s, err := NewSimulator(Options{Design: Design(9)}); err == nil || s != nil {
+		t.Fatalf("NewSimulator(Design 9) = %v, %v; want an error", s, err)
 	}
 }
 

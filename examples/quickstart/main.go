@@ -25,19 +25,21 @@ func main() {
 		return res
 	}
 
+	// The baselines run on the paper's GPU (SMs, scale, GTO scheduling),
+	// so the rows differ only in the register file and its management.
+	baseline := func(d pilotrf.Design) pilotrf.Options {
+		opts := pilotrf.PaperOptions()
+		opts.Design, opts.Profiling = d, pilotrf.ProfileStaticFirstN
+		return opts
+	}
+
 	// The performance baseline: a monolithic 256 KB MRF at
 	// super-threshold voltage.
-	base := run(pilotrf.Options{
-		Design:    pilotrf.DesignMonolithicSTV,
-		Profiling: pilotrf.ProfileStaticFirstN,
-	})
+	base := run(baseline(pilotrf.DesignMonolithicSTV))
 
 	// The power-aggressive baseline: the same MRF at near-threshold
 	// voltage (3-cycle access).
-	ntv := run(pilotrf.Options{
-		Design:    pilotrf.DesignMonolithicNTV,
-		Profiling: pilotrf.ProfileStaticFirstN,
-	})
+	ntv := run(baseline(pilotrf.DesignMonolithicNTV))
 
 	// The paper's proposal: FRF+SRF partition, adaptive FRF power mode,
 	// hybrid (compiler + pilot warp) profiling.

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"pilotrf/internal/energy"
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/rfc"
 )
@@ -101,15 +102,6 @@ type Run struct {
 	Gating GatingStats
 }
 
-// Breakdown is a scheme's energy pricing of a run.
-type Breakdown struct {
-	DynamicPJ float64
-	LeakagePJ float64
-}
-
-// TotalPJ returns dynamic plus leakage energy.
-func (b Breakdown) TotalPJ() float64 { return b.DynamicPJ + b.LeakagePJ }
-
 // Scheme is one registered register-file design. Implementations are
 // stateless descriptors: per-run state (cache tags, gating masks) lives
 // in the simulator objects the Settings configure.
@@ -118,9 +110,6 @@ type Scheme interface {
 	Name() string
 	// Doc is a one-line description for tables and usage text.
 	Doc() string
-	// Base returns the regfile design the scheme builds on — the design
-	// the energy ledger must be priced for.
-	Base(k Knobs) regfile.Design
 	// DefaultKnobs returns the scheme's default operating point.
 	DefaultKnobs() Knobs
 	// Validate rejects knob combinations the scheme cannot realize.
@@ -130,8 +119,10 @@ type Scheme interface {
 	Grid() []Knobs
 	// Settings resolves knobs to simulator settings.
 	Settings(k Knobs) (Settings, error)
-	// Energy prices a finished run at the given knobs.
-	Energy(k Knobs, r Run) Breakdown
+	// Energy prices a finished run at the given knobs. The report's
+	// Design is Settings(k).RF.Design, the design an energy ledger of
+	// the run is priced for.
+	Energy(k Knobs, r Run) energy.Report
 }
 
 // registry holds schemes in registration order (the canonical report
@@ -205,6 +196,16 @@ func SortedNames() []string {
 	out := Names()
 	sort.Strings(out)
 	return out
+}
+
+// averageLeakage sets a report's LeakageMW to the run's average leakage
+// power (pJ / ns = mW), for schemes whose leakage is not one array
+// constant.
+func averageLeakage(rep energy.Report) energy.Report {
+	if rep.Cycles > 0 {
+		rep.LeakageMW = rep.LeakagePJ * energy.ClockGHz / float64(rep.Cycles)
+	}
+	return rep
 }
 
 // voltageOf resolves a Knobs voltage string against a scheme default,

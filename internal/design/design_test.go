@@ -119,9 +119,6 @@ func TestLegacySchemeBases(t *testing.T) {
 	}
 	for name, want := range bases {
 		s := MustLookup(name)
-		if got := s.Base(s.DefaultKnobs()); got != want {
-			t.Errorf("%s: Base = %v, want %v", name, got, want)
-		}
 		set, err := s.Settings(s.DefaultKnobs())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -129,8 +126,16 @@ func TestLegacySchemeBases(t *testing.T) {
 		if set.RF.Design != want {
 			t.Errorf("%s: Settings RF design %v, want %v", name, set.RF.Design, want)
 		}
+		if got := s.Energy(s.DefaultKnobs(), Run{}).Design; got != want {
+			t.Errorf("%s: Energy priced for %v, want %v", name, got, want)
+		}
 	}
-	if MustLookup("greener").Base(Knobs{Voltage: "ntv"}) != regfile.DesignMonolithicNTV {
+	g := MustLookup("greener")
+	set, err := g.Settings(Knobs{Voltage: "ntv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.RF.Design != regfile.DesignMonolithicNTV || g.Energy(Knobs{Voltage: "ntv"}, Run{}).Design != regfile.DesignMonolithicNTV {
 		t.Error("greener: ntv knob did not move the base design")
 	}
 }

@@ -23,16 +23,6 @@ func (greener) Doc() string {
 	return "GREENER-style liveness power gating: dead register rows sleep"
 }
 
-// Base implements Scheme: the timing and dynamic energy are the
-// monolithic MRF's at the selected voltage.
-func (greener) Base(k Knobs) regfile.Design {
-	d, err := voltageOf(k.Voltage, "stv")
-	if err != nil {
-		d = regfile.DesignMonolithicSTV
-	}
-	return d
-}
-
 // DefaultKnobs implements Scheme: per-row gating at standard voltage.
 func (greener) DefaultKnobs() Knobs { return Knobs{} }
 
@@ -64,18 +54,22 @@ func (g greener) Settings(k Knobs) (Settings, error) {
 	if gran == 0 {
 		gran = 1
 	}
-	return Settings{RF: regfile.DefaultConfig(g.Base(k)), Gating: &GatingConfig{Granularity: gran}}, nil
+	d, _ := voltageOf(k.Voltage, "stv") // Validate accepted the voltage
+	return Settings{RF: regfile.DefaultConfig(d), Gating: &GatingConfig{Granularity: gran}}, nil
 }
 
-// Energy implements Scheme: dynamic energy is the base MRF's; leakage is
-// gated by the measured live-row fraction (sleep transistors retain the
-// residue energy.GatedLeakageMW models).
-func (g greener) Energy(k Knobs, r Run) Breakdown {
-	base := g.Base(k)
-	return Breakdown{
-		DynamicPJ: energy.DynamicPJ(base, r.PartAccesses),
-		LeakagePJ: energy.GatedLeakagePJ(base, r.Gating.LiveFraction(), r.Cycles),
-	}
+// Energy implements Scheme: the timing and dynamic energy are the
+// monolithic MRF's at the selected voltage; leakage is gated by the
+// measured live-row fraction (sleep transistors retain the residue
+// energy.GatedLeakageMW models).
+func (g greener) Energy(k Knobs, r Run) energy.Report {
+	d, _ := voltageOf(k.Voltage, "stv") // a run's knobs passed Settings
+	return averageLeakage(energy.Report{
+		Design:    d,
+		Cycles:    r.Cycles,
+		DynamicPJ: energy.DynamicPJ(d, r.PartAccesses),
+		LeakagePJ: energy.GatedLeakagePJ(d, r.Gating.LiveFraction(), r.Cycles),
+	})
 }
 
 // GatingStats are the integer liveness counters the tracker accumulates;

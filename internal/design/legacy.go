@@ -38,9 +38,6 @@ func (m monolithic) Name() string { return m.name }
 // Doc implements Scheme.
 func (m monolithic) Doc() string { return m.doc }
 
-// Base implements Scheme.
-func (m monolithic) Base(Knobs) regfile.Design { return m.base }
-
 // DefaultKnobs implements Scheme.
 func (m monolithic) DefaultKnobs() Knobs { return Knobs{} }
 
@@ -64,11 +61,8 @@ func (m monolithic) Settings(k Knobs) (Settings, error) {
 }
 
 // Energy implements Scheme with the aggregate pricing model.
-func (m monolithic) Energy(k Knobs, r Run) Breakdown {
-	return Breakdown{
-		DynamicPJ: energy.DynamicPJ(m.base, r.PartAccesses),
-		LeakagePJ: energy.LeakagePJ(m.base, r.Cycles),
-	}
+func (m monolithic) Energy(k Knobs, r Run) energy.Report {
+	return energy.ForRun(m.base, r.PartAccesses, r.Cycles)
 }
 
 // partitioned is a legacy FRF/SRF design; Size is the FRF capacity in
@@ -84,9 +78,6 @@ func (p partitioned) Name() string { return p.name }
 
 // Doc implements Scheme.
 func (p partitioned) Doc() string { return p.doc }
-
-// Base implements Scheme.
-func (p partitioned) Base(Knobs) regfile.Design { return p.base }
 
 // DefaultKnobs implements Scheme.
 func (p partitioned) DefaultKnobs() Knobs { return Knobs{} }
@@ -124,9 +115,6 @@ func (p partitioned) Settings(k Knobs) (Settings, error) {
 }
 
 // Energy implements Scheme with the aggregate pricing model.
-func (p partitioned) Energy(k Knobs, r Run) Breakdown {
-	return Breakdown{
-		DynamicPJ: energy.DynamicPJ(p.base, r.PartAccesses),
-		LeakagePJ: energy.LeakagePJ(p.base, r.Cycles),
-	}
+func (p partitioned) Energy(k Knobs, r Run) energy.Report {
+	return energy.ForRun(p.base, r.PartAccesses, r.Cycles)
 }

@@ -37,15 +37,6 @@ func (s rfcScheme) Name() string { return s.name }
 // Doc implements Scheme.
 func (s rfcScheme) Doc() string { return s.doc }
 
-// Base implements Scheme: the backing MRF's design.
-func (s rfcScheme) Base(k Knobs) regfile.Design {
-	d, err := voltageOf(k.Voltage, "ntv")
-	if err != nil {
-		d = regfile.DesignMonolithicNTV
-	}
-	return d
-}
-
 // DefaultKnobs implements Scheme.
 func (s rfcScheme) DefaultKnobs() Knobs { return Knobs{} }
 
@@ -82,8 +73,9 @@ func (s rfcScheme) Settings(k Knobs) (Settings, error) {
 	if err := s.Validate(k); err != nil {
 		return Settings{}, err
 	}
+	d, _ := voltageOf(k.Voltage, "ntv") // Validate accepted the voltage
 	return Settings{
-		RF:            regfile.DefaultConfig(s.Base(k)),
+		RF:            regfile.DefaultConfig(d),
 		TwoLevel:      true,
 		TLActiveWarps: rfcActiveWarps,
 		RFC: rfc.Config{
@@ -103,17 +95,19 @@ func (s rfcScheme) array(k Knobs) fincacti.RFConfig {
 
 // Energy implements Scheme: tag/data/MRF dynamic pricing from the cache
 // event counts, plus the leakage of the MRF and the cache array itself.
-func (s rfcScheme) Energy(k Knobs, r Run) Breakdown {
-	base := s.Base(k)
+func (s rfcScheme) Energy(k Knobs, r Run) energy.Report {
+	d, _ := voltageOf(k.Voltage, "ntv") // a run's knobs passed Settings
 	vdd := finfet.STV
-	if base == regfile.DesignMonolithicNTV {
+	if d == regfile.DesignMonolithicNTV {
 		vdd = finfet.NTV
 	}
 	arr := s.array(k)
 	dyn := energy.RFCDynamic(r.RFC, arr, vdd)
 	nanos := float64(r.Cycles) / energy.ClockGHz
-	return Breakdown{
+	return averageLeakage(energy.Report{
+		Design:    d,
+		Cycles:    r.Cycles,
 		DynamicPJ: dyn.TotalPJ(),
-		LeakagePJ: energy.LeakagePJ(base, r.Cycles) + arr.LeakagePowerMW()*nanos,
-	}
+		LeakagePJ: energy.LeakagePJ(d, r.Cycles) + arr.LeakagePowerMW()*nanos,
+	})
 }

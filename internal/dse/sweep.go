@@ -118,17 +118,17 @@ func Sweep(ctx context.Context, opts Options) (*Report, error) {
 			agg.Gating.Add(c.run.Gating)
 			instrs += c.warpInstrs
 		}
-		bd := spec.scheme.Energy(spec.knobs, agg)
+		e := spec.scheme.Energy(spec.knobs, agg)
 		pt := Point{
 			Scheme:        spec.scheme.Name(),
 			Knobs:         spec.knobs.String(),
-			Base:          spec.scheme.Base(spec.knobs).String(),
+			Base:          e.Design.String(),
 			Cycles:        agg.Cycles,
 			WarpInstrs:    instrs,
 			TotalAccesses: agg.TotalAccesses,
-			DynamicPJ:     bd.DynamicPJ,
-			LeakagePJ:     bd.LeakagePJ,
-			TotalPJ:       bd.TotalPJ(),
+			DynamicPJ:     e.DynamicPJ,
+			LeakagePJ:     e.LeakagePJ,
+			TotalPJ:       e.TotalPJ(),
 		}
 		if agg.Cycles > 0 {
 			pt.IPC = float64(instrs) / float64(agg.Cycles)
@@ -201,7 +201,7 @@ func runCell(spec pointSpec, w workloads.Workload, sms int, replay bool) (cell, 
 		return cell{}, fmt.Errorf("dse: %s: %w", label, err)
 	}
 	cfg.NumSMs = sms
-	led := energy.NewLedger(spec.scheme.Base(spec.knobs), 0)
+	led := energy.NewLedger(cfg.RF.Design, 0)
 	cfg.Energy = led
 	var rec *flightrec.Recorder
 	if replay {

@@ -18,30 +18,36 @@ import (
 // ClockGHz is the SM clock (the paper's 900 MHz Kepler clock).
 const ClockGHz = 0.9
 
-// perAccessPJ returns the per-access energies for the four partitions,
-// indexed by regfile.Partition, given the MRF's operating voltage.
-func perAccessPJ(mrfVdd float64) [4]float64 {
-	var e [4]float64
-	e[regfile.PartMRF] = fincacti.MRFConfig(mrfVdd).AccessEnergyPJ()
-	e[regfile.PartFRFHigh] = fincacti.FRFConfig(fincacti.ModeNormal).AccessEnergyPJ()
-	e[regfile.PartFRFLow] = fincacti.FRFConfig(fincacti.ModeLowCap).AccessEnergyPJ()
-	e[regfile.PartSRF] = fincacti.SRFConfig().AccessEnergyPJ()
-	return e
-}
-
-// mrfVdd returns the MRF supply for a design (only meaningful for the
-// monolithic designs; partitioned designs never route to the MRF).
-func mrfVdd(d regfile.Design) float64 {
-	if d == regfile.DesignMonolithicNTV {
-		return finfet.NTV
+// arrays returns what a design is made of, as energy prices it: the
+// FinCACTI array behind each partition slot, indexed by
+// regfile.Partition (the MRF slot at the design's supply), and which
+// slots are built arrays that leak. A monolithic design leaks in its MRF
+// alone; a partitioned one in the FRF (its high-power slot — the
+// adaptive low-cap mode changes access energy, not array leakage) and
+// the SRF. DynamicPJ, PerAccessTable, LeakageMW and GatedLeakageMW all
+// read this one table.
+func arrays(d regfile.Design) (slots [4]fincacti.RFConfig, leaks [4]bool) {
+	if d > regfile.DesignPartitionedAdaptive {
+		panic(fmt.Sprintf("energy: unknown design %v", d))
 	}
-	return finfet.STV
+	vdd := finfet.STV
+	if d == regfile.DesignMonolithicNTV {
+		vdd = finfet.NTV
+	}
+	slots[regfile.PartMRF] = fincacti.MRFConfig(vdd)
+	slots[regfile.PartFRFHigh] = fincacti.FRFConfig(fincacti.ModeNormal)
+	slots[regfile.PartFRFLow] = fincacti.FRFConfig(fincacti.ModeLowCap)
+	slots[regfile.PartSRF] = fincacti.SRFConfig()
+	part := d.Partitioned()
+	leaks[regfile.PartMRF] = !part
+	leaks[regfile.PartFRFHigh], leaks[regfile.PartSRF] = part, part
+	return slots, leaks
 }
 
 // DynamicPJ returns the RF dynamic energy in picojoules for a run's
 // partition-access counts under the given design.
 func DynamicPJ(d regfile.Design, parts [4]uint64) float64 {
-	e := perAccessPJ(mrfVdd(d))
+	e := PerAccessTable(d)
 	var total float64
 	for p, n := range parts {
 		total += float64(n) * e[p]
@@ -55,42 +61,25 @@ func DynamicPJ(d regfile.Design, parts [4]uint64) float64 {
 // Pricing a set of access counts with this table and summing in
 // partition order reproduces DynamicPJ bit-exactly.
 func PerAccessTable(d regfile.Design) [4]float64 {
-	return perAccessPJ(mrfVdd(d))
-}
-
-// LeakageComponentsMW splits LeakageMW over the partitions, indexed by
-// regfile.Partition: monolithic designs leak entirely in the MRF entry;
-// partitioned designs leak in the FRF (high-power entry — the adaptive
-// low-cap mode changes access energy, not array leakage) and the SRF.
-// Summing the components in partition order reproduces LeakageMW(d)
-// bit-exactly.
-func LeakageComponentsMW(d regfile.Design) [4]float64 {
-	var c [4]float64
-	switch d {
-	case regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV:
-		c[regfile.PartMRF] = LeakageMW(d)
-	case regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive:
-		c[regfile.PartFRFHigh] = fincacti.FRFConfig(fincacti.ModeNormal).LeakagePowerMW()
-		c[regfile.PartSRF] = fincacti.SRFConfig().LeakagePowerMW()
-	default:
-		panic(fmt.Sprintf("energy: unknown design %v", d))
+	slots, _ := arrays(d)
+	var e [4]float64
+	for p, a := range slots {
+		e[p] = a.AccessEnergyPJ()
 	}
-	return c
+	return e
 }
 
-// LeakageMW returns the total RF leakage power for a design in milliwatts.
+// LeakageMW returns the total RF leakage power for a design in
+// milliwatts, summed over its leaking arrays in partition order.
 func LeakageMW(d regfile.Design) float64 {
-	switch d {
-	case regfile.DesignMonolithicSTV:
-		return fincacti.MRFConfig(finfet.STV).LeakagePowerMW()
-	case regfile.DesignMonolithicNTV:
-		return fincacti.MRFConfig(finfet.NTV).LeakagePowerMW()
-	case regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive:
-		return fincacti.FRFConfig(fincacti.ModeNormal).LeakagePowerMW() +
-			fincacti.SRFConfig().LeakagePowerMW()
-	default:
-		panic(fmt.Sprintf("energy: unknown design %v", d))
+	slots, leaks := arrays(d)
+	var mw float64
+	for p, a := range slots {
+		if leaks[p] {
+			mw += a.LeakagePowerMW()
+		}
 	}
+	return mw
 }
 
 // LeakagePJ integrates a design's leakage power over a run of the given
@@ -125,24 +114,23 @@ func GatedLeakageMW(d regfile.Design, occupancy float64) float64 {
 	// rows' leakage.
 	const gatingResidue = 0.03
 	eff := occupancy + (1-occupancy)*gatingResidue
-	gate := func(cfg fincacti.RFConfig) float64 {
-		cells, periph := cfg.LeakageBreakdownMW()
-		return cells*eff + periph
+	slots, leaks := arrays(d)
+	var mw float64
+	for p, a := range slots {
+		switch {
+		case !leaks[p]:
+			// Not an array of this design.
+		case regfile.Partition(p) == regfile.PartFRFHigh:
+			// The FRF is fully occupied by construction (it holds the
+			// top-N registers of every resident warp); gating applies
+			// to the other arrays' unallocated rows.
+			mw += a.LeakagePowerMW()
+		default:
+			cells, periph := a.LeakageBreakdownMW()
+			mw += cells*eff + periph
+		}
 	}
-	switch d {
-	case regfile.DesignMonolithicSTV:
-		return gate(fincacti.MRFConfig(finfet.STV))
-	case regfile.DesignMonolithicNTV:
-		return gate(fincacti.MRFConfig(finfet.NTV))
-	case regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive:
-		// The FRF is fully occupied by construction (it holds the
-		// top-N registers of every resident warp); gating applies to
-		// the SRF's unallocated rows.
-		frf := fincacti.FRFConfig(fincacti.ModeNormal).LeakagePowerMW()
-		return frf + gate(fincacti.SRFConfig())
-	default:
-		panic(fmt.Sprintf("energy: unknown design %v", d))
-	}
+	return mw
 }
 
 // Report is the RF energy breakdown of one run.

@@ -155,13 +155,6 @@ func (l *Ledger) ProtectedMask() [4]bool {
 	return l.protected
 }
 
-// OverheadPerAccessPJ returns the per-access protection pricing table.
-func (l *Ledger) OverheadPerAccessPJ() [4]float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.overheadPerAccess
-}
-
 // AddOverhead charges protection-overhead accesses per partition (one
 // per protected access; an SM folds these in at kernel drain).
 func (l *Ledger) AddOverhead(counts [4]uint64) {

@@ -25,18 +25,12 @@ func TestPerAccessTableMatchesDynamicPJ(t *testing.T) {
 	}
 }
 
-func TestLeakageComponentsSumToLeakageMW(t *testing.T) {
-	for _, d := range []regfile.Design{
-		regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV,
-		regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive,
-	} {
-		comps := LeakageComponentsMW(d)
-		var sum float64
-		for _, c := range comps {
-			sum += c
-		}
-		if want := LeakageMW(d); sum != want {
-			t.Errorf("%v: components sum %v != LeakageMW %v", d, sum, want)
+// NewLedger allocates the ledger and nothing else: the design table it
+// prices from is built by value.
+func TestNewLedgerAllocatesOnce(t *testing.T) {
+	for d := regfile.DesignMonolithicSTV; d <= regfile.DesignPartitionedAdaptive; d++ {
+		if a := testing.AllocsPerRun(100, func() { _ = NewLedger(d, 0) }); a != 1 {
+			t.Errorf("%v: NewLedger made %v allocations, want 1", d, a)
 		}
 	}
 }

@@ -222,17 +222,15 @@ func NewInjector(cfg Config, d regfile.Design, smID int, camBits int) (*Injector
 		arr: stats.NewRNG(base),
 		det: stats.NewRNG(base ^ 0xD1B54A32D192ED03),
 	}
-	switch d {
-	case regfile.DesignMonolithicSTV:
-		in.low[TargetMRF] = cfg.Rate * mrfBits
-	case regfile.DesignMonolithicNTV:
-		in.low[TargetMRF] = cfg.Rate * mrfBits * cfg.NTVFactor
-	case regfile.DesignPartitioned, regfile.DesignPartitionedAdaptive:
+	if d.Partitioned() {
 		in.low[TargetFRF] = cfg.Rate * frfBits
 		in.low[TargetSRF] = cfg.Rate * srfBits * cfg.NTVFactor
 		in.low[TargetCAM] = cfg.Rate * float64(camBits)
-	default:
-		return nil, fmt.Errorf("fault: unknown design %v", d)
+	} else {
+		in.low[TargetMRF] = cfg.Rate * mrfBits
+		if d == regfile.DesignMonolithicNTV {
+			in.low[TargetMRF] *= cfg.NTVFactor
+		}
 	}
 	in.high = in.low
 	if d == regfile.DesignPartitionedAdaptive {

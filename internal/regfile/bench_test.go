@@ -38,7 +38,7 @@ func BenchmarkRoutePartitioned(b *testing.B) {
 	f.Mapper().Configure([]isa.Reg{isa.R(8), isa.R(9), isa.R(10), isa.R(11)}, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = f.Route(isa.Reg(i % 16))
+		_, _ = f.Route(f.PhysicalReg(isa.Reg(i % 16)))
 	}
 }
 

@@ -98,14 +98,14 @@ func TestCorruptedMappingReroutes(t *testing.T) {
 	if e.Orig != isa.R(8) || e.Mapped != isa.R(4) {
 		t.Fatalf("unexpected corrupted row %+v", e)
 	}
-	if part, _ := f.Route(isa.R(8)); part != PartSRF {
+	if part, _ := route(f, isa.R(8)); part != PartSRF {
 		t.Errorf("corrupted R8 routed to %v, want SRF", part)
 	}
 	if got := f.PhysicalReg(isa.R(8)); got != isa.R(4) {
 		t.Errorf("PhysicalReg(R8) = %s, want corrupted R4", got)
 	}
 	// Untouched entries keep their placement.
-	if part, _ := f.Route(isa.R(9)); part != PartFRFHigh {
+	if part, _ := route(f, isa.R(9)); part != PartFRFHigh {
 		t.Errorf("uncorrupted R9 routed to %v, want FRF_high", part)
 	}
 }
@@ -118,7 +118,7 @@ func TestAdaptiveModeFlipMidSwapKeepsPlacement(t *testing.T) {
 	f := mustFile(t, cfg)
 	f.Mapper().Configure(regs(10, 11), 4)
 	physBefore := f.PhysicalReg(isa.R(10))
-	part, _ := f.Route(isa.R(10))
+	part, _ := route(f, isa.R(10))
 	if part != PartFRFHigh {
 		t.Fatalf("promoted R10 routed to %v before flip", part)
 	}
@@ -126,7 +126,7 @@ func TestAdaptiveModeFlipMidSwapKeepsPlacement(t *testing.T) {
 	for i := 0; i < cfg.Adaptive.EpochCycles; i++ {
 		f.Adaptive().Tick()
 	}
-	part, _ = f.Route(isa.R(10))
+	part, _ = route(f, isa.R(10))
 	if part != PartFRFLow {
 		t.Fatalf("promoted R10 routed to %v after flip, want FRF_low", part)
 	}
@@ -134,7 +134,7 @@ func TestAdaptiveModeFlipMidSwapKeepsPlacement(t *testing.T) {
 		t.Errorf("mode flip moved R10: %s -> %s", physBefore, got)
 	}
 	// Displaced R0 stays in the SRF either way.
-	if part, _ := f.Route(isa.R(0)); part != PartSRF {
+	if part, _ := route(f, isa.R(0)); part != PartSRF {
 		t.Errorf("displaced R0 routed to %v", part)
 	}
 }

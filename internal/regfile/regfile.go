@@ -53,6 +53,11 @@ const (
 	DesignPartitionedAdaptive
 )
 
+// Partitioned reports whether the design splits the RF into FRF and SRF.
+func (d Design) Partitioned() bool {
+	return d == DesignPartitioned || d == DesignPartitionedAdaptive
+}
+
 // String returns the design name.
 func (d Design) String() string {
 	switch d {
@@ -78,16 +83,6 @@ type Latencies struct {
 	SRF     int
 }
 
-// DefaultLatenciesSTV returns baseline latencies with the MRF at STV.
-func DefaultLatenciesSTV() Latencies {
-	return Latencies{MRF: 1, FRFHigh: 1, FRFLow: 2, SRF: 3}
-}
-
-// DefaultLatenciesNTV returns latencies with the MRF at NTV.
-func DefaultLatenciesNTV() Latencies {
-	return Latencies{MRF: 3, FRFHigh: 1, FRFLow: 2, SRF: 3}
-}
-
 // Config describes a register file instance for one SM.
 type Config struct {
 	Design Design
@@ -104,9 +99,9 @@ type Config struct {
 
 // DefaultConfig returns the paper's preferred configuration for a design.
 func DefaultConfig(d Design) Config {
-	lat := DefaultLatenciesSTV()
+	lat := Latencies{MRF: 1, FRFHigh: 1, FRFLow: 2, SRF: 3}
 	if d == DesignMonolithicNTV {
-		lat = DefaultLatenciesNTV()
+		lat.MRF = 3
 	}
 	return Config{
 		Design:   d,
@@ -133,7 +128,7 @@ func New(cfg Config) (*File, error) {
 	if cfg.Banks <= 0 {
 		return nil, fmt.Errorf("regfile: bank count must be positive, got %d", cfg.Banks)
 	}
-	if cfg.FRFRegs <= 0 && (cfg.Design == DesignPartitioned || cfg.Design == DesignPartitionedAdaptive) {
+	if cfg.FRFRegs <= 0 && cfg.Design.Partitioned() {
 		return nil, fmt.Errorf("regfile: partitioned design needs a positive FRF size, got %d registers", cfg.FRFRegs)
 	}
 	table, err := NewSwapTable(maxInt(cfg.FRFRegs, 1))
@@ -150,9 +145,6 @@ func New(cfg Config) (*File, error) {
 	return f, nil
 }
 
-// Config returns the file's configuration.
-func (f *File) Config() Config { return f.cfg }
-
 // Mapper exposes the swapping table for profiling-driven reconfiguration.
 func (f *File) Mapper() Mapper { return f.mapper }
 
@@ -168,7 +160,7 @@ func (f *File) CAM() *SwapTable {
 // bits: the CAM's capacity for partitioned designs, zero for monolithic
 // designs (which never consult the table).
 func (f *File) CAMBits() int {
-	if !f.Partitioned() {
+	if !f.cfg.Design.Partitioned() {
 		return 0
 	}
 	if t := f.CAM(); t != nil {
@@ -181,21 +173,15 @@ func (f *File) CAMBits() int {
 // designs.
 func (f *File) Adaptive() *AdaptiveFRF { return f.adaptive }
 
-// Partitioned reports whether the design splits the RF into FRF and SRF.
-func (f *File) Partitioned() bool {
-	return f.cfg.Design == DesignPartitioned || f.cfg.Design == DesignPartitionedAdaptive
-}
-
-// Route returns the partition servicing an access to architected register
-// r and the access latency in cycles. For partitioned designs the
-// swapping table is consulted; physical registers below FRFRegs live in
-// the FRF, the rest in the SRF. The access never touches both partitions.
-func (f *File) Route(r isa.Reg) (Partition, int) {
-	switch f.cfg.Design {
-	case DesignMonolithicSTV, DesignMonolithicNTV:
+// Route returns the partition servicing an access to physical register
+// phys (PhysicalReg's result) and the access latency in cycles. In a
+// partitioned design physical registers below FRFRegs live in the FRF,
+// the rest in the SRF, and an FRF access takes the adaptive power mode
+// current at the call. The access never touches both partitions.
+func (f *File) Route(phys isa.Reg) (Partition, int) {
+	if !f.cfg.Design.Partitioned() {
 		return PartMRF, f.cfg.Lat.MRF
 	}
-	phys := f.mapper.Lookup(r)
 	if int(phys) < f.cfg.FRFRegs {
 		if f.adaptive != nil && f.adaptive.LowPower() {
 			return PartFRFLow, f.cfg.Lat.FRFLow
@@ -208,7 +194,7 @@ func (f *File) Route(r isa.Reg) (Partition, int) {
 // PhysicalReg returns the physical location of architected register r
 // (identity for monolithic designs).
 func (f *File) PhysicalReg(r isa.Reg) isa.Reg {
-	if !f.Partitioned() {
+	if !f.cfg.Design.Partitioned() {
 		return r
 	}
 	return f.mapper.Lookup(r)

@@ -25,6 +25,10 @@ func mustFile(t testing.TB, cfg Config) *File {
 	return f
 }
 
+// route routes architected register r as the SM does: PhysicalReg at
+// enqueue, then Route at service.
+func route(f *File, r isa.Reg) (Partition, int) { return f.Route(f.PhysicalReg(r)) }
+
 func mustAdaptive(t testing.TB, cfg AdaptiveConfig) *AdaptiveFRF {
 	t.Helper()
 	a, err := NewAdaptiveFRF(cfg)
@@ -188,12 +192,12 @@ func TestIndexedMatchesCAM(t *testing.T) {
 
 func TestRouteMonolithic(t *testing.T) {
 	stv := mustFile(t, DefaultConfig(DesignMonolithicSTV))
-	part, lat := stv.Route(isa.R(10))
+	part, lat := route(stv, isa.R(10))
 	if part != PartMRF || lat != 1 {
 		t.Errorf("STV route = %v/%d, want MRF/1", part, lat)
 	}
 	ntv := mustFile(t, DefaultConfig(DesignMonolithicNTV))
-	part, lat = ntv.Route(isa.R(10))
+	part, lat = route(ntv, isa.R(10))
 	if part != PartMRF || lat != 3 {
 		t.Errorf("NTV route = %v/%d, want MRF/3", part, lat)
 	}
@@ -202,20 +206,20 @@ func TestRouteMonolithic(t *testing.T) {
 func TestRoutePartitioned(t *testing.T) {
 	f := mustFile(t, DefaultConfig(DesignPartitioned))
 	// Default layout: R0..R3 in FRF, others in SRF.
-	part, lat := f.Route(isa.R(0))
+	part, lat := route(f, isa.R(0))
 	if part != PartFRFHigh || lat != 1 {
 		t.Errorf("R0 route = %v/%d, want FRF_high/1", part, lat)
 	}
-	part, lat = f.Route(isa.R(10))
+	part, lat = route(f, isa.R(10))
 	if part != PartSRF || lat != 3 {
 		t.Errorf("R10 route = %v/%d, want SRF/3", part, lat)
 	}
 	// After promotion the routing follows the swapping table.
 	f.Mapper().Configure(regs(10, 11, 12, 13), 4)
-	if part, _ := f.Route(isa.R(10)); part != PartFRFHigh {
+	if part, _ := route(f, isa.R(10)); part != PartFRFHigh {
 		t.Errorf("promoted R10 routed to %v", part)
 	}
-	if part, _ := f.Route(isa.R(0)); part != PartSRF {
+	if part, _ := route(f, isa.R(0)); part != PartSRF {
 		t.Errorf("displaced R0 routed to %v", part)
 	}
 }
@@ -224,19 +228,19 @@ func TestRouteAdaptiveLowPower(t *testing.T) {
 	cfg := DefaultConfig(DesignPartitionedAdaptive)
 	f := mustFile(t, cfg)
 	// Starts in high-power mode.
-	if part, _ := f.Route(isa.R(0)); part != PartFRFHigh {
+	if part, _ := route(f, isa.R(0)); part != PartFRFHigh {
 		t.Errorf("initial route = %v, want FRF_high", part)
 	}
 	// An idle epoch (no issues) flips the FRF to low power.
 	for i := 0; i < cfg.Adaptive.EpochCycles; i++ {
 		f.Adaptive().Tick()
 	}
-	part, lat := f.Route(isa.R(0))
+	part, lat := route(f, isa.R(0))
 	if part != PartFRFLow || lat != 2 {
 		t.Errorf("low-power route = %v/%d, want FRF_low/2", part, lat)
 	}
 	// SRF routing is unaffected by the FRF mode.
-	if part, _ := f.Route(isa.R(20)); part != PartSRF {
+	if part, _ := route(f, isa.R(20)); part != PartSRF {
 		t.Errorf("SRF route in low mode = %v", part)
 	}
 }

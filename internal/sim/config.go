@@ -278,7 +278,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: %d RFC entries per warp", c.RFC.EntriesPerWarp)
 	case c.RFC.EntriesPerWarp > 0 && c.RFC.Warps <= 0:
 		return fmt.Errorf("sim: RFC enabled without warp storage")
-	case c.RFC.EntriesPerWarp > 0 && c.RF.Design != regfile.DesignMonolithicSTV && c.RF.Design != regfile.DesignMonolithicNTV:
+	case c.RFC.EntriesPerWarp > 0 && c.RF.Design.Partitioned():
 		return fmt.Errorf("sim: the RFC fronts a monolithic MRF, not a partitioned design")
 	case c.RFCCompilerHints && c.RFC.EntriesPerWarp == 0:
 		return fmt.Errorf("sim: RFC compiler hints without an RFC")

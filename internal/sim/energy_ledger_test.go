@@ -23,12 +23,12 @@ import (
 func TestEnergyLedgerConservationAllWorkloads(t *testing.T) {
 	for _, sch := range design.All() {
 		k := sch.DefaultKnobs()
-		d := sch.Base(k)
-		led := energy.NewLedger(d, 0)
 		cfg, err := testConfig().WithScheme(sch, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := cfg.RF.Design
+		led := energy.NewLedger(d, 0)
 		cfg.Energy = led
 		var parts [4]uint64
 		var cycles int64
@@ -68,11 +68,11 @@ func TestEnergyLedgerConservationAllWorkloads(t *testing.T) {
 func TestEnergyLedgerZeroPerturbation(t *testing.T) {
 	for _, sch := range design.All() {
 		k := sch.DefaultKnobs()
-		d := sch.Base(k)
 		base, err := testConfig().WithScheme(sch, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := base.RF.Design
 		instr := base
 		instr.Energy = energy.NewLedger(d, 0)
 		instr.Audit = &profile.AuditLog{}

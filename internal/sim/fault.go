@@ -95,7 +95,7 @@ func (s *sm) inject(shot fault.Shot, lowPower bool) {
 			continue
 		}
 		for r := 0; r < numRegs; r++ {
-			if s.rf.Partitioned() {
+			if s.cfg.RF.Design.Partitioned() {
 				inFRF := int(s.rf.PhysicalReg(isa.Reg(r))) < frf
 				if inFRF != (shot.Target == fault.TargetFRF) {
 					continue

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"pilotrf/internal/isa"
-	"pilotrf/internal/regfile"
-)
+import "pilotrf/internal/isa"
 
 // eventKind selects the handler runEvents dispatches a fired event to.
 type eventKind uint8
@@ -167,7 +164,7 @@ func (s *sm) tickBanks() {
 		copy(bank.queue, bank.queue[1:])
 		bank.queue = bank.queue[:len(bank.queue)-1]
 
-		part, lat := s.routeAccess(req)
+		part, lat := s.rf.Route(req.phys)
 		if s.pf != nil {
 			s.pf.bankOps++
 		}
@@ -178,24 +175,6 @@ func (s *sm) tickBanks() {
 		bank.busyUntil = s.now + 1
 		s.schedule(s.now+int64(lat), event{kind: evBankDone, req: req})
 	}
-}
-
-// routeAccess resolves the partition and latency for a request at service
-// time. The physical register was fixed at enqueue (it determines the
-// bank); only the FRF power mode is sampled live.
-func (s *sm) routeAccess(req bankReq) (regfile.Partition, int) {
-	cfg := s.rf.Config()
-	switch cfg.Design {
-	case regfile.DesignMonolithicSTV, regfile.DesignMonolithicNTV:
-		return regfile.PartMRF, cfg.Lat.MRF
-	}
-	if int(req.phys) < cfg.FRFRegs {
-		if a := s.rf.Adaptive(); a != nil && a.LowPower() {
-			return regfile.PartFRFLow, cfg.Lat.FRFLow
-		}
-		return regfile.PartFRFHigh, cfg.Lat.FRFHigh
-	}
-	return regfile.PartSRF, cfg.Lat.SRF
 }
 
 func (s *sm) completeBankReq(req bankReq) {

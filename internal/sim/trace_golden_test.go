@@ -76,7 +76,7 @@ func traceDigests(t *testing.T, out *bytes.Buffer, name string, sch design.Schem
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Energy = energy.NewLedger(sch.Base(k), 0)
+	cfg.Energy = energy.NewLedger(cfg.RF.Design, 0)
 	cfg.Fault = fc
 	sums := []struct {
 		format string

@@ -141,23 +141,27 @@ const (
 )
 
 // Options configures a Simulator. The zero value selects the MRF@STV
-// baseline with no profiling (the natural zero of each field); use
-// PaperOptions for the paper's preferred design point.
+// baseline with no profiling under LRR scheduling (the natural zero of
+// each field); use PaperOptions for the paper's preferred design point.
 type Options struct {
 	// SMs is the number of streaming multiprocessors (default 2; the
 	// full GTX 780 chip is 15).
 	SMs int
-	// Design is the register file organization (default
-	// DesignPartitionedAdaptive).
+	// Design is the register file organization; the zero value is
+	// DesignMonolithicSTV. NewSimulator runs it as its registered
+	// scheme: mrf-stv, mrf-ntv, part or part-adaptive.
 	Design Design
-	// Profiling is the FRF management technique (default ProfileHybrid).
+	// Profiling is the FRF management technique; the zero value is
+	// ProfileStaticFirstN.
 	Profiling Technique
-	// Scheduler is the warp scheduler (default SchedulerGTO).
+	// Scheduler is the warp scheduler; the zero value is SchedulerLRR.
 	Scheduler Scheduler
 	// Scale multiplies workload CTA counts (default 1.0).
 	Scale float64
 	// FRFRegisters is the number of registers per thread kept in the
-	// fast partition (default 4, the paper's choice: 32 KB of 256 KB).
+	// fast partition, 1 to 16: the partitioned schemes' Size knob
+	// (default 4, the paper's choice: 32 KB of 256 KB). Profiling
+	// promotes as many. Monolithic designs ignore it.
 	FRFRegisters int
 }
 
@@ -188,29 +192,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Simulator runs workloads on a configured GPU model.
+// Simulator runs workloads on a configured GPU model. Its scheme
+// configures the register file and prices every run.
 type Simulator struct {
-	opts Options
-	cfg  sim.Config
-	// scheme and knobs price a NewSchemeSimulator's runs; a nil scheme
-	// prices by opts.Design.
+	opts   Options
+	cfg    sim.Config
 	scheme DesignScheme
 	knobs  DesignKnobs
 }
 
-// NewSimulator validates the options and returns a simulator.
+// designSchemes names the registered scheme each Design runs as.
+var designSchemes = map[Design]string{
+	DesignMonolithicSTV:       "mrf-stv",
+	DesignMonolithicNTV:       "mrf-ntv",
+	DesignPartitioned:         "part",
+	DesignPartitionedAdaptive: "part-adaptive",
+}
+
+// NewSimulator validates the options and returns a simulator running
+// opts.Design as its registered scheme, with FRFRegisters as a
+// partitioned scheme's Size knob and opts.Scheduler as the warp
+// scheduler. An unknown Design is an error.
 func NewSimulator(opts Options) (*Simulator, error) {
+	name, ok := designSchemes[opts.Design]
+	if !ok {
+		return nil, fmt.Errorf("pilotrf: unknown design %v", opts.Design)
+	}
 	opts = opts.withDefaults()
-	cfg := sim.DefaultConfig()
-	cfg.RF = regfile.DefaultConfig(opts.Design)
-	cfg.NumSMs = opts.SMs
-	cfg.Profiling = opts.Profiling
-	cfg.Policy = opts.Scheduler
-	cfg.RF.FRFRegs = opts.FRFRegisters
-	if err := cfg.Validate(); err != nil {
+	var knobs DesignKnobs
+	if opts.Design.Partitioned() {
+		knobs.Size = opts.FRFRegisters
+	}
+	s, err := NewSchemeSimulator(design.MustLookup(name), knobs, opts)
+	if err != nil {
 		return nil, err
 	}
-	return &Simulator{opts: opts, cfg: cfg}, nil
+	s.cfg.Policy = opts.Scheduler
+	if err := s.cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Config exposes the full low-level simulator configuration for advanced
@@ -559,19 +580,11 @@ func (s *Simulator) runWorkload(w workloads.Workload) (Result, error) {
 }
 
 func (s *Simulator) resultOf(rs sim.RunStats) Result {
-	res := Result{Stats: rs, BaselineDynamicPJ: energy.BaselineDynamicPJ(rs.TotalAccesses())}
-	cycles := rs.TotalCycles()
-	if s.scheme == nil {
-		res.Energy = energy.ForRun(s.opts.Design, rs.PartAccesses(), cycles)
-		return res
+	return Result{
+		Stats:             rs,
+		Energy:            s.scheme.Energy(s.knobs, rs.DesignRun()),
+		BaselineDynamicPJ: energy.BaselineDynamicPJ(rs.TotalAccesses()),
 	}
-	b := s.scheme.Energy(s.knobs, rs.DesignRun())
-	res.Energy = energy.Report{Design: s.scheme.Base(s.knobs), Cycles: cycles, DynamicPJ: b.DynamicPJ, LeakagePJ: b.LeakagePJ}
-	if cycles > 0 {
-		// The run's average leakage power (pJ / ns = mW).
-		res.Energy.LeakageMW = b.LeakagePJ * energy.ClockGHz / float64(cycles)
-	}
-	return res
 }
 
 // RunKernels executes custom kernels (built with NewKernelBuilder) on the

@@ -30,6 +30,9 @@ func TestZeroOptionsAreBaseline(t *testing.T) {
 	if s.opts.Design != DesignMonolithicSTV || s.opts.Profiling != ProfileStaticFirstN {
 		t.Errorf("zero options = %v/%v, want the natural baseline", s.opts.Design, s.opts.Profiling)
 	}
+	if cfg := s.Config(); cfg.RF.Design != DesignMonolithicSTV || cfg.Policy != SchedulerLRR {
+		t.Errorf("zero options run %v under %v, want MRF@STV under LRR", cfg.RF.Design, cfg.Policy)
+	}
 }
 
 func TestBenchmarksList(t *testing.T) {
