@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/energy"
 	"pilotrf/internal/regfile"
+	"pilotrf/internal/rfc"
 	"pilotrf/internal/workloads"
 )
 
@@ -110,6 +112,55 @@ func TestDesignRefactorGoldens(t *testing.T) {
 		}
 		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".stats.json"), statsJSON)
 		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".flightrec.ndjson"), flight.Bytes())
+	}
+}
+
+// rivalStats is the run summary each rival-scheme golden pins: timing,
+// access routing, the RFC and gating counters the scheme's settings
+// produce, and the scheme's own energy pricing of the run.
+type rivalStats struct {
+	Scheme       string             `json:"scheme"`
+	Workload     string             `json:"workload"`
+	Cycles       int64              `json:"cycles"`
+	PartAccesses [4]uint64          `json:"part_accesses"`
+	RFC          rfc.Stats          `json:"rfc"`
+	Gating       design.GatingStats `json:"gating"`
+	Energy       energy.Report      `json:"energy"`
+}
+
+// TestRivalSchemeGoldens pins the rival schemes' cache and gating
+// counters and their priced energy on the same sgemm run as
+// TestDesignRefactorGoldens, so a change to how a scheme's settings
+// reach the SM must leave every counter byte-identical.
+func TestRivalSchemeGoldens(t *testing.T) {
+	w, err := workloads.ByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.Scale(0.02)
+	for _, name := range []string{"rfc", "rfc-hints", "greener"} {
+		sch := design.MustLookup(name)
+		g, err := New(schemeConfig(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rs, err := g.RunKernels(w.Name, w.Kernels)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := json.MarshalIndent(rivalStats{
+			Scheme:       name,
+			Workload:     w.Name,
+			Cycles:       rs.TotalCycles(),
+			PartAccesses: rs.PartAccesses(),
+			RFC:          rs.RFCTotals(),
+			Gating:       rs.GatingTotals(),
+			Energy:       sch.Energy(sch.DefaultKnobs(), rs.DesignRun()),
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("testdata", "goldens", name+".stats.json"), append(got, '\n'))
 	}
 }
 
