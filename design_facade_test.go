@@ -49,7 +49,7 @@ func TestNewSchemeSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().RFC.EntriesPerWarp == 0 {
+	if s.Config().RF.RFCEntries == 0 {
 		t.Error("rfc scheme simulator has no RFC")
 	}
 	res, err := s.RunBenchmark("sgemm")
@@ -148,6 +148,20 @@ func TestNewSimulatorRunsItsScheme(t *testing.T) {
 func TestNewSimulatorRejectsUnknownDesign(t *testing.T) {
 	if s, err := NewSimulator(Options{Design: Design(9)}); err == nil || s != nil {
 		t.Fatalf("NewSimulator(Design 9) = %v, %v; want an error", s, err)
+	}
+}
+
+// TestNewSimulatorRejectsUnknownEnums: an unknown Scheduler or
+// Profiling technique is an error at construction, not a panic once a
+// run starts or a silent fallback to static-first-n.
+func TestNewSimulatorRejectsUnknownEnums(t *testing.T) {
+	sched, prof := PaperOptions(), PaperOptions()
+	sched.Scheduler, prof.Profiling = Scheduler(9), Technique(9)
+	for name, opts := range map[string]Options{"scheduler": sched, "profiling": prof} {
+		opts.SMs, opts.Scale = 1, 0.02
+		if _, err := NewSimulator(opts); err == nil {
+			t.Errorf("NewSimulator accepted %s 9", name)
+		}
 	}
 }
 

@@ -1,19 +1,42 @@
 package pilotrf
 
-// A design-decision gate: which arrays a register-file design is made
+// Design-decision gates: which arrays a register-file design is made
 // of is decided in internal/regfile (Design.Partitioned) and in each
 // design scheme. A case clause elsewhere that names a regfile.Design
 // constant decides it again, and a new scheme would then need an edit
-// there too.
+// there too. Likewise regfile.Config is the one description of a
+// register file instance, so sim.Config holds no design flags.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pilotrf/internal/sim"
 )
+
+// TestSimConfigHoldsNoDesignFlags fails on any sim.Config field, seen
+// through pointers and slices, whose type is declared in internal/design
+// or internal/rfc: a scheme's RFC and gating settings belong in
+// regfile.Config.
+func TestSimConfigHoldsNoDesignFlags(t *testing.T) {
+	cfg := reflect.TypeOf(sim.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		f := cfg.Field(i)
+		ft := f.Type
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		switch ft.PkgPath() {
+		case "pilotrf/internal/design", "pilotrf/internal/rfc":
+			t.Errorf("sim.Config.%s is a %s; set it on regfile.Config instead", f.Name, f.Type)
+		}
+	}
+}
 
 func TestNoDesignSwitchOutsideRegfile(t *testing.T) {
 	consts := designConstants(t)

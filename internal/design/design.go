@@ -51,36 +51,16 @@ func (k Knobs) String() string {
 	return strings.Join(parts, ",")
 }
 
-// GatingConfig enables liveness-driven register power gating: rows wake
-// on their first write and a warp's rows power off when it retires.
-type GatingConfig struct {
-	// Granularity is the number of register rows per gating domain: 1
-	// gates every row independently; larger domains cut sleep-transistor
-	// overhead but keep a whole domain awake for one live row.
-	Granularity int
-}
-
 // Settings are the simulator-facing knob resolution of a scheme: a
 // neutral struct sim.Config.WithScheme maps onto the full configuration.
-// Zero-valued fields leave the simulator default untouched.
 type Settings struct {
-	// RF is the register file organization (always set).
+	// RF is the register file organization, including any RFC and
+	// liveness gating (always set).
 	RF regfile.Config
-	// ProfTopN, when positive, overrides the profiling top-N (the
-	// partitioned schemes pin it to their FRF capacity).
-	ProfTopN int
 	// TwoLevel selects the two-level warp scheduler the RFC designs
 	// require; TLActiveWarps, when positive, sizes its active pool.
 	TwoLevel      bool
 	TLActiveWarps int
-	// RFC, when it has entries, puts a register file cache in front of
-	// the (monolithic) RF; RFCCompilerHints switches it to
-	// compiler-managed allocation. The cache is backed by the RF's own
-	// MRF latency.
-	RFC              rfc.Config
-	RFCCompilerHints bool
-	// Gating, when non-nil, attaches the liveness gating tracker.
-	Gating *GatingConfig
 }
 
 // Run is the neutral summary of a finished simulation a Scheme prices:

@@ -141,7 +141,7 @@ func TestLegacySchemeBases(t *testing.T) {
 }
 
 func TestGatingTracker(t *testing.T) {
-	tr := NewGatingTracker(GatingConfig{Granularity: 1}, 4, 100)
+	tr := NewGatingTracker(1, 4, 100)
 	if tr.LiveRows() != 0 {
 		t.Fatalf("fresh tracker has %d live rows", tr.LiveRows())
 	}
@@ -171,7 +171,7 @@ func TestGatingTracker(t *testing.T) {
 }
 
 func TestGatingTrackerGranularity(t *testing.T) {
-	tr := NewGatingTracker(GatingConfig{Granularity: 8}, 2, 1000)
+	tr := NewGatingTracker(8, 2, 1000)
 	tr.OnWrite(0, isa.R(0))
 	if tr.LiveRows() != 8 {
 		t.Errorf("one write at granularity 8 powers %d rows, want 8", tr.LiveRows())
@@ -191,7 +191,7 @@ func TestGatingTrackerGranularity(t *testing.T) {
 }
 
 func TestGatingStatsConservation(t *testing.T) {
-	tr := NewGatingTracker(GatingConfig{Granularity: 4}, 2, 64)
+	tr := NewGatingTracker(4, 2, 64)
 	tr.OnWrite(0, isa.R(3))
 	for i := 0; i < 10; i++ {
 		tr.Tick()
@@ -266,18 +266,18 @@ func TestSettingsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !set.RFCCompilerHints || !set.TwoLevel {
+	if !set.RF.RFCHints || !set.TwoLevel {
 		t.Errorf("rfc-hints settings missing cache/hints/scheduler: %+v", set)
 	}
-	if set.RFC.EntriesPerWarp != rfcDefEntries {
-		t.Errorf("rfc-hints entries %d, want %d", set.RFC.EntriesPerWarp, rfcDefEntries)
+	if set.RF.RFCEntries != rfcDefEntries {
+		t.Errorf("rfc-hints entries %d, want %d", set.RF.RFCEntries, rfcDefEntries)
 	}
 	set, err = MustLookup("rfc").Settings(Knobs{Size: 4, Voltage: "stv"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.RFCCompilerHints {
-		t.Error("classic rfc must not set compiler hints")
+	if set.RF.RFCHints || set.RF.RFCEntries != 4 {
+		t.Errorf("classic rfc at size 4: %+v", set.RF)
 	}
 	if set.RF.Lat.MRF != 1 {
 		t.Errorf("rfc@stv MRF latency %d, want 1", set.RF.Lat.MRF)
@@ -286,15 +286,15 @@ func TestSettingsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Gating == nil || set.Gating.Granularity != 8 {
-		t.Errorf("greener gating settings wrong: %+v", set.Gating)
+	if set.RF.GatingRows != 8 {
+		t.Errorf("greener gating domain %d rows, want 8", set.RF.GatingRows)
 	}
 	set, err = MustLookup("part").Settings(Knobs{Size: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.RF.FRFRegs != 6 || set.ProfTopN != 6 {
-		t.Errorf("part size knob did not move FRFRegs/ProfTopN: %+v", set)
+	if set.RF.FRFRegs != 6 {
+		t.Errorf("part size knob did not move FRFRegs: %+v", set)
 	}
 }
 

@@ -50,12 +50,10 @@ func (g greener) Settings(k Knobs) (Settings, error) {
 	if err := g.Validate(k); err != nil {
 		return Settings{}, err
 	}
-	gran := k.Size
-	if gran == 0 {
-		gran = 1
-	}
 	d, _ := voltageOf(k.Voltage, "stv") // Validate accepted the voltage
-	return Settings{RF: regfile.DefaultConfig(d), Gating: &GatingConfig{Granularity: gran}}, nil
+	rf := regfile.DefaultConfig(d)
+	rf.GatingRows = max(k.Size, 1)
+	return Settings{RF: rf}, nil
 }
 
 // Energy implements Scheme: the timing and dynamic energy are the
@@ -113,18 +111,17 @@ type GatingTracker struct {
 	stats    GatingStats
 }
 
-// NewGatingTracker returns a tracker for an SM with the given warp slots
-// and total register-row capacity (the warp-register budget).
-func NewGatingTracker(cfg GatingConfig, warpSlots, capacityRows int) *GatingTracker {
-	gran := cfg.Granularity
-	if gran <= 0 {
-		gran = 1
-	}
-	if warpSlots <= 0 || capacityRows <= 0 {
-		panic(fmt.Sprintf("design: gating tracker over %d slots / %d rows", warpSlots, capacityRows))
+// NewGatingTracker returns a tracker gating domains of rows register
+// rows for an SM with the given warp slots and total register-row
+// capacity (the warp-register budget). One-row domains gate every row
+// independently; larger domains cut sleep-transistor overhead but keep a
+// whole domain awake for one live row.
+func NewGatingTracker(rows, warpSlots, capacityRows int) *GatingTracker {
+	if rows <= 0 || warpSlots <= 0 || capacityRows <= 0 {
+		panic(fmt.Sprintf("design: gating tracker of %d-row domains over %d slots / %d rows", rows, warpSlots, capacityRows))
 	}
 	return &GatingTracker{
-		gran:     gran,
+		gran:     rows,
 		capacity: capacityRows,
 		written:  make([]uint64, warpSlots),
 		liveOf:   make([]int, warpSlots),

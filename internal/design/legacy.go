@@ -100,8 +100,8 @@ func (p partitioned) Grid() []Knobs {
 	return []Knobs{{}, {Size: 2}, {Size: 6}}
 }
 
-// Settings implements Scheme. A non-default FRF size moves the profiling
-// top-N with it, as the FRF-size ablation does.
+// Settings implements Scheme. Profiling promotes FRFRegs registers, so
+// a non-default FRF size moves the profiling top-N with it.
 func (p partitioned) Settings(k Knobs) (Settings, error) {
 	if err := p.Validate(k); err != nil {
 		return Settings{}, err
@@ -109,7 +109,6 @@ func (p partitioned) Settings(k Knobs) (Settings, error) {
 	set := Settings{RF: regfile.DefaultConfig(p.base)}
 	if k.Size != 0 {
 		set.RF.FRFRegs = k.Size
-		set.ProfTopN = k.Size
 	}
 	return set, nil
 }

@@ -7,7 +7,6 @@ import (
 	"pilotrf/internal/fincacti"
 	"pilotrf/internal/finfet"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/rfc"
 )
 
 // RFC array shape for the default 4-scheduler SM: the paper's Figure 13
@@ -74,18 +73,10 @@ func (s rfcScheme) Settings(k Knobs) (Settings, error) {
 		return Settings{}, err
 	}
 	d, _ := voltageOf(k.Voltage, "ntv") // Validate accepted the voltage
-	return Settings{
-		RF:            regfile.DefaultConfig(d),
-		TwoLevel:      true,
-		TLActiveWarps: rfcActiveWarps,
-		RFC: rfc.Config{
-			EntriesPerWarp:     s.entries(k),
-			Warps:              rfcActiveWarps,
-			Policy:             rfc.FIFO,
-			AllocateOnReadMiss: true,
-		},
-		RFCCompilerHints: s.hints,
-	}, nil
+	rf := regfile.DefaultConfig(d)
+	rf.RFCEntries = s.entries(k)
+	rf.RFCHints = s.hints
+	return Settings{RF: rf, TwoLevel: true, TLActiveWarps: rfcActiveWarps}, nil
 }
 
 // array returns the FinCACTI model of the cache storage at these knobs.

@@ -41,7 +41,6 @@ func FRFSizeSweep(r *Runner) []FRFSizePoint {
 		for _, w := range workloads.All() {
 			cfg := r.designConfig("part-adaptive")
 			cfg.RF.FRFRegs = n
-			cfg.ProfTopN = n
 			rs := r.run(w, cfg, "frfsize-"+strconv.Itoa(n))
 			shares = append(shares, rs.FRFShare())
 			savings = append(savings,

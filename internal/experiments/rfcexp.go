@@ -8,7 +8,6 @@ import (
 	"pilotrf/internal/fincacti"
 	"pilotrf/internal/finfet"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/rfc"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
 	"pilotrf/internal/workloads"
@@ -94,7 +93,6 @@ func figure13One(r *Runner, fc Figure13Config) Figure13Row {
 		// configuration's.
 		rfcCfg := withScheme(r.scaledConfig(fc), "rfc", design.Knobs{Voltage: region})
 		rfcCfg.TLActiveWarps = fc.ActiveWarps
-		rfcCfg.RFC = rfc.DefaultConfig(fc.ActiveWarps)
 		rfcRun := r.run(w, rfcCfg, "f13-rfc-"+fc.Label())
 		rfcStats := rfcRun.RFCTotals()
 		breakdown := energy.RFCDynamic(rfcStats, rfcArray, mrfVdd)

@@ -143,8 +143,9 @@ func (c *Counters) Count(r isa.Reg) uint16 {
 // for a chosen technique: seed at launch, re-map when the pilot finishes.
 type Controller struct {
 	Technique Technique
-	TopN      int
-	FRFRegs   int
+	// FRFRegs is the FRF capacity in registers per thread; every
+	// technique promotes that many registers.
+	FRFRegs int
 
 	// SM identifies the owning SM in audit events.
 	SM int
@@ -164,16 +165,15 @@ type Controller struct {
 	pilotDone bool
 }
 
-// NewController returns a controller managing the given mapper. For
-// TechniqueOracle the caller must provide the measured top registers via
-// SetOracle before the kernel launches.
-func NewController(tech Technique, topN, frfRegs int, mapper regfile.Mapper) (*Controller, error) {
-	if topN <= 0 || topN > frfRegs {
-		return nil, fmt.Errorf("profile: topN %d outside (0,%d]", topN, frfRegs)
+// NewController returns a controller promoting frfRegs registers through
+// the given mapper. For TechniqueOracle the caller must provide the
+// measured top registers via SetOracle before the kernel launches.
+func NewController(tech Technique, frfRegs int, mapper regfile.Mapper) (*Controller, error) {
+	if frfRegs <= 0 {
+		return nil, fmt.Errorf("profile: FRF of %d registers", frfRegs)
 	}
 	return &Controller{
 		Technique: tech,
-		TopN:      topN,
 		FRFRegs:   frfRegs,
 		mapper:    mapper,
 		counters:  NewCounters(),
@@ -200,7 +200,7 @@ func (c *Controller) KernelLaunch(p *kernel.Program, pilotWarp int) {
 	case TechniqueStaticFirstN:
 		// Identity mapping: R0..R(n-1) stay in the FRF.
 	case TechniqueCompiler, TechniqueHybrid:
-		top := CompilerTopN(p, c.TopN)
+		top := CompilerTopN(p, c.FRFRegs)
 		c.mapper.Configure(top, c.FRFRegs)
 		promoted = regSet(top, c.Audit != nil)
 	case TechniquePilot:
@@ -210,8 +210,8 @@ func (c *Controller) KernelLaunch(p *kernel.Program, pilotWarp int) {
 			panic("profile: oracle technique without SetOracle")
 		}
 		top := c.oracle
-		if len(top) > c.TopN {
-			top = top[:c.TopN]
+		if len(top) > c.FRFRegs {
+			top = top[:c.FRFRegs]
 		}
 		c.mapper.Configure(top, c.FRFRegs)
 		promoted = regSet(top, c.Audit != nil)
@@ -308,7 +308,7 @@ func (c *Controller) OnWarpComplete(warp int) {
 	if c.Audit != nil {
 		prev = c.residents()
 	}
-	c.mapper.Configure(c.counters.TopN(c.TopN), c.FRFRegs)
+	c.mapper.Configure(c.counters.TopN(c.FRFRegs), c.FRFRegs)
 	if c.Audit != nil {
 		c.auditConfiguration(func(r isa.Reg) (PlacementReason, uint64) {
 			reason := PlacePilotMeasured

@@ -135,7 +135,7 @@ func newController(t *testing.T, tech Technique) (*Controller, *regfile.SwapTabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(tech, 4, 4, st)
+	c, err := NewController(tech, 4, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +288,9 @@ func TestNewControllerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ topN, frf int }{{0, 4}, {5, 4}, {-1, 4}} {
-		if _, err := NewController(TechniquePilot, tc.topN, tc.frf, st); err == nil {
-			t.Errorf("topN=%d frf=%d did not error", tc.topN, tc.frf)
+	for _, frf := range []int{0, -1} {
+		if _, err := NewController(TechniquePilot, frf, st); err == nil {
+			t.Errorf("frf=%d did not error", frf)
 		}
 	}
 }

@@ -83,11 +83,14 @@ type Latencies struct {
 	SRF     int
 }
 
-// Config describes a register file instance for one SM.
+// Config describes a register file instance for one SM: its design,
+// including any register file cache in front of the MRF and any liveness
+// power gating. Zero RFCEntries and GatingRows mean neither is present.
 type Config struct {
 	Design Design
 	// FRFRegs is the number of registers per thread held in the FRF
-	// (n = 4 in the paper: 4 x 64 warps x 128 B = 32 KB).
+	// (n = 4 in the paper: 4 x 64 warps x 128 B = 32 KB). Profiling
+	// promotes as many registers, so every design needs it positive.
 	FRFRegs int
 	// Banks is the number of RF banks (24 in the Kepler config).
 	Banks int
@@ -95,6 +98,40 @@ type Config struct {
 	// Adaptive configures the FRF power-mode controller; only used by
 	// DesignPartitionedAdaptive.
 	Adaptive AdaptiveConfig
+	// RFCEntries, when positive, puts a register file cache with that
+	// many entries per warp (Gebhart ISCA'11) in front of a monolithic
+	// MRF, which backs it at Lat.MRF.
+	RFCEntries int
+	// RFCHints switches the cache to compiler-assisted allocation: at
+	// each kernel launch the compiler's static top RFCEntries registers
+	// are the only ones it admits, and every other register bypasses to
+	// the MRF (arXiv 2310.17501).
+	RFCHints bool
+	// GatingRows, when positive, attaches GREENER-style liveness power
+	// gating with that many register rows per gating domain: rows wake
+	// on their first write and a warp's rows sleep when it retires.
+	// Gating is observational; timing is identical either way.
+	GatingRows int
+}
+
+// Validate checks the configuration's invariants, including the
+// combinations of RFC and gating a design can realize.
+func (c Config) Validate() error {
+	switch {
+	case c.Banks <= 0:
+		return fmt.Errorf("regfile: bank count must be positive, got %d", c.Banks)
+	case c.FRFRegs <= 0:
+		return fmt.Errorf("regfile: FRF size (the profiling top-N) must be positive, got %d registers", c.FRFRegs)
+	case c.RFCEntries < 0:
+		return fmt.Errorf("regfile: %d RFC entries per warp", c.RFCEntries)
+	case c.RFCEntries > 0 && c.Design.Partitioned():
+		return fmt.Errorf("regfile: the RFC fronts a monolithic MRF, not a partitioned design")
+	case c.RFCHints && c.RFCEntries == 0:
+		return fmt.Errorf("regfile: RFC compiler hints without an RFC")
+	case c.GatingRows < 0:
+		return fmt.Errorf("regfile: gating domain of %d rows", c.GatingRows)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's preferred configuration for a design.
@@ -125,13 +162,10 @@ type File struct {
 // New returns a register file in the given configuration, using the
 // CAM-based swapping table.
 func New(cfg Config) (*File, error) {
-	if cfg.Banks <= 0 {
-		return nil, fmt.Errorf("regfile: bank count must be positive, got %d", cfg.Banks)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.FRFRegs <= 0 && cfg.Design.Partitioned() {
-		return nil, fmt.Errorf("regfile: partitioned design needs a positive FRF size, got %d registers", cfg.FRFRegs)
-	}
-	table, err := NewSwapTable(maxInt(cfg.FRFRegs, 1))
+	table, err := NewSwapTable(cfg.FRFRegs)
 	if err != nil {
 		return nil, err
 	}

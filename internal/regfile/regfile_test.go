@@ -349,6 +349,42 @@ func TestConstructorErrors(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: the RFC and gating combinations a register file
+// cannot realize are rejected, and every design needs an FRF size
+// because profiling promotes that many registers.
+func TestConfigValidate(t *testing.T) {
+	mono, part := DefaultConfig(DesignMonolithicNTV), DefaultConfig(DesignPartitioned)
+	rfc, hints, gated := mono, mono, mono
+	rfc.RFCEntries = 6
+	hints.RFCEntries, hints.RFCHints = 6, true
+	gated.GatingRows = 8
+	for _, ok := range []Config{mono, part, rfc, hints, gated} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	noFRF, negRFC, partRFC, bareHints, negGating := mono, mono, part, mono, mono
+	noFRF.FRFRegs = 0
+	negRFC.RFCEntries = -1
+	partRFC.RFCEntries = 6
+	bareHints.RFCHints = true
+	negGating.GatingRows = -1
+	for name, bad := range map[string]Config{
+		"monolithic without an FRF size":    noFRF,
+		"negative RFC size":                 negRFC,
+		"RFC in front of a partitioned RF":  partRFC,
+		"RFC compiler hints without an RFC": bareHints,
+		"negative gating domain":            negGating,
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("accepted %s", name)
+		}
+		if _, err := New(bad); err == nil {
+			t.Errorf("New accepted %s", name)
+		}
+	}
+}
+
 func TestBankStriping(t *testing.T) {
 	f := mustFile(t, DefaultConfig(DesignPartitioned))
 	// Consecutive registers of one warp land in different banks.

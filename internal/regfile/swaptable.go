@@ -188,7 +188,7 @@ func (t *IndexedSwapTable) Configure(topRegs []isa.Reg, frfRegs int) {
 	t.Reset()
 	// Reuse the CAM algorithm to guarantee identical placement. The
 	// capacity argument is clamped positive, so the error is impossible.
-	cam, _ := NewSwapTable(maxInt(len(topRegs), 1))
+	cam, _ := NewSwapTable(max(len(topRegs), 1))
 	cam.Configure(topRegs, frfRegs)
 	for _, e := range cam.Entries() {
 		t.mapping[e.Orig] = e.Mapped
@@ -201,11 +201,4 @@ func (t *IndexedSwapTable) Lookup(r isa.Reg) isa.Reg {
 		return r
 	}
 	return t.mapping[r]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

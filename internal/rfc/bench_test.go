@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkReadHit(b *testing.B) {
-	c := New(DefaultConfig(8))
+	c := New(6, 8, nil)
 	c.Write(0, isa.R(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -16,7 +16,7 @@ func BenchmarkReadHit(b *testing.B) {
 }
 
 func BenchmarkReadMissAllocate(b *testing.B) {
-	c := New(DefaultConfig(8))
+	c := New(6, 8, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Cycle through more registers than entries so every read
@@ -26,7 +26,7 @@ func BenchmarkReadMissAllocate(b *testing.B) {
 }
 
 func BenchmarkWriteEvict(b *testing.B) {
-	c := New(DefaultConfig(8))
+	c := New(6, 8, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Write(0, isa.Reg(i%16))
@@ -34,7 +34,7 @@ func BenchmarkWriteEvict(b *testing.B) {
 }
 
 func BenchmarkFlushWarp(b *testing.B) {
-	c := New(DefaultConfig(8))
+	c := New(6, 8, nil)
 	var buf []isa.Reg
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,9 @@
 // ISCA 2011) the paper compares against: a small per-warp cache of
 // recently produced register values in front of the MRF, managed together
 // with the two-level warp scheduler (entries exist only for warps in the
-// scheduler's active pool and are flushed on demotion).
+// scheduler's active pool and are flushed on demotion). Replacement is
+// FIFO within a warp's entries and every read miss fills, as in the
+// ISCA'11 design.
 //
 // The cache is a pure control/bookkeeping model: the simulator keeps the
 // architectural register values; this package decides hits, allocations,
@@ -15,56 +17,6 @@ import (
 
 	"pilotrf/internal/isa"
 )
-
-// ReplacePolicy selects the eviction order within a warp's entries.
-type ReplacePolicy uint8
-
-// Replacement policies. The ISCA'11 design used FIFO; LRU is provided for
-// sensitivity studies.
-const (
-	FIFO ReplacePolicy = iota
-	LRU
-)
-
-// String returns the policy name.
-func (p ReplacePolicy) String() string {
-	if p == LRU {
-		return "LRU"
-	}
-	return "FIFO"
-}
-
-// Config sizes the cache.
-type Config struct {
-	// EntriesPerWarp is the number of registers cached per warp (6 in
-	// the paper's comparison).
-	EntriesPerWarp int
-	// Warps is the number of warp slots with RFC storage (the active
-	// pool size of the two-level scheduler).
-	Warps int
-	// Policy is the replacement policy.
-	Policy ReplacePolicy
-	// AllocateOnReadMiss controls whether values fetched from the MRF
-	// on a read miss are installed in the cache (the ISCA'11 design
-	// installs them).
-	AllocateOnReadMiss bool
-	// Hints, when non-empty, switches the cache to compiler-assisted
-	// allocation: only the hinted registers may hold entries; accesses
-	// to any other register bypass straight to the MRF without a tag
-	// probe (the compiler knows statically they are never cached).
-	Hints []isa.Reg
-}
-
-// DefaultConfig returns the paper's comparison configuration for the
-// given active-warp count.
-func DefaultConfig(activeWarps int) Config {
-	return Config{
-		EntriesPerWarp:     6,
-		Warps:              activeWarps,
-		Policy:             FIFO,
-		AllocateOnReadMiss: true,
-	}
-}
 
 // Stats counts the events an RFC produces; the energy model multiplies
 // them by per-event energies.
@@ -118,31 +70,34 @@ type entry struct {
 	reg   isa.Reg
 	valid bool
 	dirty bool
-	// order is the FIFO insertion stamp or LRU last-use stamp.
+	// order is the FIFO insertion stamp.
 	order uint64
 }
 
 // Cache is the register file cache.
 type Cache struct {
-	cfg   Config
 	warps [][]entry
 	clock uint64
 	stats Stats
-	// hintMask is the admitted-register bitmask when Config.Hints is
-	// set; 0 admits everything (the dynamic ISCA'11 mode).
+	// hintMask is the admitted-register bitmask of the compiler-assisted
+	// mode; 0 admits everything (the dynamic ISCA'11 mode).
 	hintMask uint64
 }
 
-// New returns an empty cache.
-func New(cfg Config) *Cache {
-	if cfg.EntriesPerWarp <= 0 || cfg.Warps <= 0 {
-		panic(fmt.Sprintf("rfc: invalid config %+v", cfg))
+// New returns an empty cache of entries registers for each of warps warp
+// slots. Non-empty hints switch it to compiler-assisted allocation: only
+// the hinted registers may hold entries, and accesses to any other
+// register bypass straight to the MRF without a tag probe (the compiler
+// knows statically they are never cached).
+func New(entries, warps int, hints []isa.Reg) *Cache {
+	if entries <= 0 || warps <= 0 {
+		panic(fmt.Sprintf("rfc: %d entries for %d warps", entries, warps))
 	}
-	c := &Cache{cfg: cfg, warps: make([][]entry, cfg.Warps)}
+	c := &Cache{warps: make([][]entry, warps)}
 	for i := range c.warps {
-		c.warps[i] = make([]entry, cfg.EntriesPerWarp)
+		c.warps[i] = make([]entry, entries)
 	}
-	for _, r := range cfg.Hints {
+	for _, r := range hints {
 		if !r.Valid() {
 			panic(fmt.Sprintf("rfc: hint register %s", r))
 		}
@@ -157,9 +112,6 @@ func (c *Cache) Admits(r isa.Reg) bool {
 	return c.hintMask == 0 || c.hintMask&(uint64(1)<<uint(r)) != 0
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated event counts.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -167,8 +119,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) slot(warp int) []entry {
-	if warp < 0 || warp >= c.cfg.Warps {
-		panic(fmt.Sprintf("rfc: warp %d outside [0,%d)", warp, c.cfg.Warps))
+	if warp < 0 || warp >= len(c.warps) {
+		panic(fmt.Sprintf("rfc: warp %d outside [0,%d)", warp, len(c.warps)))
 	}
 	return c.warps[warp]
 }
@@ -198,8 +150,8 @@ func (c *Cache) victim(es []entry) int {
 }
 
 // Read looks register r of warp up in the cache. It returns true on a
-// hit. On a miss the value comes from the MRF and, if configured, is
-// installed (possibly writing back a dirty victim).
+// hit. On a miss the value comes from the MRF and is installed, possibly
+// displacing a dirty victim.
 func (c *Cache) Read(warp int, r isa.Reg) bool {
 	if !r.Valid() {
 		panic(fmt.Sprintf("rfc: read of %s", r))
@@ -212,19 +164,13 @@ func (c *Cache) Read(warp int, r isa.Reg) bool {
 	}
 	es := c.slot(warp)
 	c.stats.TagChecks++
-	c.clock++
-	if i := c.find(es, r); i >= 0 {
+	if c.find(es, r) >= 0 {
 		c.stats.ReadHits++
-		if c.cfg.Policy == LRU {
-			es[i].order = c.clock
-		}
 		return true
 	}
 	c.stats.ReadMiss++
-	if c.cfg.AllocateOnReadMiss {
-		c.install(es, r, false)
-		c.stats.Fills++
-	}
+	c.install(es, r, false)
+	c.stats.Fills++
 	return false
 }
 
@@ -246,12 +192,8 @@ func (c *Cache) Write(warp int, r isa.Reg) (victim isa.Reg, writeback bool) {
 	es := c.slot(warp)
 	c.stats.TagChecks++
 	c.stats.Writes++
-	c.clock++
 	if i := c.find(es, r); i >= 0 {
 		es[i].dirty = true
-		if c.cfg.Policy == LRU {
-			es[i].order = c.clock
-		}
 		return isa.RegNone, false
 	}
 	return c.install(es, r, true)
@@ -259,6 +201,7 @@ func (c *Cache) Write(warp int, r isa.Reg) (victim isa.Reg, writeback bool) {
 
 func (c *Cache) install(es []entry, r isa.Reg, dirty bool) (victim isa.Reg, writeback bool) {
 	v := c.victim(es)
+	c.clock++
 	victim, writeback = isa.RegNone, false
 	if es[v].valid {
 		c.stats.Evictions++

@@ -7,13 +7,8 @@ import (
 	"pilotrf/internal/isa"
 )
 
-func newCache(t *testing.T, entries, warps int, policy ReplacePolicy) *Cache {
-	t.Helper()
-	return New(Config{EntriesPerWarp: entries, Warps: warps, Policy: policy, AllocateOnReadMiss: true})
-}
-
 func TestReadMissThenHit(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	if c.Read(0, isa.R(5)) {
 		t.Fatal("cold read hit")
 	}
@@ -26,19 +21,8 @@ func TestReadMissThenHit(t *testing.T) {
 	}
 }
 
-func TestNoAllocateOnReadMiss(t *testing.T) {
-	c := New(Config{EntriesPerWarp: 2, Warps: 1, Policy: FIFO, AllocateOnReadMiss: false})
-	c.Read(0, isa.R(5))
-	if c.Read(0, isa.R(5)) {
-		t.Fatal("hit despite no-allocate policy")
-	}
-	if c.Stats().Fills != 0 {
-		t.Error("fills counted without allocation")
-	}
-}
-
 func TestWriteAllocatesDirty(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	c.Write(0, isa.R(3))
 	if !c.Contains(0, isa.R(3)) {
 		t.Fatal("write did not allocate")
@@ -53,7 +37,7 @@ func TestWriteAllocatesDirty(t *testing.T) {
 }
 
 func TestFIFOEvictionOrder(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	c.Write(0, isa.R(1)) // oldest
 	c.Write(0, isa.R(2))
 	c.Read(0, isa.R(1)) // FIFO: touching R1 does not refresh it
@@ -66,22 +50,8 @@ func TestFIFOEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
-	c := newCache(t, 2, 1, LRU)
-	c.Write(0, isa.R(1))
-	c.Write(0, isa.R(2))
-	c.Read(0, isa.R(1)) // LRU: R1 is now most recent
-	c.Write(0, isa.R(3))
-	if !c.Contains(0, isa.R(1)) {
-		t.Error("LRU evicted the recently used entry")
-	}
-	if c.Contains(0, isa.R(2)) {
-		t.Error("LRU kept the least recently used entry")
-	}
-}
-
 func TestDirtyEvictionWritesBack(t *testing.T) {
-	c := newCache(t, 1, 1, FIFO)
+	c := New(1, 1, nil)
 	c.Write(0, isa.R(1)) // dirty
 	c.Write(0, isa.R(2)) // evicts dirty R1
 	st := c.Stats()
@@ -91,7 +61,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func TestCleanEvictionNoWriteback(t *testing.T) {
-	c := newCache(t, 1, 1, FIFO)
+	c := New(1, 1, nil)
 	c.Read(0, isa.R(1))  // fill, clean
 	c.Write(0, isa.R(2)) // evicts clean R1
 	st := c.Stats()
@@ -101,7 +71,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 }
 
 func TestRewriteSameRegisterNoEviction(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	c.Write(0, isa.R(1))
 	c.Write(0, isa.R(1))
 	c.Write(0, isa.R(1))
@@ -114,7 +84,7 @@ func TestRewriteSameRegisterNoEviction(t *testing.T) {
 }
 
 func TestWarpsIsolated(t *testing.T) {
-	c := newCache(t, 2, 2, FIFO)
+	c := New(2, 2, nil)
 	c.Write(0, isa.R(1))
 	if c.Contains(1, isa.R(1)) {
 		t.Error("warp 1 sees warp 0's entry")
@@ -125,7 +95,7 @@ func TestWarpsIsolated(t *testing.T) {
 }
 
 func TestFlushInvalidatesAll(t *testing.T) {
-	c := newCache(t, 4, 1, FIFO)
+	c := New(4, 1, nil)
 	c.Write(0, isa.R(1))
 	c.Read(0, isa.R(2))
 	wb := c.FlushWarp(0, nil)
@@ -144,7 +114,7 @@ func TestFlushInvalidatesAll(t *testing.T) {
 // counts only its own writebacks, and flushes into a reused buffer
 // without allocating.
 func TestFlushWarpAppendsToCallerBuffer(t *testing.T) {
-	c := newCache(t, 4, 1, FIFO)
+	c := New(4, 1, nil)
 	c.Write(0, isa.R(1))
 	got := c.FlushWarp(0, []isa.Reg{isa.R(7)})
 	if len(got) != 2 || got[0] != isa.R(7) || got[1] != isa.R(1) {
@@ -163,7 +133,7 @@ func TestFlushWarpAppendsToCallerBuffer(t *testing.T) {
 }
 
 func TestTagChecksCounted(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	c.Read(0, isa.R(1))
 	c.Write(0, isa.R(2))
 	c.Read(0, isa.R(2))
@@ -173,7 +143,7 @@ func TestTagChecksCounted(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	c := newCache(t, 4, 1, FIFO)
+	c := New(4, 1, nil)
 	c.Write(0, isa.R(1))
 	c.Read(0, isa.R(1)) // hit
 	c.Read(0, isa.R(2)) // miss
@@ -186,7 +156,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestMRFTrafficAccessors(t *testing.T) {
-	c := newCache(t, 1, 1, FIFO)
+	c := New(1, 1, nil)
 	c.Read(0, isa.R(1))  // miss -> MRF read
 	c.Write(0, isa.R(2)) // evicts clean R1
 	c.Write(0, isa.R(3)) // evicts dirty R2 -> MRF write
@@ -200,14 +170,14 @@ func TestMRFTrafficAccessors(t *testing.T) {
 }
 
 func TestPanicsOnBadInputs(t *testing.T) {
-	c := newCache(t, 2, 2, FIFO)
+	c := New(2, 2, nil)
 	cases := []func(){
 		func() { c.Read(-1, isa.R(0)) },
 		func() { c.Read(2, isa.R(0)) },
 		func() { c.Read(0, isa.RZ) },
 		func() { c.Write(0, isa.RegNone) },
-		func() { New(Config{EntriesPerWarp: 0, Warps: 1}) },
-		func() { New(Config{EntriesPerWarp: 1, Warps: 0}) },
+		func() { New(0, 1, nil) },
+		func() { New(1, 0, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -222,7 +192,7 @@ func TestPanicsOnBadInputs(t *testing.T) {
 }
 
 func TestResetStatsKeepsContents(t *testing.T) {
-	c := newCache(t, 2, 1, FIFO)
+	c := New(2, 1, nil)
 	c.Write(0, isa.R(1))
 	c.ResetStats()
 	if c.Stats().Writes != 0 {
@@ -233,18 +203,11 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig(16)
-	if cfg.EntriesPerWarp != 6 || cfg.Warps != 16 || cfg.Policy != FIFO || !cfg.AllocateOnReadMiss {
-		t.Errorf("DefaultConfig = %+v", cfg)
-	}
-}
-
 // Property: valid entries per warp never exceed the configured capacity,
 // and reads after a write to the same register always hit.
 func TestPropertyCapacityAndCoherence(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := New(Config{EntriesPerWarp: 3, Warps: 2, Policy: FIFO, AllocateOnReadMiss: true})
+		c := New(3, 2, nil)
 		lastWrite := map[int]isa.Reg{}
 		for _, op := range ops {
 			warp := int(op>>1) % 2
@@ -273,11 +236,5 @@ func TestPropertyCapacityAndCoherence(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FIFO.String() != "FIFO" || LRU.String() != "LRU" {
-		t.Error("policy names wrong")
 	}
 }

@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 
-	"pilotrf/internal/design"
 	"pilotrf/internal/energy"
 	"pilotrf/internal/fault"
 	"pilotrf/internal/flightrec"
@@ -25,7 +24,6 @@ import (
 	"pilotrf/internal/perfscope"
 	"pilotrf/internal/profile"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/rfc"
 	"pilotrf/internal/telemetry"
 )
 
@@ -95,13 +93,13 @@ type Config struct {
 	// PolicyFetchGroup (default 4).
 	FetchGroupWarps int
 
-	// RF configures the register file design under evaluation.
+	// RF configures the register file design under evaluation,
+	// including any register file cache and liveness gating.
 	RF regfile.Config
 
-	// Profiling selects the FRF management technique; TopN is the
-	// number of promoted registers (4).
+	// Profiling selects the FRF management technique, which promotes
+	// RF.FRFRegs registers.
 	Profiling profile.Technique
-	ProfTopN  int
 	// PilotWarpIndex selects which warp of the first CTA launched on
 	// each SM becomes the pilot (0 = the first, the paper's choice;
 	// Section III-A2 argues any warp works, which the pilot-choice
@@ -110,23 +108,6 @@ type Config struct {
 	// Oracle supplies the measured top registers for
 	// profile.TechniqueOracle (from a prior run).
 	Oracle []isa.Reg
-
-	// RFC, when EntriesPerWarp is positive, puts a register file cache
-	// (sized per active warp) in front of a monolithic MRF, which backs
-	// it at RF.Lat.MRF.
-	RFC rfc.Config
-	// RFCCompilerHints switches the RFC to compiler-assisted allocation:
-	// at each kernel launch the compiler's static top-N registers (N =
-	// the RFC's entries per warp) become the cache's admission hints and
-	// every other register bypasses to the MRF (arXiv 2310.17501).
-	RFCCompilerHints bool
-
-	// Gating, when set, attaches a liveness gating tracker per SM
-	// (GREENER-style register power gating): rows wake on first write,
-	// a warp's rows sleep at retire, and KernelStats.Gating accumulates
-	// the live/gated row-cycle counts the design's leakage pricing
-	// uses. Purely observational — timing is bit-identical either way.
-	Gating *design.GatingConfig
 
 	// Execution latencies in cycles.
 	ALULatency    int
@@ -236,7 +217,6 @@ func DefaultConfig() Config {
 		FetchGroupWarps:    4,
 		RF:                 regfile.DefaultConfig(regfile.DesignMonolithicSTV),
 		Profiling:          profile.TechniqueHybrid,
-		ProfTopN:           4,
 		ALULatency:         4,
 		FPULatency:         4,
 		SFULatency:         16,
@@ -268,29 +248,24 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: %d warp slots not divisible by %d schedulers", c.WarpSlotsPerSM, c.Schedulers)
 	case c.OperandCollectors <= 0:
 		return fmt.Errorf("sim: %d operand collectors", c.OperandCollectors)
+	case c.Policy > PolicyFetchGroup:
+		return fmt.Errorf("sim: unknown scheduler policy %v", c.Policy)
+	case c.Profiling > profile.TechniqueOracle:
+		return fmt.Errorf("sim: unknown profiling technique %v", c.Profiling)
 	case c.MemLatency <= 0 || c.MaxMemInflight <= 0:
 		return fmt.Errorf("sim: memory latency %d / inflight %d", c.MemLatency, c.MaxMemInflight)
 	case c.Policy == PolicyTL && c.TLActiveWarps < c.Schedulers:
 		return fmt.Errorf("sim: TL active pool %d smaller than %d schedulers", c.TLActiveWarps, c.Schedulers)
 	case c.Policy == PolicyFetchGroup && c.FetchGroupWarps <= 0:
 		return fmt.Errorf("sim: fetch group of %d warps", c.FetchGroupWarps)
-	case c.RFC.EntriesPerWarp < 0:
-		return fmt.Errorf("sim: %d RFC entries per warp", c.RFC.EntriesPerWarp)
-	case c.RFC.EntriesPerWarp > 0 && c.RFC.Warps <= 0:
-		return fmt.Errorf("sim: RFC enabled without warp storage")
-	case c.RFC.EntriesPerWarp > 0 && c.RF.Design.Partitioned():
-		return fmt.Errorf("sim: the RFC fronts a monolithic MRF, not a partitioned design")
-	case c.RFCCompilerHints && c.RFC.EntriesPerWarp == 0:
-		return fmt.Errorf("sim: RFC compiler hints without an RFC")
-	case c.Gating != nil && c.Gating.Granularity <= 0:
-		return fmt.Errorf("sim: gating granularity %d", c.Gating.Granularity)
-	case c.ProfTopN <= 0:
-		return fmt.Errorf("sim: profiling top-N %d", c.ProfTopN)
 	case c.Energy != nil && c.Energy.Design() != c.RF.Design:
 		return fmt.Errorf("sim: energy ledger priced for %v but RF design is %v",
 			c.Energy.Design(), c.RF.Design)
 	case c.PilotWarpIndex < 0:
 		return fmt.Errorf("sim: pilot warp index %d", c.PilotWarpIndex)
+	}
+	if err := c.RF.Validate(); err != nil {
+		return err
 	}
 	if err := c.Protect.Validate(); err != nil {
 		return err

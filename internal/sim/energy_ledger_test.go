@@ -284,7 +284,7 @@ func TestSwapAuditRecordsPlacements(t *testing.T) {
 		if e.Kernel != "traced" {
 			t.Errorf("audit event kernel = %q, want traced", e.Kernel)
 		}
-		if int(e.Slot) >= maxInt(testConfig().RF.FRFRegs, testConfig().ProfTopN) {
+		if int(e.Slot) >= testConfig().RF.FRFRegs {
 			t.Errorf("audit slot %d outside the FRF", e.Slot)
 		}
 		if e.Reason == profile.PlacePilotMeasured && e.Cycle == 0 {

@@ -14,18 +14,12 @@ func (c Config) WithScheme(s design.Scheme, k design.Knobs) (Config, error) {
 		return c, err
 	}
 	c.RF = set.RF
-	if set.ProfTopN > 0 {
-		c.ProfTopN = set.ProfTopN
-	}
 	if set.TwoLevel {
 		c.Policy = PolicyTL
 		if set.TLActiveWarps > 0 {
 			c.TLActiveWarps = set.TLActiveWarps
 		}
 	}
-	c.RFC = set.RFC
-	c.RFCCompilerHints = set.RFCCompilerHints
-	c.Gating = set.Gating
 	return c, nil
 }
 

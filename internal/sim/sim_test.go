@@ -8,7 +8,6 @@ import (
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/profile"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/rfc"
 )
 
 // testConfig returns a small, fast configuration.
@@ -358,7 +357,7 @@ func TestSchedulerPoliciesAllComplete(t *testing.T) {
 func TestRFCHitsAndMRFTraffic(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = PolicyTL
-	cfg.RFC = rfc.DefaultConfig(cfg.TLActiveWarps)
+	cfg.RF.RFCEntries = 6
 	ks := mustRun(t, cfg, hotRegKernel(t, 4))
 	if ks.RFC.ReadHits == 0 {
 		t.Error("RFC never hit on a register-hot kernel")
@@ -452,23 +451,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("accepted non-divisible warp slots")
 	}
-	bad = testConfig()
-	bad.RFC = rfc.Config{EntriesPerWarp: 6}
-	if _, err := New(bad); err == nil {
-		t.Error("accepted RFC without warp storage")
-	}
-	bad = testConfig()
-	bad.RFC = rfc.Config{EntriesPerWarp: -1, Warps: 8}
-	if _, err := New(bad); err == nil {
-		t.Error("accepted a negative RFC size")
-	}
-	bad = testConfig()
-	bad.RFCCompilerHints = true
-	if _, err := New(bad); err == nil {
-		t.Error("accepted RFC compiler hints without an RFC")
-	}
+	// The register file's own rules (regfile.Config.Validate) apply.
 	bad = schemeConfig(t, "part")
-	bad.RFC = rfc.DefaultConfig(8)
+	bad.RF.RFCEntries = 6
 	if _, err := New(bad); err == nil {
 		t.Error("accepted RFC in front of a partitioned RF")
 	}

@@ -34,7 +34,7 @@ type sm struct {
 	profCtl  *profile.Controller
 	rfcCache *rfc.Cache
 	// gate tracks register liveness for power gating (nil unless
-	// Config.Gating is set). Purely observational.
+	// Config.RF.GatingRows is positive). Purely observational.
 	gate *design.GatingTracker
 
 	now      int64
@@ -101,7 +101,7 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 		banks: make([]bankState, cfg.RF.Banks),
 		rf:    rf,
 	}
-	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.ProfTopN, maxInt(cfg.RF.FRFRegs, cfg.ProfTopN), s.rf.Mapper())
+	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.RF.FRFRegs, s.rf.Mapper())
 	if err != nil {
 		return nil, err
 	}
@@ -114,22 +114,19 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 	if cfg.Profiling == profile.TechniqueOracle {
 		s.profCtl.SetOracle(cfg.Oracle)
 	}
-	if cfg.RFC.EntriesPerWarp > 0 {
-		rc := cfg.RFC
-		if rc.Warps < cfg.WarpSlotsPerSM {
-			// RFC storage is addressed by warp slot; size it to the
-			// slot space (only active-pool warps ever hold entries).
-			rc.Warps = cfg.WarpSlotsPerSM
-		}
-		if cfg.RFCCompilerHints {
+	if n := cfg.RF.RFCEntries; n > 0 {
+		var hints []isa.Reg
+		if cfg.RF.RFCHints {
 			// Compiler-assisted allocation: the kernel's static top-N
 			// registers (one per cache entry) are the admission set.
-			rc.Hints = profile.CompilerTopN(run.kern.Prog, rc.EntriesPerWarp)
+			hints = profile.CompilerTopN(run.kern.Prog, n)
 		}
-		s.rfcCache = rfc.New(rc)
+		// RFC storage is addressed by warp slot; only active-pool warps
+		// ever hold entries.
+		s.rfcCache = rfc.New(n, cfg.WarpSlotsPerSM, hints)
 	}
-	if cfg.Gating != nil {
-		s.gate = design.NewGatingTracker(*cfg.Gating, cfg.WarpSlotsPerSM, cfg.WarpRegBudget)
+	if cfg.RF.GatingRows > 0 {
+		s.gate = design.NewGatingTracker(cfg.RF.GatingRows, cfg.WarpSlotsPerSM, cfg.WarpRegBudget)
 	}
 	if cfg.Audit != nil {
 		s.profCtl.SM = id
@@ -161,13 +158,6 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 		s.schedulers = append(s.schedulers, newSchedState(i, slots, cfg.Policy, s.tlPoolSize()))
 	}
 	return s, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // tlPoolSize is the per-scheduler active pool of the two-level scheduler.

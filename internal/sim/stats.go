@@ -51,7 +51,7 @@ type KernelStats struct {
 	RFC rfc.Stats
 
 	// Gating holds the liveness-gating row-cycle counters when
-	// Config.Gating is set.
+	// Config.RF.GatingRows is positive.
 	Gating design.GatingStats
 
 	// IssueSlots is cycles x peak issue width; utilization is
