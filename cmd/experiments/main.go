@@ -3,13 +3,19 @@
 //
 // Usage:
 //
-//	experiments [-scale f] [-sms n] [-json out.json] [-http :6060]
+//	experiments [-scale f] [-sms n] [-parallel n] [-json out.json]
+//	            [-trace-spans spans.ndjson] [-http :6060]
 //	            [-only fig1,table1,fig2,fig4,table3,table4,yield,fig10,
 //	             fig11,leakage,fig12,sens,fig13,rfc,swap,area,dynamics,
 //	             voltage,scorecard,ablation,energy]
 //
 // An unknown -only section is a usage error that lists the valid ones.
 // cmd/dse sweeps the register-file design schemes.
+//
+// -parallel N (N >= 1, one per core by default) is how many workloads
+// each experiment simulates at once. The output is byte-identical at any
+// N. -trace-spans records one experiments.run span per simulation of the
+// sweep.
 //
 // -http serves expvar and net/http/pprof on the given address so long
 // sweeps can be profiled live (go tool pprof http://host/debug/pprof/profile).
@@ -52,9 +58,9 @@ func run() int {
 		sms       = flag.Int("sms", 2, "simulated SMs")
 		only      = flag.String("only", "", "comma-separated experiment list (empty = all)")
 		jsonPath  = flag.String("json", "", "also write the results as JSON to this file")
-		parallel  = flag.Int("parallel", jobs.DefaultWorkers(), "worker count for pre-running the shared simulations (0 disables the warm pass)")
+		parallel  = flag.Int("parallel", jobs.DefaultWorkers(), "how many workloads each experiment simulates at once (>= 1)")
 		httpAddr  = flag.String("http", "", "serve expvar/pprof on this address during the sweep (e.g. :6060)")
-		spansPath = flag.String("trace-spans", "", "write the warm pass's span tree here as pilotrf-spans/v1 NDJSON (requires -parallel > 0)")
+		spansPath = flag.String("trace-spans", "", "write the sweep's span tree here as pilotrf-spans/v1 NDJSON, one experiments.run span per simulation")
 	)
 	flag.Parse()
 
@@ -68,6 +74,10 @@ func run() int {
 			return 2
 		}
 		want[name] = true
+	}
+	if *parallel < 1 {
+		fmt.Fprintf(os.Stderr, "parallel must be >= 1, got %d\n", *parallel)
+		return 2
 	}
 
 	if *httpAddr != "" {
@@ -124,27 +134,13 @@ func run() int {
 	}
 
 	r := experiments.NewRunner(*scale, *sms)
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "parallel must be >= 0, got %d\n", *parallel)
-		return 2
-	}
-	if *parallel > 0 {
-		r.Workers = *parallel
-		if *spansPath != "" {
-			r.Trace = trace.NewRecorder(true)
-		}
-		r.Warm()
-		if r.Trace != nil {
-			spans := r.Trace.Spans()
-			if err := trace.WriteSpansFile(*spansPath, spans); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d warm-pass spans to %s\n", len(spans), *spansPath)
-		}
-	} else if *spansPath != "" {
-		fmt.Fprintln(os.Stderr, "-trace-spans requires -parallel > 0 (the warm pass is what gets traced)")
-		return 2
+	r.Workers = *parallel
+	var spans *trace.Recorder
+	var sweep *trace.ActiveSpan
+	if *spansPath != "" {
+		spans = trace.NewRecorder(true)
+		sweep = spans.Root("experiments.sweep", trace.TraceID("pilotrf-experiments", "sweep"))
+		r.Trace = sweep.Context()
 	}
 
 	if sel("fig1") {
@@ -406,6 +402,15 @@ func run() int {
 	}
 
 	code := writeReport()
+	if sweep != nil {
+		sweep.End()
+		if err := trace.WriteSpansFile(*spansPath, spans.Spans()); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		} else {
+			fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", spans.Len(), *spansPath)
+		}
+	}
 	if stopped {
 		fmt.Fprintln(os.Stderr, "interrupted: sweep stopped early, partial report flushed")
 		if code == 0 {

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"strconv"
-
 	"pilotrf/internal/energy"
 	"pilotrf/internal/profile"
 	"pilotrf/internal/regfile"
+	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
-	"pilotrf/internal/workloads"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out: the FRF
@@ -37,26 +35,37 @@ type FRFSizePoint struct {
 func FRFSizeSweep(r *Runner) []FRFSizePoint {
 	var out []FRFSizePoint
 	for _, n := range []int{2, 3, 4, 5, 6, 8} {
-		var shares, savings, ratios []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part-adaptive")
-			cfg.RF.FRFRegs = n
-			rs := r.run(w, cfg, "frfsize-"+strconv.Itoa(n))
-			shares = append(shares, rs.FRFShare())
-			savings = append(savings,
-				energy.Savings(energy.DynamicPJ(regfile.DesignPartitionedAdaptive, rs.PartAccesses()),
-					energy.BaselineDynamicPJ(rs.TotalAccesses())))
-			ratios = append(ratios, float64(rs.TotalCycles())/float64(r.baselineRun(w).TotalCycles()))
-		}
+		cfg := r.designConfig("part-adaptive")
+		cfg.RF.FRFRegs = n
+		p := r.capturePoint(cfg)
 		out = append(out, FRFSizePoint{
 			FRFRegs:     n,
 			FRFSizeKB:   float64(n) * 64 * 128 / 1024,
-			AvgFRFShare: stats.Mean(shares),
-			AvgSavings:  stats.Mean(savings),
-			GeoSlowdown: stats.Geomean(ratios),
+			AvgFRFShare: p.AvgFRFShare,
+			AvgSavings:  p.AvgSavings,
+			GeoSlowdown: p.GeoSlowdown,
 		})
 	}
 	return out
+}
+
+// capturePoint runs the adaptive partitioned design under cfg over the
+// workloads and averages its FRF share, dynamic saving and slowdown.
+func (r *Runner) capturePoint(cfg sim.Config) TechniqueEnergyRow {
+	base := r.baselineRuns()
+	var shares, savings, ratios []float64
+	for i, rs := range r.runs(cfg) {
+		shares = append(shares, rs.FRFShare())
+		savings = append(savings,
+			energy.Savings(energy.DynamicPJ(regfile.DesignPartitionedAdaptive, rs.PartAccesses()),
+				energy.BaselineDynamicPJ(rs.TotalAccesses())))
+		ratios = append(ratios, slowdown(rs, base[i]))
+	}
+	return TechniqueEnergyRow{
+		AvgFRFShare: stats.Mean(shares),
+		AvgSavings:  stats.Mean(savings),
+		GeoSlowdown: stats.Geomean(ratios),
+	}
 }
 
 // TechniqueEnergyRow reports one profiling technique's end-to-end effect:
@@ -87,23 +96,17 @@ type ForwardingPoint struct {
 func ForwardingAblation(r *Runner) []ForwardingPoint {
 	var out []ForwardingPoint
 	for _, fwd := range []bool{false, true} {
-		suffix := "nofwd"
-		if fwd {
-			suffix = "fwd"
-		}
+		baseCfg := r.designConfig("mrf-stv")
+		baseCfg.WritebackForwarding = fwd
+		hybCfg := r.designConfig("part-adaptive")
+		hybCfg.WritebackForwarding = fwd
+		ntvCfg := r.designConfig("mrf-ntv")
+		ntvCfg.WritebackForwarding = fwd
+		base, hybRuns, ntvRuns := r.runs(baseCfg), r.runs(hybCfg), r.runs(ntvCfg)
 		var hyb, ntv []float64
-		for _, w := range workloads.All() {
-			baseCfg := r.designConfig("mrf-stv")
-			baseCfg.WritebackForwarding = fwd
-			base := float64(r.run(w, baseCfg, "fwd-base-"+suffix).TotalCycles())
-
-			hybCfg := r.designConfig("part-adaptive")
-			hybCfg.WritebackForwarding = fwd
-			hyb = append(hyb, float64(r.run(w, hybCfg, "fwd-part-"+suffix).TotalCycles())/base)
-
-			ntvCfg := r.designConfig("mrf-ntv")
-			ntvCfg.WritebackForwarding = fwd
-			ntv = append(ntv, float64(r.run(w, ntvCfg, "fwd-ntv-"+suffix).TotalCycles())/base)
+		for i := range base {
+			hyb = append(hyb, slowdown(hybRuns[i], base[i]))
+			ntv = append(ntv, slowdown(ntvRuns[i], base[i]))
 		}
 		out = append(out, ForwardingPoint{
 			Forwarding: fwd,
@@ -129,12 +132,11 @@ type PilotChoicePoint struct {
 func PilotChoiceSensitivity(r *Runner) []PilotChoicePoint {
 	var out []PilotChoicePoint
 	for _, idx := range []int{0, 1, 3} {
+		cfg := r.designConfig("part")
+		cfg.Profiling = profile.TechniquePilot
+		cfg.PilotWarpIndex = idx
 		var shares []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part")
-			cfg.Profiling = profile.TechniquePilot
-			cfg.PilotWarpIndex = idx
-			rs := r.run(w, cfg, "pilot-idx-"+strconv.Itoa(idx))
+		for _, rs := range r.runs(cfg) {
 			shares = append(shares, rs.FRFShare())
 		}
 		out = append(out, PilotChoicePoint{PilotWarpIndex: idx, AvgFRFShare: stats.Mean(shares)})
@@ -165,7 +167,7 @@ type GatingRow struct {
 func RegisterGatingExtension(r *Runner) []GatingRow {
 	base := energy.LeakageMW(regfile.DesignMonolithicSTV)
 	var rows []GatingRow
-	for _, w := range workloads.All() {
+	for _, w := range suite() {
 		k := w.Kernels[0]
 		warps := (k.ThreadsPerCTA + 31) / 32
 		resident := 16
@@ -204,23 +206,11 @@ func ProfilingTechniqueAblation(r *Runner) []TechniqueEnergyRow {
 	}
 	rows := make([]TechniqueEnergyRow, 0, len(techniques))
 	for _, tech := range techniques {
-		var shares, savings, ratios []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part-adaptive")
-			cfg.Profiling = tech
-			rs := r.run(w, cfg, "abl-"+tech.String())
-			shares = append(shares, rs.FRFShare())
-			savings = append(savings,
-				energy.Savings(energy.DynamicPJ(regfile.DesignPartitionedAdaptive, rs.PartAccesses()),
-					energy.BaselineDynamicPJ(rs.TotalAccesses())))
-			ratios = append(ratios, float64(rs.TotalCycles())/float64(r.baselineRun(w).TotalCycles()))
-		}
-		rows = append(rows, TechniqueEnergyRow{
-			Technique:   tech.String(),
-			AvgFRFShare: stats.Mean(shares),
-			AvgSavings:  stats.Mean(savings),
-			GeoSlowdown: stats.Geomean(ratios),
-		})
+		cfg := r.designConfig("part-adaptive")
+		cfg.Profiling = tech
+		row := r.capturePoint(cfg)
+		row.Technique = tech.String()
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -4,9 +4,7 @@ import (
 	"pilotrf/internal/energy"
 	"pilotrf/internal/fincacti"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
-	"pilotrf/internal/workloads"
 )
 
 // Figure10Row is one benchmark's partitioned-RF access distribution.
@@ -32,15 +30,14 @@ type Figure10Result struct {
 func Figure10(r *Runner) Figure10Result {
 	var res Figure10Result
 	var frfs, lows []float64
-	for _, w := range workloads.All() {
-		rs := r.hybridRun(w)
+	for _, rs := range r.runs(r.hybridConfig()) {
 		parts := rs.PartAccesses()
 		total := float64(parts[0] + parts[1] + parts[2] + parts[3])
 		if total == 0 {
 			continue
 		}
 		row := Figure10Row{
-			Benchmark: w.Name,
+			Benchmark: rs.Workload,
 			FRFHigh:   float64(parts[regfile.PartFRFHigh]) / total,
 			FRFLow:    float64(parts[regfile.PartFRFLow]) / total,
 			SRF:       float64(parts[regfile.PartSRF]) / total,
@@ -82,16 +79,14 @@ type Figure11Result struct {
 // designs normalized to the MRF@STV baseline, computed by pricing each
 // design's access mix with the Table IV energies.
 func Figure11(r *Runner) Figure11Result {
+	adaptiveRuns, partRuns := r.runs(r.hybridConfig()), r.runs(r.designConfig("part"))
 	var res Figure11Result
 	var sa, sp, sn []float64
-	for _, w := range workloads.All() {
-		adaptive := r.hybridRun(w)
-		partCfg := r.designConfig("part")
-		partOnly := r.run(w, partCfg, "part-hybrid-noadaptive")
-
+	for i, adaptive := range adaptiveRuns {
+		partOnly := partRuns[i]
 		base := energy.BaselineDynamicPJ(adaptive.TotalAccesses())
 		row := Figure11Row{
-			Benchmark:           w.Name,
+			Benchmark:           adaptive.Workload,
 			PartitionedAdaptive: energy.DynamicPJ(regfile.DesignPartitionedAdaptive, adaptive.PartAccesses()) / base,
 		}
 		row.PartitionedOnly = energy.DynamicPJ(regfile.DesignPartitioned, partOnly.PartAccesses()) /
@@ -137,37 +132,5 @@ func Leakage() LeakageReport {
 		SRFShareOfMRF:        srf / mrf,
 		SavingsPct:           (1 - (frf+srf)/mrf) * 100,
 		NTVMonolithicSavings: (1 - energy.LeakageMW(regfile.DesignMonolithicNTV)/mrf) * 100,
-	}
-}
-
-// EnergyBreakdown prices one benchmark under every design, including
-// leakage integrated over each run's cycles (used by examples and the
-// ablation benches).
-type EnergyBreakdown struct {
-	Benchmark string
-	Reports   map[string]energy.Report
-}
-
-// Breakdown builds the full energy report for one benchmark.
-func Breakdown(r *Runner, benchmark string) EnergyBreakdown {
-	w, err := workloads.ByName(benchmark)
-	if err != nil {
-		panic(err)
-	}
-	adaptive := r.hybridRun(w)
-	base := r.baselineRun(w)
-	ntvCfg := r.designConfig("mrf-ntv")
-	ntv := r.run(w, ntvCfg, "base-ntv-gto")
-
-	mk := func(d regfile.Design, rs sim.RunStats) energy.Report {
-		return energy.ForRun(d, rs.PartAccesses(), rs.TotalCycles())
-	}
-	return EnergyBreakdown{
-		Benchmark: benchmark,
-		Reports: map[string]energy.Report{
-			"MRF@STV":              mk(regfile.DesignMonolithicSTV, base),
-			"MRF@NTV":              mk(regfile.DesignMonolithicNTV, ntv),
-			"Partitioned+Adaptive": mk(regfile.DesignPartitionedAdaptive, adaptive),
-		},
 	}
 }

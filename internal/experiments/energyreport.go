@@ -7,7 +7,6 @@ import (
 	"pilotrf/internal/energy"
 	"pilotrf/internal/profile"
 	"pilotrf/internal/regfile"
-	"pilotrf/internal/sim"
 	"pilotrf/internal/workloads"
 )
 
@@ -46,21 +45,17 @@ type EnergyReportRow struct {
 // EnergyReport runs every Table I benchmark with the energy ledger and
 // the swap audit log attached and returns the per-benchmark attribution
 // rows. Runs are independent of the Runner cache (the ledger must
-// observe its own simulation), but use the Runner's scale and SM count.
+// observe its own simulation), but use the Runner's scale, SM count and
+// Workers.
 func EnergyReport(r *Runner) []EnergyReportRow {
-	rows := make([]EnergyReportRow, 0, len(workloads.All()))
-	for _, w := range workloads.All() {
+	return perWorkload(r, func(w workloads.Workload) EnergyReportRow {
 		cfg := r.designConfig("part-adaptive")
 		cfg.Profiling = profile.TechniqueHybrid
 		led := energy.NewLedger(cfg.RF.Design, 0)
 		audit := &profile.AuditLog{}
 		cfg.Energy = led
 		cfg.Audit = audit
-		g, err := sim.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		rs, err := g.RunKernels(w.Name, w.Scale(r.Scale).Kernels)
+		rs, err := newGPU(cfg).RunKernels(w.Name, w.Scale(r.Scale).Kernels)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
 		}
@@ -81,9 +76,8 @@ func EnergyReport(r *Runner) []EnergyReportRow {
 			},
 		}
 		row.SavingsPct = energy.Savings(row.DynamicPJ, row.BaselinePJ) * 100
-		rows = append(rows, row)
-	}
-	return rows
+		return row
+	})
 }
 
 // EnergyReportText renders the energy report as an aligned table with a

@@ -432,26 +432,11 @@ func TestFigure13Shape(t *testing.T) {
 	}
 }
 
-func TestBreakdownReports(t *testing.T) {
-	b := Breakdown(testRunner(), "backprop")
-	if len(b.Reports) != 3 {
-		t.Fatalf("reports = %d", len(b.Reports))
-	}
-	base := b.Reports["MRF@STV"]
-	part := b.Reports["Partitioned+Adaptive"]
-	if part.DynamicPJ >= base.DynamicPJ {
-		t.Error("partitioned dynamic energy should beat the baseline")
-	}
-	if part.LeakageMW >= base.LeakageMW {
-		t.Error("partitioned leakage should beat the baseline")
-	}
-}
-
 func TestRunnerCaching(t *testing.T) {
 	r := NewRunner(0.05, 1)
 	w, _ := workloads.ByName("WP")
-	a := r.run(w, r.baseConfig(), "cache-test")
-	b := r.run(w, r.baseConfig(), "cache-test")
+	a := r.run(w, r.baseConfig())
+	b := r.run(w, r.baseConfig())
 	if a.TotalCycles() != b.TotalCycles() {
 		t.Error("cache returned different results")
 	}

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"strconv"
-
 	"pilotrf/internal/profile"
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
-	"pilotrf/internal/workloads"
 )
 
 // Figure12Row is one benchmark's normalized execution time (cycles over
@@ -40,43 +37,28 @@ type Figure12Result struct {
 
 // Figure12 reproduces Figure 12.
 func Figure12(r *Runner) Figure12Result {
+	withPolicy := func(name string, p sim.Policy) sim.Config {
+		cfg := r.designConfig(name)
+		cfg.Policy = p
+		return cfg
+	}
+	compCfg := r.designConfig("part-adaptive")
+	compCfg.Profiling = profile.TechniqueCompiler
+	baseGTO := r.baselineRuns()
+	baseTL, baseLRR := r.runs(withPolicy("mrf-stv", sim.PolicyTL)), r.runs(withPolicy("mrf-stv", sim.PolicyLRR))
+	hybrid, comp, ntv := r.runs(r.hybridConfig()), r.runs(compCfg), r.runs(r.designConfig("mrf-ntv"))
+	tl, lrr := r.runs(withPolicy("part-adaptive", sim.PolicyTL)), r.runs(withPolicy("part-adaptive", sim.PolicyLRR))
+
 	var res Figure12Result
 	var hg, cg, ng, ht, hl []float64
-	for _, w := range workloads.All() {
-		baseGTO := float64(r.baselineRun(w).TotalCycles())
-
-		baseTLCfg := r.designConfig("mrf-stv")
-		baseTLCfg.Policy = sim.PolicyTL
-		baseTL := float64(r.run(w, baseTLCfg, "base-stv-tl").TotalCycles())
-
-		baseLRRCfg := r.designConfig("mrf-stv")
-		baseLRRCfg.Policy = sim.PolicyLRR
-		baseLRR := float64(r.run(w, baseLRRCfg, "base-stv-lrr").TotalCycles())
-
-		hybrid := float64(r.hybridRun(w).TotalCycles())
-
-		compCfg := r.designConfig("part-adaptive")
-		compCfg.Profiling = profile.TechniqueCompiler
-		comp := float64(r.run(w, compCfg, "part-adaptive-compiler").TotalCycles())
-
-		ntvCfg := r.designConfig("mrf-ntv")
-		ntv := float64(r.run(w, ntvCfg, "base-ntv-gto").TotalCycles())
-
-		tlCfg := r.designConfig("part-adaptive")
-		tlCfg.Policy = sim.PolicyTL
-		tl := float64(r.run(w, tlCfg, "part-adaptive-hybrid-tl").TotalCycles())
-
-		lrrCfg := r.designConfig("part-adaptive")
-		lrrCfg.Policy = sim.PolicyLRR
-		lrr := float64(r.run(w, lrrCfg, "part-adaptive-hybrid-lrr").TotalCycles())
-
+	for i, w := range suite() {
 		row := Figure12Row{
 			Benchmark:              w.Name,
-			PartitionedHybridGTO:   hybrid / baseGTO,
-			PartitionedCompilerGTO: comp / baseGTO,
-			MonolithicNTVGTO:       ntv / baseGTO,
-			PartitionedHybridTL:    tl / baseTL,
-			PartitionedHybridLRR:   lrr / baseLRR,
+			PartitionedHybridGTO:   slowdown(hybrid[i], baseGTO[i]),
+			PartitionedCompilerGTO: slowdown(comp[i], baseGTO[i]),
+			MonolithicNTVGTO:       slowdown(ntv[i], baseGTO[i]),
+			PartitionedHybridTL:    slowdown(tl[i], baseTL[i]),
+			PartitionedHybridLRR:   slowdown(lrr[i], baseLRR[i]),
 		}
 		res.Rows = append(res.Rows, row)
 		hg = append(hg, row.PartitionedHybridGTO)
@@ -103,20 +85,33 @@ type LatencyPoint struct {
 // design with 3/4/5-cycle SRF accesses (paper: +0.5% at 4, +2.4% at 5
 // relative to the 3-cycle design).
 func SRFLatencySensitivity(r *Runner) []LatencyPoint {
+	base := r.baselineRuns()
 	var out []LatencyPoint
 	for _, srf := range []int{3, 4, 5} {
+		cfg := r.designConfig("part-adaptive")
+		cfg.RF.Lat.SRF = srf
 		var ratios []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part-adaptive")
-			cfg.RF.Lat.SRF = srf
-			key := "part-srf-" + itoa(srf)
-			cycles := float64(r.run(w, cfg, key).TotalCycles())
-			base := float64(r.baselineRun(w).TotalCycles())
-			ratios = append(ratios, cycles/base)
+		for i, rs := range r.runs(cfg) {
+			ratios = append(ratios, slowdown(rs, base[i]))
 		}
 		out = append(out, LatencyPoint{SRFCycles: srf, GeoSlowdown: stats.Geomean(ratios)})
 	}
 	return out
+}
+
+// adaptivePoint runs cfg over the workloads and returns the geomean
+// slowdown and the mean share of FRF accesses served in low-power mode.
+func (r *Runner) adaptivePoint(cfg sim.Config) (geoSlowdown, avgLowShare float64) {
+	base := r.baselineRuns()
+	var ratios, lows []float64
+	for i, rs := range r.runs(cfg) {
+		ratios = append(ratios, slowdown(rs, base[i]))
+		parts := rs.PartAccesses()
+		if frf := parts[regfile.PartFRFHigh] + parts[regfile.PartFRFLow]; frf > 0 {
+			lows = append(lows, float64(parts[regfile.PartFRFLow])/float64(frf))
+		}
+	}
+	return stats.Geomean(ratios), stats.Mean(lows)
 }
 
 // EpochPoint is one epoch-length setting of the adaptive FRF controller.
@@ -132,25 +127,12 @@ type EpochPoint struct {
 func EpochSensitivity(r *Runner) []EpochPoint {
 	var out []EpochPoint
 	for _, epoch := range []int{25, 50, 100, 200} {
-		var ratios, lows []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part-adaptive")
-			cfg.RF.Adaptive.EpochCycles = epoch
-			cfg.RF.Adaptive = cfg.RF.Adaptive.WithThresholdRatio(0.2)
-			key := "part-epoch-" + itoa(epoch)
-			rs := r.run(w, cfg, key)
-			base := float64(r.baselineRun(w).TotalCycles())
-			ratios = append(ratios, float64(rs.TotalCycles())/base)
-			parts := rs.PartAccesses()
-			if frf := parts[regfile.PartFRFHigh] + parts[regfile.PartFRFLow]; frf > 0 {
-				lows = append(lows, float64(parts[regfile.PartFRFLow])/float64(frf))
-			}
-		}
-		out = append(out, EpochPoint{
-			EpochCycles: epoch,
-			GeoSlowdown: stats.Geomean(ratios),
-			AvgLowShare: stats.Mean(lows),
-		})
+		cfg := r.designConfig("part-adaptive")
+		cfg.RF.Adaptive.EpochCycles = epoch
+		cfg.RF.Adaptive = cfg.RF.Adaptive.WithThresholdRatio(0.2)
+		p := EpochPoint{EpochCycles: epoch}
+		p.GeoSlowdown, p.AvgLowShare = r.adaptivePoint(cfg)
+		out = append(out, p)
 	}
 	return out
 }
@@ -168,24 +150,11 @@ type ThresholdPoint struct {
 func ThresholdSweep(r *Runner) []ThresholdPoint {
 	var out []ThresholdPoint
 	for _, th := range []int{40, 85, 160, 240} {
-		var ratios, lows []float64
-		for _, w := range workloads.All() {
-			cfg := r.designConfig("part-adaptive")
-			cfg.RF.Adaptive.Threshold = th
-			key := "part-th-" + itoa(th)
-			rs := r.run(w, cfg, key)
-			base := float64(r.baselineRun(w).TotalCycles())
-			ratios = append(ratios, float64(rs.TotalCycles())/base)
-			parts := rs.PartAccesses()
-			if frf := parts[regfile.PartFRFHigh] + parts[regfile.PartFRFLow]; frf > 0 {
-				lows = append(lows, float64(parts[regfile.PartFRFLow])/float64(frf))
-			}
-		}
-		out = append(out, ThresholdPoint{
-			Threshold:   th,
-			GeoSlowdown: stats.Geomean(ratios),
-			AvgLowShare: stats.Mean(lows),
-		})
+		cfg := r.designConfig("part-adaptive")
+		cfg.RF.Adaptive.Threshold = th
+		p := ThresholdPoint{Threshold: th}
+		p.GeoSlowdown, p.AvgLowShare = r.adaptivePoint(cfg)
+		out = append(out, p)
 	}
 	return out
 }
@@ -194,17 +163,14 @@ func ThresholdSweep(r *Runner) []ThresholdPoint {
 // the swapping table lookup costs one extra cycle on every partitioned RF
 // access. The paper reports < 1% overhead versus the integrated design.
 func SwapTablePenalty(r *Runner) float64 {
+	cfg := r.designConfig("part-adaptive")
+	cfg.RF.Lat.FRFHigh++
+	cfg.RF.Lat.FRFLow++
+	cfg.RF.Lat.SRF++
+	fast := r.runs(r.hybridConfig())
 	var ratios []float64
-	for _, w := range workloads.All() {
-		cfg := r.designConfig("part-adaptive")
-		cfg.RF.Lat.FRFHigh++
-		cfg.RF.Lat.FRFLow++
-		cfg.RF.Lat.SRF++
-		slow := float64(r.run(w, cfg, "part-swap-extra").TotalCycles())
-		fast := float64(r.hybridRun(w).TotalCycles())
-		ratios = append(ratios, slow/fast)
+	for i, slow := range r.runs(cfg) {
+		ratios = append(ratios, slowdown(slow, fast[i]))
 	}
 	return stats.Geomean(ratios)
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }

@@ -26,9 +26,10 @@ type Table1Row struct {
 
 // Table1 reproduces Table I using the hybrid partitioned configuration.
 func Table1(r *Runner) []Table1Row {
+	runs := r.runs(r.hybridConfig())
 	var rows []Table1Row
-	for _, w := range workloads.All() {
-		rs := r.hybridRun(w)
+	for i, w := range suite() {
+		rs := runs[i]
 		pilot := 0.0
 		if len(rs.Kernels) > 0 {
 			pilot = rs.Kernels[0].PilotFraction * 100
@@ -45,12 +46,12 @@ func Table1(r *Runner) []Table1Row {
 	return rows
 }
 
-// hybridRun is the paper's preferred configuration: partitioned +
+// hybridConfig is the paper's preferred configuration: partitioned +
 // adaptive FRF, hybrid profiling, GTO scheduler.
-func (r *Runner) hybridRun(w workloads.Workload) sim.RunStats {
+func (r *Runner) hybridConfig() sim.Config {
 	cfg := r.designConfig("part-adaptive")
 	cfg.Profiling = profile.TechniqueHybrid
-	return r.run(w, cfg, "part-adaptive-hybrid-gto")
+	return cfg
 }
 
 // Figure2Row is one benchmark's top-N access concentration.
@@ -71,10 +72,9 @@ type Figure2Result struct {
 func Figure2(r *Runner) Figure2Result {
 	var res Figure2Result
 	var s3, s4, s5 []float64
-	for _, w := range workloads.All() {
-		rs := r.baselineRun(w)
+	for _, rs := range r.baselineRuns() {
 		row := Figure2Row{
-			Benchmark: w.Name,
+			Benchmark: rs.Workload,
 			Top3:      rs.TopNShareByKernel(3),
 			Top4:      rs.TopNShareByKernel(4),
 			Top5:      rs.TopNShareByKernel(5),
@@ -101,23 +101,22 @@ type Figure4Row struct {
 
 // Figure4 reproduces Figure 4 across all workloads.
 func Figure4(r *Runner) []Figure4Row {
+	base := r.designConfig("part")
+	comp := base
+	comp.Profiling = profile.TechniqueCompiler
+	pilot := base
+	pilot.Profiling = profile.TechniquePilot
+	compRuns, pilotRuns, hybridRuns := r.runs(comp), r.runs(pilot), r.runs(r.hybridConfig())
+	oracleRuns := r.oracleRuns(base, 4)
 	var rows []Figure4Row
-	for _, w := range workloads.All() {
-		base := r.designConfig("part")
-
-		comp := base
-		comp.Profiling = profile.TechniqueCompiler
-		pilot := base
-		pilot.Profiling = profile.TechniquePilot
-
-		hybridRS := r.hybridRun(w)
+	for i, w := range suite() {
 		rows = append(rows, Figure4Row{
 			Benchmark: w.Name,
 			Category:  w.Category,
-			Compiler:  r.run(w, comp, "part-compiler").FRFShare(),
-			Pilot:     r.run(w, pilot, "part-pilot").FRFShare(),
-			Hybrid:    hybridRS.FRFShare(),
-			Optimal:   r.runPerKernelOracle(w, base, 4).FRFShare(),
+			Compiler:  compRuns[i].FRFShare(),
+			Pilot:     pilotRuns[i].FRFShare(),
+			Hybrid:    hybridRuns[i].FRFShare(),
+			Optimal:   oracleRuns[i].FRFShare(),
 		})
 	}
 	return rows
@@ -133,7 +132,7 @@ func StaticFirstNShare(r *Runner, benchmark string) float64 {
 	}
 	cfg := r.designConfig("part")
 	cfg.Profiling = profile.TechniqueStaticFirstN
-	return r.run(w, cfg, "part-static").FRFShare()
+	return r.run(w, cfg).FRFShare()
 }
 
 // CodeDynamicsRow summarizes per-warp register access similarity for one
@@ -152,12 +151,11 @@ type CodeDynamicsRow struct {
 // CodeDynamics reproduces the Section III-A2 analysis over the warps of
 // the first CTAs of each benchmark.
 func CodeDynamics(r *Runner) []CodeDynamicsRow {
+	cfg := r.designConfig("mrf-stv")
+	cfg.CollectPerWarpCTAs = 2
 	var rows []CodeDynamicsRow
-	for _, w := range workloads.All() {
-		cfg := r.designConfig("mrf-stv")
-		cfg.CollectPerWarpCTAs = 2
-		rs := r.run(w, cfg, "perwarp")
-		rows = append(rows, codeDynamicsOf(w.Name, rs))
+	for _, rs := range r.runs(cfg) {
+		rows = append(rows, codeDynamicsOf(rs.Workload, rs))
 	}
 	return rows
 }

@@ -10,7 +10,6 @@ import (
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
-	"pilotrf/internal/workloads"
 )
 
 // Figure13Config is one scaling configuration of the RFC-vs-partitioned
@@ -77,35 +76,32 @@ func figure13One(r *Runner, fc Figure13Config) Figure13Row {
 	}
 	rfcArray := fincacti.RFCConfig(6, fc.ActiveWarps, fc.RFCBanks, 2, 1)
 
-	var rfcE, partE, rfcS, partS, hits []float64
-	for _, w := range workloads.All() {
-		// Baseline: MRF@STV with the standard (GTO) scheduler at this
-		// issue configuration. Each design then runs with its natural
-		// scheduler: the RFC requires the two-level scheduler (its
-		// active-pool restriction is part of the RFC's cost), while
-		// the partitioned RF keeps GTO.
-		baseCfg := withScheme(r.scaledConfig(fc), "mrf-stv", design.Knobs{})
-		base := r.run(w, baseCfg, "f13-base-"+fc.Label())
-		baseCycles := float64(base.TotalCycles())
+	// Baseline: MRF@STV with the standard (GTO) scheduler at this issue
+	// configuration. Each design then runs with its natural scheduler:
+	// the RFC requires the two-level scheduler (its active-pool
+	// restriction is part of the RFC's cost), while the partitioned RF
+	// keeps GTO.
+	baseCfg := withScheme(r.scaledConfig(fc), "mrf-stv", design.Knobs{})
+	// RFC in front of an MRF at the configured voltage, its active pool
+	// resized from the scheme's fixed 32 warps to this configuration's.
+	rfcCfg := withScheme(r.scaledConfig(fc), "rfc", design.Knobs{Voltage: region})
+	rfcCfg.TLActiveWarps = fc.ActiveWarps
+	// Partitioned+adaptive under the same issue configuration.
+	partCfg := withScheme(r.scaledConfig(fc), "part-adaptive", design.Knobs{})
 
-		// RFC in front of an MRF at the configured voltage, its active
-		// pool resized from the scheme's fixed 32 warps to this
-		// configuration's.
-		rfcCfg := withScheme(r.scaledConfig(fc), "rfc", design.Knobs{Voltage: region})
-		rfcCfg.TLActiveWarps = fc.ActiveWarps
-		rfcRun := r.run(w, rfcCfg, "f13-rfc-"+fc.Label())
+	base, rfcRuns, partRuns := r.runs(baseCfg), r.runs(rfcCfg), r.runs(partCfg)
+	var rfcE, partE, rfcS, partS, hits []float64
+	for i, rfcRun := range rfcRuns {
 		rfcStats := rfcRun.RFCTotals()
 		breakdown := energy.RFCDynamic(rfcStats, rfcArray, mrfVdd)
 		rfcE = append(rfcE, breakdown.TotalPJ()/energy.BaselineDynamicPJ(rfcRun.TotalAccesses()))
-		rfcS = append(rfcS, float64(rfcRun.TotalCycles())/baseCycles)
+		rfcS = append(rfcS, slowdown(rfcRun, base[i]))
 		hits = append(hits, rfcStats.HitRate())
 
-		// Partitioned+adaptive under the same issue configuration.
-		partCfg := withScheme(r.scaledConfig(fc), "part-adaptive", design.Knobs{})
-		partRun := r.run(w, partCfg, "f13-part-"+fc.Label())
+		partRun := partRuns[i]
 		partE = append(partE, energy.DynamicPJ(regfile.DesignPartitionedAdaptive, partRun.PartAccesses())/
 			energy.BaselineDynamicPJ(partRun.TotalAccesses()))
-		partS = append(partS, float64(partRun.TotalCycles())/baseCycles)
+		partS = append(partS, slowdown(partRun, base[i]))
 	}
 	return Figure13Row{
 		Config:              fc,

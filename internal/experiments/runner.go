@@ -23,31 +23,40 @@ import (
 	"pilotrf/internal/workloads"
 )
 
-// Runner executes workloads under experiment configurations, caching runs
-// so experiments that share a configuration (for example Table I and
-// Figure 10, which both need the hybrid partitioned run) pay for it once.
-// The cache is safe for concurrent use: Warm fills it from all CPU cores;
-// duplicate in-flight requests for the same key wait rather than re-run.
+// Runner executes workloads under experiment configurations. It caches
+// every run by its workload and configuration value, so experiments that
+// share a configuration (Table I and Figure 10 both read the hybrid
+// partitioned run, and the sensitivity sweeps revisit it) pay for it
+// once. The cache is safe for concurrent use: a request for a run that
+// is already in flight waits for it rather than simulating again.
 type Runner struct {
 	// Scale multiplies workload CTA counts (1.0 = the tuned default).
 	Scale float64
 	// SMs is the simulated SM count (2 = the tuned default).
 	SMs int
-	// Workers is the worker count Warm uses for its jobs.Pool
+	// Workers is how many workloads an experiment simulates at once
 	// (<= 0 selects one per core). Results are identical for any
-	// value — the pool merges deterministically and every run is
-	// independent — so this only trades wall-clock for cores.
+	// value — every run is independent and rows merge in Table I
+	// order — so this only trades wall-clock for cores.
 	Workers int
-	// Trace, when non-nil, records Warm's execution as a span tree:
-	// one experiments.warm root, one warm.run span per (workload,
-	// configuration) pair, plus the pool's per-task spans. Span ids
-	// derive from the warm grid, not scheduling, so the tree shape is
+	// Trace, when active, parents one experiments.run span per
+	// simulation the runner performs. Span ids derive from the run's
+	// workload and configuration, not scheduling, so the tree is
 	// identical at any Workers.
-	Trace *trace.Recorder
+	Trace trace.SpanContext
 
 	mu       sync.Mutex
-	cache    map[string]sim.RunStats
-	inflight map[string]chan struct{}
+	cache    map[runKey]sim.RunStats
+	inflight map[runKey]chan struct{}
+}
+
+// runKey names one cached run: a workload under a configuration value
+// rendered with %#v, so every field of sim.Config takes part. oracleTopN
+// is nonzero for the per-kernel oracle runs.
+type runKey struct {
+	workload   string
+	config     string
+	oracleTopN int
 }
 
 // NewRunner returns a runner at the given workload scale and SM count.
@@ -62,8 +71,8 @@ func NewRunner(scale float64, sms int) *Runner {
 	return &Runner{
 		Scale:    scale,
 		SMs:      sms,
-		cache:    make(map[string]sim.RunStats),
-		inflight: make(map[string]chan struct{}),
+		cache:    make(map[runKey]sim.RunStats),
+		inflight: make(map[runKey]chan struct{}),
 	}
 }
 
@@ -90,97 +99,27 @@ func withScheme(cfg sim.Config, name string, k design.Knobs) sim.Config {
 	return cfg
 }
 
-// run executes a workload under cfg, caching by (workload, key). When
-// another goroutine is already computing the same key, run waits for it
-// instead of duplicating the simulation.
-func (r *Runner) run(w workloads.Workload, cfg sim.Config, key string) sim.RunStats {
-	ck := w.Name + "|" + key
-	for {
-		r.mu.Lock()
-		if rs, ok := r.cache[ck]; ok {
-			r.mu.Unlock()
-			return rs
-		}
-		if wait, busy := r.inflight[ck]; busy {
-			r.mu.Unlock()
-			<-wait
-			continue
-		}
-		done := make(chan struct{})
-		r.inflight[ck] = done
-		r.mu.Unlock()
-
-		g, err := sim.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		rs, err := g.RunKernels(w.Name, w.Scale(r.Scale).Kernels)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
-		}
-		r.mu.Lock()
-		r.cache[ck] = rs
-		delete(r.inflight, ck)
-		r.mu.Unlock()
-		close(done)
-		return rs
+// newGPU builds a simulator for an experiment configuration; those are
+// constants, so an invalid one is a bug.
+func newGPU(cfg sim.Config) *sim.GPU {
+	g, err := sim.New(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
+	return g
 }
 
-// Warm fills the cache for the configurations the standard experiment set
-// reads, running them on a jobs.Pool with Workers workers (one per core
-// by default). Experiments afterwards hit the cache; results are
-// identical to sequential execution (every run is deterministic and
-// independent).
-func (r *Runner) Warm() {
-	type job struct {
-		cfg func() sim.Config
-		key string
-	}
-	warmJobs := []job{
-		{func() sim.Config { return r.designConfig("mrf-stv") }, "base-stv-gto"},
-		{func() sim.Config { return r.designConfig("mrf-ntv") }, "base-ntv-gto"},
-		{func() sim.Config {
-			c := r.designConfig("part-adaptive")
-			c.Profiling = profile.TechniqueHybrid
-			return c
-		}, "part-adaptive-hybrid-gto"},
-		{func() sim.Config {
-			c := r.designConfig("part")
-			c.Profiling = profile.TechniqueCompiler
-			return c
-		}, "part-compiler"},
-		{func() sim.Config {
-			c := r.designConfig("part")
-			c.Profiling = profile.TechniquePilot
-			return c
-		}, "part-pilot"},
-		{func() sim.Config {
-			c := r.designConfig("mrf-stv")
-			c.Policy = sim.PolicyTL
-			return c
-		}, "base-stv-tl"},
-		{func() sim.Config {
-			c := r.designConfig("mrf-stv")
-			c.Policy = sim.PolicyLRR
-			return c
-		}, "base-stv-lrr"},
-		{func() sim.Config {
-			c := r.designConfig("part-adaptive")
-			c.Profiling = profile.TechniqueCompiler
-			return c
-		}, "part-adaptive-compiler"},
-		{func() sim.Config {
-			c := r.designConfig("part-adaptive")
-			c.Policy = sim.PolicyTL
-			return c
-		}, "part-adaptive-hybrid-tl"},
-		{func() sim.Config {
-			c := r.designConfig("part-adaptive")
-			c.Policy = sim.PolicyLRR
-			return c
-		}, "part-adaptive-hybrid-lrr"},
-	}
+// suite returns the Table I workloads. Building them assembles every
+// kernel, so it happens once; the experiments only read them.
+var suite = sync.OnceValue(workloads.All)
+
+// perWorkload calls fn for every Table I workload, up to Workers at a
+// time, and returns the results in Table I order, so callers fold means
+// and geomeans in the same order at any worker count. fn must not call
+// perWorkload itself.
+func perWorkload[T any](r *Runner, fn func(w workloads.Workload) T) []T {
+	all := suite()
+	out := make([]T, len(all))
 	workers := r.Workers
 	if workers <= 0 {
 		workers = jobs.DefaultWorkers()
@@ -190,75 +129,138 @@ func (r *Runner) Warm() {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	defer pool.Close()
-	all := workloads.All()
-	ctx := context.Background()
-	var root *trace.ActiveSpan
-	if r.Trace != nil {
-		root = r.Trace.Root("experiments.warm", trace.TraceID("pilotrf-experiments", "warm"))
-		root.SetAttr("workloads", strconv.Itoa(len(all)))
-		root.SetAttr("configs", strconv.Itoa(len(warmJobs)))
-		defer root.End()
-		ctx = trace.NewContext(ctx, root.Context())
-	}
-	sc := trace.FromContext(ctx)
-	if _, err := jobs.Map(ctx, pool, len(all)*len(warmJobs),
-		func(ctx context.Context, i int) (interface{}, error) {
-			w := all[i/len(warmJobs)]
-			j := warmJobs[i%len(warmJobs)]
-			if sc.Active() {
-				sp := sc.Start("warm.run", w.Name, j.key)
-				sp.SetAttr("workload", w.Name)
-				sp.SetAttr("config", j.key)
-				defer sp.End()
-			}
-			r.run(w, j.cfg(), j.key)
+	if _, err := jobs.Map(context.Background(), pool, len(all),
+		func(_ context.Context, i int) (interface{}, error) {
+			out[i] = fn(all[i])
 			return nil, nil
 		}); err != nil {
-		// r.run panics on simulator errors; the pool converts those to
-		// task errors, and Warm restores the historical fail-fast.
-		panic(fmt.Sprintf("experiments: warm: %v", err))
+		// A run panics on a simulator error; the pool turns that into a
+		// task error, and the experiment fails fast.
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-}
-
-// runPerKernelOracle runs a workload under the oracle technique, giving
-// each kernel its own measured top-N register set (multi-kernel workloads
-// have disjoint hot sets, so a single oracle list would be wrong).
-func (r *Runner) runPerKernelOracle(w workloads.Workload, cfg sim.Config, topN int) sim.RunStats {
-	ck := w.Name + "|oracle"
-	r.mu.Lock()
-	if rs, ok := r.cache[ck]; ok {
-		r.mu.Unlock()
-		return rs
-	}
-	r.mu.Unlock()
-	base := r.baselineRun(w)
-	scaled := w.Scale(r.Scale)
-	out := sim.RunStats{Workload: w.Name}
-	for ki := range scaled.Kernels {
-		oracle := topRegsOf(base.Kernels[ki].RegHist.TopN(topN))
-		kcfg := cfg
-		kcfg.Profiling = profile.TechniqueOracle
-		kcfg.Oracle = oracle
-		g, err := sim.New(kcfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		ks, err := g.RunKernel(&scaled.Kernels[ki])
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
-		}
-		out.Kernels = append(out.Kernels, ks)
-	}
-	r.mu.Lock()
-	r.cache[ck] = out
-	r.mu.Unlock()
 	return out
 }
 
-// baselineRun is the MRF@STV GTO run every normalization uses.
-func (r *Runner) baselineRun(w workloads.Workload) sim.RunStats {
-	cfg := r.designConfig("mrf-stv")
-	return r.run(w, cfg, "base-stv-gto")
+// configKey renders every field of cfg, so equal configurations share
+// one cached run and no field can be left out of the key.
+func configKey(cfg sim.Config) string { return fmt.Sprintf("%#v", cfg) }
+
+// runs returns every Table I workload's run under cfg, in Table I order.
+// It renders the configuration once for all of them, and fans out only
+// when some run is not cached yet.
+func (r *Runner) runs(cfg sim.Config) []sim.RunStats {
+	key := configKey(cfg)
+	if out, ok := r.cachedRuns(key); ok {
+		return out
+	}
+	return perWorkload(r, func(w workloads.Workload) sim.RunStats { return r.runKeyed(w, cfg, key) })
+}
+
+// cachedRuns returns every workload's cached run under the configuration
+// rendered as key, or false if any is missing.
+func (r *Runner) cachedRuns(key string) ([]sim.RunStats, bool) {
+	all := suite()
+	out := make([]sim.RunStats, len(all))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, w := range all {
+		rs, ok := r.cache[runKey{workload: w.Name, config: key}]
+		if !ok {
+			return nil, false
+		}
+		out[i] = rs
+	}
+	return out, true
+}
+
+// run executes a workload under cfg, once per distinct configuration
+// value.
+func (r *Runner) run(w workloads.Workload, cfg sim.Config) sim.RunStats {
+	return r.runKeyed(w, cfg, configKey(cfg))
+}
+
+// runKeyed is run with cfg's configKey already rendered.
+func (r *Runner) runKeyed(w workloads.Workload, cfg sim.Config, key string) sim.RunStats {
+	return r.memo(runKey{workload: w.Name, config: key}, cfg, func() sim.RunStats {
+		rs, err := newGPU(cfg).RunKernels(w.Name, w.Scale(r.Scale).Kernels)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
+		}
+		return rs
+	})
+}
+
+// memo returns the cached run k of a workload under cfg, calling
+// simulate on a miss. When another goroutine is already simulating k,
+// memo waits for it instead of duplicating the work.
+func (r *Runner) memo(k runKey, cfg sim.Config, simulate func() sim.RunStats) sim.RunStats {
+	for {
+		r.mu.Lock()
+		if rs, ok := r.cache[k]; ok {
+			r.mu.Unlock()
+			return rs
+		}
+		if wait, busy := r.inflight[k]; busy {
+			r.mu.Unlock()
+			<-wait
+			continue
+		}
+		done := make(chan struct{})
+		r.inflight[k] = done
+		r.mu.Unlock()
+
+		sp := r.Trace.Start("experiments.run", k.workload, k.config, strconv.Itoa(k.oracleTopN))
+		sp.SetAttr("workload", k.workload)
+		sp.SetAttr("design", cfg.RF.Design.String())
+		if k.oracleTopN > 0 {
+			sp.SetAttr("oracle_top_n", strconv.Itoa(k.oracleTopN))
+		}
+		rs := simulate()
+		sp.End()
+
+		r.mu.Lock()
+		r.cache[k] = rs
+		delete(r.inflight, k)
+		r.mu.Unlock()
+		close(done)
+		return rs
+	}
+}
+
+// oracleRuns runs every workload under the oracle technique, giving each
+// kernel its own measured top-N register set (multi-kernel workloads
+// have disjoint hot sets, so a single oracle list would be wrong).
+func (r *Runner) oracleRuns(cfg sim.Config, topN int) []sim.RunStats {
+	key := configKey(cfg)
+	return perWorkload(r, func(w workloads.Workload) sim.RunStats {
+		k := runKey{workload: w.Name, config: key, oracleTopN: topN}
+		return r.memo(k, cfg, func() sim.RunStats {
+			hot := r.run(w, r.designConfig("mrf-stv"))
+			scaled := w.Scale(r.Scale)
+			out := sim.RunStats{Workload: w.Name}
+			for ki := range scaled.Kernels {
+				kcfg := cfg
+				kcfg.Profiling = profile.TechniqueOracle
+				kcfg.Oracle = topRegsOf(hot.Kernels[ki].RegHist.TopN(topN))
+				ks, err := newGPU(kcfg).RunKernel(&scaled.Kernels[ki])
+				if err != nil {
+					panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
+				}
+				out.Kernels = append(out.Kernels, ks)
+			}
+			return out
+		})
+	})
+}
+
+// baselineRuns are the MRF@STV GTO runs every normalization uses.
+func (r *Runner) baselineRuns() []sim.RunStats {
+	return r.runs(r.designConfig("mrf-stv"))
+}
+
+// slowdown is rs's execution time normalized to base's.
+func slowdown(rs, base sim.RunStats) float64 {
+	return float64(rs.TotalCycles()) / float64(base.TotalCycles())
 }
 
 func topRegsOf(kvs []stats.KV) []isa.Reg {
