@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pilotrf/internal/design"
@@ -71,48 +72,78 @@ func TestDesignRefactorGoldens(t *testing.T) {
 	} {
 		// The goldens predate internal/design, so a byte-identical run
 		// proves the whole scheme path is behaviourally transparent.
-		led := energy.NewLedger(d, 0)
-		cfg := schemeConfig(t, schemeName(d))
-		cfg.Energy = led
-		rec := NewFlightRecorder(&cfg, "design-golden", 0)
-		cfg.Record = rec
-		g, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
-		rs, err := g.RunKernels(w.Name, w.Kernels)
-		if err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
-		gs := goldenStats{
-			Design:       d.String(),
-			Workload:     w.Name,
-			Cycles:       rs.TotalCycles(),
-			PartAccesses: rs.PartAccesses(),
-			FRFShare:     rs.FRFShare(),
-			DynamicPJ:    led.DynamicPJ(),
-			LeakagePJ:    led.LeakagePJ(),
-			PerAccessPJ:  led.PerAccessPJ(),
-			RecEvents:    rec.Len(),
-		}
-		for i := range rs.Kernels {
-			gs.WarpInstrs += rs.Kernels[i].WarpInstrs
-			gs.ThreadInstrs += rs.Kernels[i].ThreadInstrs
-			gs.RegReads += rs.Kernels[i].RegReads
-			gs.RegWrites += rs.Kernels[i].RegWrites
-		}
-		statsJSON, err := json.MarshalIndent(gs, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		statsJSON = append(statsJSON, '\n')
-		var flight bytes.Buffer
-		if err := rec.Log().WriteNDJSON(&flight); err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".stats.json"), statsJSON)
-		checkGolden(t, filepath.Join("testdata", "goldens", schemeName(d)+".flightrec.ndjson"), flight.Bytes())
+		checkRunGoldens(t, schemeConfig(t, schemeName(d)), w, schemeName(d))
 	}
+}
+
+// TestPolicyGoldens pins the LRR and fetch-group schedulers, which no
+// other golden covers (GTO and TL are pinned through the design and RFC
+// goldens): part-adaptive on sgemm and nw, stats and flight recording.
+// At scale 0.02 a scheduler owns at most three warps, so the fetch
+// groups hold one warp each; the default four would make one group and
+// repeat the LRR run.
+func TestPolicyGoldens(t *testing.T) {
+	for _, name := range []string{"sgemm", "nw"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w = w.Scale(0.02)
+		for _, p := range []Policy{PolicyLRR, PolicyFetchGroup} {
+			cfg := schemeConfig(t, "part-adaptive")
+			cfg.Policy = p
+			cfg.FetchGroupWarps = 1
+			checkRunGoldens(t, cfg, w, "policy-"+strings.ToLower(p.String())+"-"+name)
+		}
+	}
+}
+
+// checkRunGoldens runs w on cfg with an energy ledger and a flight
+// recorder attached and checks the run's goldenStats and its recording
+// against base.stats.json and base.flightrec.ndjson.
+func checkRunGoldens(t *testing.T, cfg Config, w workloads.Workload, base string) {
+	t.Helper()
+	d := cfg.RF.Design
+	led := energy.NewLedger(d, 0)
+	cfg.Energy = led
+	rec := NewFlightRecorder(&cfg, "design-golden", 0)
+	cfg.Record = rec
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", base, err)
+	}
+	rs, err := g.RunKernels(w.Name, w.Kernels)
+	if err != nil {
+		t.Fatalf("%s: %v", base, err)
+	}
+	gs := goldenStats{
+		Design:       d.String(),
+		Workload:     w.Name,
+		Cycles:       rs.TotalCycles(),
+		PartAccesses: rs.PartAccesses(),
+		FRFShare:     rs.FRFShare(),
+		DynamicPJ:    led.DynamicPJ(),
+		LeakagePJ:    led.LeakagePJ(),
+		PerAccessPJ:  led.PerAccessPJ(),
+		RecEvents:    rec.Len(),
+	}
+	for i := range rs.Kernels {
+		gs.WarpInstrs += rs.Kernels[i].WarpInstrs
+		gs.ThreadInstrs += rs.Kernels[i].ThreadInstrs
+		gs.RegReads += rs.Kernels[i].RegReads
+		gs.RegWrites += rs.Kernels[i].RegWrites
+	}
+	statsJSON, err := json.MarshalIndent(gs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsJSON = append(statsJSON, '\n')
+	var flight bytes.Buffer
+	if err := rec.Log().WriteNDJSON(&flight); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "goldens", base+".stats.json"), statsJSON)
+	checkGolden(t, filepath.Join("testdata", "goldens", base+".flightrec.ndjson"), flight.Bytes())
 }
 
 // rivalStats is the run summary each rival-scheme golden pins: timing,
