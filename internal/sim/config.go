@@ -246,6 +246,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: schedulers %d x issue %d", c.Schedulers, c.IssuePerScheduler)
 	case c.WarpSlotsPerSM <= 0 || c.WarpSlotsPerSM%c.Schedulers != 0:
 		return fmt.Errorf("sim: %d warp slots not divisible by %d schedulers", c.WarpSlotsPerSM, c.Schedulers)
+	case c.WarpSlotsPerSM/c.Schedulers > 64:
+		// A scheduler's parked-warp mask has one bit per slot it owns.
+		return fmt.Errorf("sim: %d warp slots per scheduler, more than 64", c.WarpSlotsPerSM/c.Schedulers)
 	case c.OperandCollectors <= 0:
 		return fmt.Errorf("sim: %d operand collectors", c.OperandCollectors)
 	case c.Policy > PolicyFetchGroup:

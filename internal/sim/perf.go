@@ -54,11 +54,11 @@ func (pf *smPerf) lap(ph perfscope.Phase, t0 int64) int64 {
 
 // censusCycle classifies the cycle that just ended. Priority order:
 // issue wins; any serviced work (event fired, bank transaction, or
-// collector dispatch) makes the cycle active; otherwise a pending event
-// heap means the next state change is at a known cycle — exactly the
-// jump an event-driven loop would take — and an empty heap means the
-// release is not locally computable (another SM's barrier partner, or a
-// genuinely idle tail).
+// collector dispatch) makes the cycle active; otherwise a pending
+// scheduled event means the next state change is at a known cycle —
+// exactly the jump an event-driven loop would take — and an empty event
+// queue means the release is not locally computable (another SM's
+// barrier partner, or a genuinely idle tail).
 func (s *sm) censusCycle() {
 	pf := s.pf
 	c := &pf.census
@@ -69,7 +69,7 @@ func (s *sm) censusCycle() {
 		c.Busy++
 	case pf.fired > 0 || pf.bankOps > 0 || pf.dispatched > 0:
 		c.ActiveNoIssue++
-	case len(s.events) > 0:
+	case s.events.n > 0:
 		c.Skippable++
 		skip = true
 		if !pf.inSkipRun {

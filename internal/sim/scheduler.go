@@ -1,20 +1,31 @@
 package sim
 
+import "math/bits"
+
 // schedState is one of the SM's warp schedulers. Warps are statically
-// partitioned among schedulers by slot (slot % numSchedulers).
+// partitioned among schedulers by slot (slot % numSchedulers), so
+// slots[i] is slot id + i*numSchedulers.
 type schedState struct {
 	id    int
 	slots []int // warp slots owned by this scheduler
 
+	// parked has bit i set while the warp in slots[i] waits on a
+	// scoreboard hazard. A probe that fails on a pending register or
+	// predicate sets it; the bit clears when one of the warp's pending
+	// bits clears or its slot is freed. Until then the warp cannot
+	// issue, so the pick loops skip it.
+	parked uint64
+
 	// rrPtr is the round-robin rotation pointer (LRR, and TL's active
 	// pool rotation).
 	rrPtr int
-	// greedy is the last warp GTO issued from (-1 when none).
+	// greedy is the index into slots of the last warp GTO issued from
+	// (-1 when none).
 	greedy int
 	// fgPtr is the current fetch group (PolicyFetchGroup).
 	fgPtr int
 
-	// Two-level scheduler state: indices into slots.
+	// Two-level scheduler state: warp slots.
 	active  []int // active pool (FIFO order)
 	pending []int // demoted warps awaiting promotion
 }
@@ -33,35 +44,39 @@ func newSchedState(id int, slots []int, policy Policy, activePool int) *schedSta
 	return s
 }
 
+// isParked reports whether slots[i]'s warp is parked.
+func (sc *schedState) isParked(i int) bool { return sc.parked&(1<<uint(i)) != 0 }
+
 // pickWarp returns the next warp slot to attempt issue from, or -1,
-// probing candidates with canIssue. The probe has a side effect:
-// sm.canIssue counts one CollectorStalls per probe that fails on the
-// collector hazard, and pickGTO probes a stalled greedy warp twice (once
-// as the greedy warp, once in its oldest-first scan). The number and
-// order of probes are therefore part of the pinned statistics; a faster
-// policy must make exactly the same probes.
-func (sc *schedState) pickWarp(sm *sm, canIssue func(slot int) bool) int {
+// probing candidates with sm.canIssue. A probe can have a side effect:
+// it counts one CollectorStalls when it fails on the collector hazard,
+// and pickGTO probes a stalled greedy warp twice (once as the greedy
+// warp, once in its oldest-first scan). The number and order of those
+// probes are therefore part of the pinned statistics. A parked warp is
+// skipped without a probe: its probe would fail on the scoreboard before
+// the collector check, so it would have no side effect.
+func (sc *schedState) pickWarp(sm *sm) int {
 	switch sm.cfg.Policy {
 	case PolicyLRR:
-		return sc.pickLRR(canIssue)
+		return sc.pickLRR(sm)
 	case PolicyGTO:
-		return sc.pickGTO(sm, canIssue)
+		return sc.pickGTO(sm)
 	case PolicyTL:
-		return sc.pickTL(canIssue)
+		return sc.pickTL(sm)
 	case PolicyFetchGroup:
-		return sc.pickFetchGroup(sm.cfg.FetchGroupWarps, canIssue)
+		return sc.pickFetchGroup(sm)
 	default:
 		panic("sim: unknown scheduler policy")
 	}
 }
 
-func (sc *schedState) pickLRR(canIssue func(int) bool) int {
+func (sc *schedState) pickLRR(sm *sm) int {
 	n := len(sc.slots)
-	for i := 0; i < n; i++ {
-		slot := sc.slots[(sc.rrPtr+i)%n]
-		if canIssue(slot) {
-			sc.rrPtr = (sc.rrPtr + i + 1) % n
-			return slot
+	for j := 0; j < n; j++ {
+		i := (sc.rrPtr + j) % n
+		if !sc.isParked(i) && sm.canIssue(sc, i) {
+			sc.rrPtr = (i + 1) % n
+			return sc.slots[i]
 		}
 	}
 	return -1
@@ -69,31 +84,37 @@ func (sc *schedState) pickLRR(canIssue func(int) bool) int {
 
 // pickGTO keeps issuing from the greedy warp; when it stalls, it selects
 // the oldest ready warp (lowest global id, i.e. earliest launched).
-func (sc *schedState) pickGTO(sm *sm, canIssue func(int) bool) int {
-	if sc.greedy >= 0 && canIssue(sc.greedy) {
-		return sc.greedy
+func (sc *schedState) pickGTO(sm *sm) int {
+	if g := sc.greedy; g >= 0 && !sc.isParked(g) && sm.canIssue(sc, g) {
+		return sc.slots[g]
 	}
 	best, bestAge := -1, int(^uint(0)>>1)
-	for _, slot := range sc.slots {
-		w := sm.warps[slot]
-		if w == nil || !canIssue(slot) {
+	unparked := ^sc.parked & (^uint64(0) >> uint(64-len(sc.slots)))
+	for ; unparked != 0; unparked &= unparked - 1 {
+		i := bits.TrailingZeros64(unparked)
+		w := sm.warps[sc.slots[i]]
+		if w == nil || !sm.canIssue(sc, i) {
 			continue
 		}
 		if w.globalID < bestAge {
-			best, bestAge = slot, w.globalID
+			best, bestAge = i, w.globalID
 		}
 	}
 	sc.greedy = best
-	return best
+	if best < 0 {
+		return -1
+	}
+	return sc.slots[best]
 }
 
 // pickTL round-robins within the active pool only.
-func (sc *schedState) pickTL(canIssue func(int) bool) int {
+func (sc *schedState) pickTL(sm *sm) int {
 	n := len(sc.active)
-	for i := 0; i < n; i++ {
-		slot := sc.active[(sc.rrPtr+i)%n]
-		if canIssue(slot) {
-			sc.rrPtr = (sc.rrPtr + i + 1) % n
+	for j := 0; j < n; j++ {
+		slot := sc.active[(sc.rrPtr+j)%n]
+		i := slot / len(sm.schedulers)
+		if !sc.isParked(i) && sm.canIssue(sc, i) {
+			sc.rrPtr = (sc.rrPtr + j + 1) % n
 			return slot
 		}
 	}
@@ -103,8 +124,9 @@ func (sc *schedState) pickTL(canIssue func(int) bool) int {
 // pickFetchGroup scans the current fetch group round-robin; only when it
 // has nothing ready does the scheduler advance to the next group, so
 // groups hit their long-latency operations at staggered times.
-func (sc *schedState) pickFetchGroup(groupSize int, canIssue func(int) bool) int {
+func (sc *schedState) pickFetchGroup(sm *sm) int {
 	n := len(sc.slots)
+	groupSize := sm.cfg.FetchGroupWarps
 	if groupSize > n {
 		groupSize = n
 	}
@@ -116,12 +138,12 @@ func (sc *schedState) pickFetchGroup(groupSize int, canIssue func(int) bool) int
 		if hi > n {
 			hi = n
 		}
-		for i := 0; i < hi-lo; i++ {
-			slot := sc.slots[lo+(sc.rrPtr+i)%(hi-lo)]
-			if canIssue(slot) {
-				sc.rrPtr = (sc.rrPtr + i + 1) % (hi - lo)
+		for j := 0; j < hi-lo; j++ {
+			i := lo + (sc.rrPtr+j)%(hi-lo)
+			if !sc.isParked(i) && sm.canIssue(sc, i) {
+				sc.rrPtr = (sc.rrPtr + j + 1) % (hi - lo)
 				sc.fgPtr = gi
-				return slot
+				return sc.slots[i]
 			}
 		}
 	}

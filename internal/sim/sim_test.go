@@ -451,6 +451,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("accepted non-divisible warp slots")
 	}
+	// A scheduler parks its warps in a 64-bit mask.
+	bad = testConfig()
+	bad.WarpSlotsPerSM, bad.Schedulers = 128, 1
+	if _, err := New(bad); err == nil {
+		t.Error("accepted 128 warp slots on one scheduler")
+	}
+	// Figure 13's single-scheduler point runs 64 slots on one scheduler.
+	good := testConfig()
+	good.WarpSlotsPerSM, good.Schedulers = 64, 1
+	if _, err := New(good); err != nil {
+		t.Errorf("rejected 64 warp slots on one scheduler: %v", err)
+	}
 	// The register file's own rules (regfile.Config.Validate) apply.
 	bad = schemeConfig(t, "part")
 	bad.RF.RFCEntries = 6
