@@ -75,9 +75,7 @@ func (s *sm) recordChecksum() {
 		}
 		ctl = fnvAdd(ctl, flags)
 		for r := range w.regs {
-			for _, v := range &w.regs[r] {
-				rf = fnvAdd32(rf, v)
-			}
+			rf = fnvAddRow(rf, &w.regs[r])
 		}
 	}
 	ctl = fnvAdd(ctl, s.mappingHash())
@@ -103,12 +101,16 @@ func (s *sm) mappingHash() uint64 {
 	return h
 }
 
-// FNV-1a 64-bit constants. fnvPrime4 is fnvPrime to the fourth power,
-// mod 2^64.
+// FNV-1a 64-bit constants. fnvPrimeK is fnvPrime to the k-th power,
+// mod 2^64: the multiplies of k zero bytes in a row.
 const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-	fnvPrime4 uint64 = 0x9ffaac085635bc91
+	fnvOffset   uint64 = 14695981039346656037
+	fnvPrime    uint64 = 1099511628211
+	fnvPrime4   uint64 = 0x9ffaac085635bc91
+	fnvPrime6   uint64 = 0xdc966432edf1c639
+	fnvPrime7   uint64 = 0xc5527b8a51d3d2db
+	fnvPrime8   uint64 = 0x1efac7090aef4a21
+	fnvPrime256 uint64 = 0xbeba0f98adb90401
 )
 
 // fnvAdd folds one 64-bit value into an FNV-1a hash, byte by byte.
@@ -131,4 +133,41 @@ func fnvAdd32(h uint64, v uint32) uint64 {
 	h = (h ^ uint64(v>>16&0xff)) * fnvPrime
 	h = (h ^ uint64(v>>24)) * fnvPrime
 	return h * fnvPrime4
+}
+
+// fnvAddRow folds one register row, its 32 lanes in order, into an
+// FNV-1a hash exactly as fnvAdd32 on each lane does. The OR of the
+// lanes bounds every lane's width, and a lane's zero high bytes xor in
+// nothing, so each lane takes only the byte steps of the row's widest
+// lane and one multiply for the rest: an all-zero row is a single
+// multiply by fnvPrime256.
+func fnvAddRow(h uint64, row *[32]uint32) uint64 {
+	var or uint32
+	for _, v := range row {
+		or |= v
+	}
+	switch {
+	case or == 0:
+		return h * fnvPrime256
+	case or < 1<<8:
+		for _, v := range row {
+			h = (h ^ uint64(v)) * fnvPrime8
+		}
+	case or < 1<<16:
+		for _, v := range row {
+			h = (h ^ uint64(v&0xff)) * fnvPrime
+			h = (h ^ uint64(v>>8)) * fnvPrime7
+		}
+	case or < 1<<24:
+		for _, v := range row {
+			h = (h ^ uint64(v&0xff)) * fnvPrime
+			h = (h ^ uint64(v>>8&0xff)) * fnvPrime
+			h = (h ^ uint64(v>>16)) * fnvPrime6
+		}
+	default:
+		for _, v := range row {
+			h = fnvAdd32(h, v)
+		}
+	}
+	return h
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"testing"
 
@@ -286,7 +287,7 @@ func TestFnvAdd32MatchesFnvAdd(t *testing.T) {
 			t.Fatalf("fnvAdd32(%#x, %#x) = %#x, want fnvAdd's %#x", h, v, got, want)
 		}
 	}
-	for _, v := range []uint32{0, 0xff, 1 << 31, 0xffffffff} {
+	for _, v := range []uint32{0, 0xff, 0x100, 0xffff, 0x10000, 0xffffff, 0x1000000, 1 << 31, 0xffffffff} {
 		check(fnvOffset, v)
 		check(0, v)
 		check(rng.Uint64(), v)
@@ -294,4 +295,158 @@ func TestFnvAdd32MatchesFnvAdd(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		check(rng.Uint64(), rng.Uint32())
 	}
+}
+
+// fnvRowRef is the reference fnvAddRow must match: 32 byte-wise fnvAdd
+// calls, one per zero-extended lane, in lane order.
+func fnvRowRef(h uint64, row *[32]uint32) uint64 {
+	for _, v := range row {
+		h = fnvAdd(h, uint64(v))
+	}
+	return h
+}
+
+// TestFnvAddRowMatchesFnvAdd: fnvAddRow gives the byte-wise hash in
+// every width class, so the checksums in recorded goldens do not depend
+// on which fold ran. The goldens alone miss a class: none of them hashes
+// a row whose widest lane is 3 bytes.
+func TestFnvAddRowMatchesFnvAdd(t *testing.T) {
+	for _, c := range []struct {
+		k int
+		p uint64
+	}{{4, fnvPrime4}, {6, fnvPrime6}, {7, fnvPrime7}, {8, fnvPrime8}, {256, fnvPrime256}} {
+		want := uint64(1)
+		for i := 0; i < c.k; i++ {
+			want *= fnvPrime
+		}
+		if c.p != want {
+			t.Errorf("fnvPrime%d = %#x, want fnvPrime multiplied %d times, %#x", c.k, c.p, c.k, want)
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(24, 32))
+	check := func(what string, row *[32]uint32) {
+		t.Helper()
+		for _, h := range []uint64{fnvOffset, 0, rng.Uint64()} {
+			if got, want := fnvAddRow(h, row), fnvRowRef(h, row); got != want {
+				t.Fatalf("%s: fnvAddRow(%#x, %#x) = %#x, want fnvAdd's %#x", what, h, *row, got, want)
+			}
+		}
+	}
+	// lane returns a random value exactly width bytes wide (0 for 0).
+	lane := func(width int) uint32 {
+		if width == 0 {
+			return 0
+		}
+		top := uint32(1) << (8*width - 1)
+		return rng.Uint32()&(top<<1-1) | top
+	}
+
+	var zero [32]uint32
+	check("zero row", &zero)
+	// Rows whose OR is exactly the top of one class or the bottom of the
+	// next: every lane a subset of the boundary's bits, one lane all of them.
+	for _, b := range []uint32{0xff, 0x100, 0xffff, 0x10000, 0xffffff, 0x1000000, 0xffffffff} {
+		var one, all, mixed [32]uint32
+		one[rng.IntN(32)] = b
+		for i := range all {
+			all[i] = b
+			mixed[i] = rng.Uint32() & b
+		}
+		mixed[rng.IntN(32)] = b
+		check("OR on a boundary, one lane", &one)
+		check("OR on a boundary, every lane", &all)
+		check("OR on a boundary, mixed lanes", &mixed)
+	}
+	// One lane wider than the rest, at either end of the row: the OR
+	// must take in the first and the last lane.
+	for narrow := 0; narrow <= 3; narrow++ {
+		for wide := narrow + 1; wide <= 4; wide++ {
+			for _, at := range []int{0, 31} {
+				var row [32]uint32
+				for i := range row {
+					row[i] = lane(narrow)
+				}
+				row[at] = lane(wide)
+				check("one wide lane", &row)
+			}
+		}
+	}
+	// Random rows of each width, about half their lanes zero as at
+	// checksum time.
+	for width := 1; width <= 4; width++ {
+		for n := 0; n < 200; n++ {
+			var row [32]uint32
+			for i := range row {
+				if rng.IntN(2) == 0 {
+					row[i] = lane(1 + rng.IntN(width))
+				}
+			}
+			row[rng.IntN(32)] = lane(width)
+			check("random row", &row)
+		}
+	}
+}
+
+// FuzzFnvAddRow checks fnvAddRow against the byte-wise reference. The
+// fuzz input gives the starting hash, a width byte per lane (lane i
+// keeps widths[i]%5 low bytes; lanes past the end of widths are zero,
+// so narrow rows are common) and the lanes' bytes, four per lane,
+// little-endian.
+func FuzzFnvAddRow(f *testing.F) {
+	f.Add(fnvOffset, []byte{}, []byte{})
+	f.Add(uint64(0), []byte{1, 0, 1}, []byte{0xff, 0, 0, 0, 7, 7, 7, 7, 1})
+	f.Add(uint64(0x5bd1e995), []byte{2, 2, 1, 2}, []byte{0, 1, 9, 9, 0xff, 0xff, 0, 0, 3, 4, 5, 6, 0, 0x80})
+	f.Add(fnvOffset, []byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3},
+		bytes.Repeat([]byte{0xff}, 128))
+	f.Add(uint64(1), bytes.Repeat([]byte{4}, 32), bytes.Repeat([]byte{0x12, 0x34, 0x56, 0x78}, 32))
+	f.Fuzz(func(t *testing.T, h uint64, widths, lanes []byte) {
+		var row [32]uint32
+		for i := 0; i < len(row) && i < len(widths); i++ {
+			var b [4]byte
+			if 4*i < len(lanes) {
+				copy(b[:], lanes[4*i:])
+			}
+			keep := uint64(1)<<(8*(widths[i]%5)) - 1
+			row[i] = uint32(uint64(binary.LittleEndian.Uint32(b[:])) & keep)
+		}
+		if got, want := fnvAddRow(h, &row), fnvRowRef(h, &row); got != want {
+			t.Fatalf("fnvAddRow(%#x, %#x) = %#x, want fnvAdd's %#x", h, row, got, want)
+		}
+	})
+}
+
+// BenchmarkChecksum prices one periodic state checksum, recordChecksum,
+// of an SM loaded with sgemm's CTAs (scale 0.1, part-adaptive) with a
+// counting sink attached. The SM first runs checksumWarmup cycles, so
+// the registers hold the values a run hashes. ns/op is per checksum;
+// ns/value divides it by the register values hashed. A checksum must
+// not allocate.
+func BenchmarkChecksum(b *testing.B) {
+	const checksumWarmup = 3000
+	w := scaledWorkload(b, "sgemm", 0.1)
+	cfg := schemeConfig(b, "part-adaptive")
+	cfg.Record = &countingSink{}
+	s := loadSM(b, &cfg, &w.Kernels[0])
+	for s.now < checksumWarmup && s.busy() {
+		s.tick()
+	}
+	values := 0
+	for _, w := range s.warps {
+		if w != nil {
+			values += 32 * len(w.regs)
+		}
+	}
+	if values == 0 {
+		b.Fatalf("no warp resident at cycle %d", s.now)
+	}
+	if a := testing.AllocsPerRun(10, s.recordChecksum); a != 0 {
+		b.Fatalf("recordChecksum allocates %v times per call", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.recordChecksum()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 }
