@@ -8,7 +8,7 @@
 //	pilotsim [-bench name] [-design <scheme>] (any registered design
 //	         scheme: mrf-stv, mrf-ntv, part, part-adaptive, greener,
 //	         rfc, rfc-hints — see internal/design)
-//	         [-profile static|compiler|pilot|hybrid] [-sched gto|lrr|tl]
+//	         [-profile static|compiler|pilot|hybrid] [-sched gto|lrr|tl|fg]
 //	         [-sms n] [-scale f] [-v]
 //	         [-trace-out f.json] [-events-out f.ndjson] [-metrics-out f.csv]
 //	         [-energy-out f.csv] [-heatmap-out f.csv|f.json] [-audit-out f.csv|f.json]
@@ -42,7 +42,7 @@
 // Flight recorder: -record-out captures the run's architectural
 // commitments (issue decisions, warp lifecycle, RF routing, swap
 // installs, mode flips, periodic state checksums every -record-every
-// cycles) as a pilotrf-flightrec/v1 NDJSON log; -replay-check re-runs
+// cycles) as a pilotrf-flightrec/v2 NDJSON log; -replay-check re-runs
 // the configuration against a prior recording and fails on the first
 // mismatching event. Diff two recordings with cmd/rfdiff.
 //

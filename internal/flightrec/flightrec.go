@@ -25,6 +25,7 @@ package flightrec
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // Schema is the versioned tag stamped into every recording header; a
@@ -233,8 +234,14 @@ func NewRecorder(meta Meta) *Recorder {
 	return &Recorder{meta: meta}
 }
 
-// Record implements Sink.
-func (r *Recorder) Record(e Event) { r.events = append(r.events, e) }
+// Record implements Sink. A full log doubles its capacity, where append
+// would grow a long one by only a quarter and copy it far more often.
+func (r *Recorder) Record(e Event) {
+	if len(r.events) == cap(r.events) {
+		r.events = slices.Grow(r.events, len(r.events))
+	}
+	r.events = append(r.events, e)
+}
 
 // ChecksumEvery implements Sink.
 func (r *Recorder) ChecksumEvery() int64 { return r.meta.ChecksumEvery }

@@ -157,7 +157,7 @@ type Controller struct {
 	// cycle 0).
 	Now func() int64
 
-	mapper   regfile.Mapper
+	table    *regfile.SwapTable
 	counters *Counters
 
 	kernel    *kernel.Program
@@ -166,16 +166,16 @@ type Controller struct {
 }
 
 // NewController returns a controller promoting frfRegs registers through
-// the given mapper. For TechniqueOracle the caller must provide the
-// measured top registers via SetOracle before the kernel launches.
-func NewController(tech Technique, frfRegs int, mapper regfile.Mapper) (*Controller, error) {
+// the given swapping table. For TechniqueOracle the caller must provide
+// the measured top registers via SetOracle before the kernel launches.
+func NewController(tech Technique, frfRegs int, table *regfile.SwapTable) (*Controller, error) {
 	if frfRegs <= 0 {
 		return nil, fmt.Errorf("profile: FRF of %d registers", frfRegs)
 	}
 	return &Controller{
 		Technique: tech,
 		FRFRegs:   frfRegs,
-		mapper:    mapper,
+		table:     table,
 		counters:  NewCounters(),
 	}, nil
 }
@@ -194,14 +194,14 @@ func (c *Controller) PilotDone() bool { return c.pilotDone }
 func (c *Controller) KernelLaunch(p *kernel.Program, pilotWarp int) {
 	c.pilotDone = false
 	c.kernel = p
-	c.mapper.Reset()
+	c.table.Reset()
 	var promoted map[isa.Reg]bool
 	switch c.Technique {
 	case TechniqueStaticFirstN:
 		// Identity mapping: R0..R(n-1) stay in the FRF.
 	case TechniqueCompiler, TechniqueHybrid:
 		top := CompilerTopN(p, c.FRFRegs)
-		c.mapper.Configure(top, c.FRFRegs)
+		c.table.Configure(top, c.FRFRegs)
 		promoted = regSet(top, c.Audit != nil)
 	case TechniquePilot:
 		// Identity until the pilot reports.
@@ -213,7 +213,7 @@ func (c *Controller) KernelLaunch(p *kernel.Program, pilotWarp int) {
 		if len(top) > c.FRFRegs {
 			top = top[:c.FRFRegs]
 		}
-		c.mapper.Configure(top, c.FRFRegs)
+		c.table.Configure(top, c.FRFRegs)
 		promoted = regSet(top, c.Audit != nil)
 	}
 	if c.Audit != nil {
@@ -253,7 +253,7 @@ func (c *Controller) residents() map[isa.Reg]bool {
 	set := make(map[isa.Reg]bool, c.FRFRegs)
 	for a := 0; a < c.kernel.NumRegs; a++ {
 		r := isa.Reg(a)
-		if int(c.mapper.Lookup(r)) < c.FRFRegs {
+		if int(c.table.Lookup(r)) < c.FRFRegs {
 			set[r] = true
 		}
 	}
@@ -269,7 +269,7 @@ func (c *Controller) auditConfiguration(reasonFor func(r isa.Reg) (PlacementReas
 	}
 	for a := 0; a < c.kernel.NumRegs; a++ {
 		r := isa.Reg(a)
-		slot := c.mapper.Lookup(r)
+		slot := c.table.Lookup(r)
 		if int(slot) >= c.FRFRegs {
 			continue
 		}
@@ -308,7 +308,7 @@ func (c *Controller) OnWarpComplete(warp int) {
 	if c.Audit != nil {
 		prev = c.residents()
 	}
-	c.mapper.Configure(c.counters.TopN(c.FRFRegs), c.FRFRegs)
+	c.table.Configure(c.counters.TopN(c.FRFRegs), c.FRFRegs)
 	if c.Audit != nil {
 		c.auditConfiguration(func(r isa.Reg) (PlacementReason, uint64) {
 			reason := PlacePilotMeasured

@@ -35,7 +35,7 @@ func BenchmarkIndexedLookup(b *testing.B) {
 
 func BenchmarkRoutePartitioned(b *testing.B) {
 	f := mustFile(b, DefaultConfig(DesignPartitionedAdaptive))
-	f.Mapper().Configure([]isa.Reg{isa.R(8), isa.R(9), isa.R(10), isa.R(11)}, 4)
+	f.SwapTable().Configure([]isa.Reg{isa.R(8), isa.R(9), isa.R(10), isa.R(11)}, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = f.Route(f.PhysicalReg(isa.Reg(i % 16)))

@@ -87,11 +87,8 @@ func TestInvalidatedEntryLookup(t *testing.T) {
 // (that is the fault model) while all other registers are unaffected.
 func TestCorruptedMappingReroutes(t *testing.T) {
 	f := mustFile(t, DefaultConfig(DesignPartitioned))
-	f.Mapper().Configure(regs(8, 9, 10, 11), 4)
-	cam := f.CAM()
-	if cam == nil {
-		t.Fatal("File has no CAM")
-	}
+	cam := f.SwapTable()
+	cam.Configure(regs(8, 9, 10, 11), 4)
 	// Entry 1 is R8->R0; flipping mapped bit 8 (field bit 2) sends R8 to
 	// physical R4 — an SRF row instead of its FRF slot.
 	e := cam.FlipBit(1, 8)
@@ -116,7 +113,7 @@ func TestCorruptedMappingReroutes(t *testing.T) {
 func TestAdaptiveModeFlipMidSwapKeepsPlacement(t *testing.T) {
 	cfg := DefaultConfig(DesignPartitionedAdaptive)
 	f := mustFile(t, cfg)
-	f.Mapper().Configure(regs(10, 11), 4)
+	f.SwapTable().Configure(regs(10, 11), 4)
 	physBefore := f.PhysicalReg(isa.R(10))
 	part, _ := route(f, isa.R(10))
 	if part != PartFRFHigh {
@@ -144,7 +141,7 @@ func TestAdaptiveModeFlipMidSwapKeepsPlacement(t *testing.T) {
 // CAMBits sizes only partitioned designs.
 func TestFaultHooksInertWithoutInjection(t *testing.T) {
 	f := mustFile(t, DefaultConfig(DesignPartitioned))
-	f.Mapper().Configure(regs(40, 1, 62, 0), 4)
+	f.SwapTable().Configure(regs(40, 1, 62, 0), 4)
 	idx := NewIndexedSwapTable()
 	idx.Configure(regs(40, 1, 62, 0), 4)
 	for r := 0; r < isa.MaxRegs; r++ {

@@ -130,6 +130,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("regfile: RFC compiler hints without an RFC")
 	case c.GatingRows < 0:
 		return fmt.Errorf("regfile: gating domain of %d rows", c.GatingRows)
+	case min(c.Lat.MRF, c.Lat.FRFHigh, c.Lat.FRFLow, c.Lat.SRF) < 1:
+		return fmt.Errorf("regfile: access latencies %+v, each must be at least one cycle", c.Lat)
 	}
 	return nil
 }
@@ -155,7 +157,7 @@ func DefaultConfig(d Design) Config {
 // partition each access touches and how long it takes.
 type File struct {
 	cfg      Config
-	mapper   Mapper
+	table    *SwapTable
 	adaptive *AdaptiveFRF
 }
 
@@ -169,7 +171,7 @@ func New(cfg Config) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{cfg: cfg, mapper: table}
+	f := &File{cfg: cfg, table: table}
 	if cfg.Design == DesignPartitionedAdaptive {
 		f.adaptive, err = NewAdaptiveFRF(cfg.Adaptive)
 		if err != nil {
@@ -179,16 +181,9 @@ func New(cfg Config) (*File, error) {
 	return f, nil
 }
 
-// Mapper exposes the swapping table for profiling-driven reconfiguration.
-func (f *File) Mapper() Mapper { return f.mapper }
-
-// CAM returns the CAM swapping table when the file routes through one
-// (the construction New always does), or nil. Fault injection targets
-// the CAM's raw entries through this accessor.
-func (f *File) CAM() *SwapTable {
-	t, _ := f.mapper.(*SwapTable)
-	return t
-}
+// SwapTable returns the CAM swapping table: profiling reconfigures it,
+// and fault injection strikes its raw entries.
+func (f *File) SwapTable() *SwapTable { return f.table }
 
 // CAMBits returns the swapping-table storage exposed to soft errors, in
 // bits: the CAM's capacity for partitioned designs, zero for monolithic
@@ -197,10 +192,7 @@ func (f *File) CAMBits() int {
 	if !f.cfg.Design.Partitioned() {
 		return 0
 	}
-	if t := f.CAM(); t != nil {
-		return t.Bits()
-	}
-	return 0
+	return f.table.Bits()
 }
 
 // Adaptive returns the FRF mode controller, or nil for non-adaptive
@@ -231,7 +223,7 @@ func (f *File) PhysicalReg(r isa.Reg) isa.Reg {
 	if !f.cfg.Design.Partitioned() {
 		return r
 	}
-	return f.mapper.Lookup(r)
+	return f.table.Lookup(r)
 }
 
 // BankOf returns the bank servicing physical register phys of warp w.

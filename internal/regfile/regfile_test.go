@@ -215,7 +215,7 @@ func TestRoutePartitioned(t *testing.T) {
 		t.Errorf("R10 route = %v/%d, want SRF/3", part, lat)
 	}
 	// After promotion the routing follows the swapping table.
-	f.Mapper().Configure(regs(10, 11, 12, 13), 4)
+	f.SwapTable().Configure(regs(10, 11, 12, 13), 4)
 	if part, _ := route(f, isa.R(10)); part != PartFRFHigh {
 		t.Errorf("promoted R10 routed to %v", part)
 	}
@@ -369,12 +369,23 @@ func TestConfigValidate(t *testing.T) {
 	partRFC.RFCEntries = 6
 	bareHints.RFCHints = true
 	negGating.GatingRows = -1
+	// Every access takes at least one cycle: the SM fires a bank
+	// transaction's completion at the earliest one cycle after it starts.
+	zeroMRF, zeroFRFHigh, zeroFRFLow, negSRF := mono, part, part, part
+	zeroMRF.Lat.MRF = 0
+	zeroFRFHigh.Lat.FRFHigh = 0
+	zeroFRFLow.Lat.FRFLow = 0
+	negSRF.Lat.SRF = -1
 	for name, bad := range map[string]Config{
 		"monolithic without an FRF size":    noFRF,
 		"negative RFC size":                 negRFC,
 		"RFC in front of a partitioned RF":  partRFC,
 		"RFC compiler hints without an RFC": bareHints,
 		"negative gating domain":            negGating,
+		"zero-cycle MRF":                    zeroMRF,
+		"zero-cycle high-power FRF":         zeroFRFHigh,
+		"zero-cycle low-power FRF":          zeroFRFLow,
+		"negative SRF latency":              negSRF,
 	} {
 		if bad.Validate() == nil {
 			t.Errorf("accepted %s", name)

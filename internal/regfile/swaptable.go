@@ -10,18 +10,6 @@ import (
 	"pilotrf/internal/isa"
 )
 
-// Mapper translates an architected register number to its current physical
-// location. Registers outside the swapped set map to themselves.
-type Mapper interface {
-	// Lookup returns the physical register holding architected register r.
-	Lookup(r isa.Reg) isa.Reg
-	// Configure installs a mapping that places topRegs (ordered by
-	// access count, most-accessed first) into the FRF slots [0, frfRegs).
-	Configure(topRegs []isa.Reg, frfRegs int)
-	// Reset restores the identity mapping.
-	Reset()
-}
-
 // SwapEntry is one row of the swapping table: a valid bit, the architected
 // register, and its current physical location (13 bits in hardware: 6+6+1).
 type SwapEntry struct {
@@ -51,7 +39,8 @@ func NewSwapTable(topN int) (*SwapTable, error) {
 // Reset invalidates every entry, restoring the identity mapping.
 func (t *SwapTable) Reset() { t.entries = t.entries[:0] }
 
-// Configure installs the mapping for topRegs. Per the paper, the mapping
+// Configure installs the mapping that places topRegs (ordered by access
+// count, most-accessed first) in the FRF slots. Per the paper, the mapping
 // is always applied on top of the default (identity) layout: callers see
 // the table reset first, then pairwise swaps between promoted registers
 // and the default FRF residents they displace. Registers in topRegs that

@@ -257,6 +257,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: unknown profiling technique %v", c.Profiling)
 	case c.MemLatency <= 0 || c.MaxMemInflight <= 0:
 		return fmt.Errorf("sim: memory latency %d / inflight %d", c.MemLatency, c.MaxMemInflight)
+	case min(c.ALULatency, c.FPULatency, c.SFULatency, c.SharedLatency) < 1:
+		// Events fire at least one cycle after they are scheduled.
+		return fmt.Errorf("sim: ALU/FPU/SFU/shared latencies %d/%d/%d/%d, each must be at least one cycle",
+			c.ALULatency, c.FPULatency, c.SFULatency, c.SharedLatency)
 	case c.Policy == PolicyTL && c.TLActiveWarps < c.Schedulers:
 		return fmt.Errorf("sim: TL active pool %d smaller than %d schedulers", c.TLActiveWarps, c.Schedulers)
 	case c.Policy == PolicyFetchGroup && c.FetchGroupWarps <= 0:

@@ -64,8 +64,8 @@ func (s *sm) faultTick() {
 func (s *sm) inject(shot fault.Shot, lowPower bool) {
 	st := s.inj.Stats()
 	if shot.Target == fault.TargetCAM {
-		cam := s.rf.CAM()
-		if cam == nil || cam.Len() == 0 {
+		cam := s.rf.SwapTable()
+		if cam.Len() == 0 {
 			st.NoVictim++
 			return
 		}

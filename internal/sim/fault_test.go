@@ -158,7 +158,7 @@ func TestCAMUpsetTraceDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam := s.rf.CAM()
+	cam := s.rf.SwapTable()
 	cam.Configure([]isa.Reg{isa.R(4), isa.R(5)}, cfg.RF.FRFRegs)
 	before := cam.Entries()
 

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math"
+	"math/bits"
 
 	"pilotrf/internal/isa"
 )
@@ -20,92 +20,47 @@ const (
 // allocates nothing once the queue's pool has grown to the SM's peak
 // number of events in flight.
 type event struct {
-	cycle int64
-	seq   uint64 // tie-break for deterministic ordering
-	kind  eventKind
-	next  int32 // pool index of the next event in its lane or the free list; -1 ends it
-	w     *warpCtx
-	in    *isa.Instruction
-	req   bankReq
+	kind eventKind
+	next int32 // pool index of the next event in its slot or the free list; -1 ends it
+	w    *warpCtx
+	in   *isa.Instruction
+	req  bankReq
 }
 
-// before orders events by cycle, then by scheduling order. The pair is
-// unique, so it alone fixes the order in which events fire.
-func (e *event) before(o *event) bool {
-	if e.cycle != o.cycle {
-		return e.cycle < o.cycle
-	}
-	return e.seq < o.seq
+// eventSlot is the FIFO of the events due in one cycle, linked through
+// the queue's pool.
+type eventSlot struct {
+	head, tail int32 // pool indices; -1 when the slot is empty
 }
 
-// maxLanes bounds the distinct scheduling delays: four bank latencies,
-// the ALU, FPU, SFU and shared-memory latencies, and MemLatency.
-const maxLanes = 9
-
-// eventDelays lists every delay the SM schedules events with. The bank
-// latencies come first: bank transactions are the most frequent events.
-func (c *Config) eventDelays() [maxLanes]int {
-	lat := c.RF.Lat
-	return [maxLanes]int{lat.MRF, lat.FRFHigh, lat.FRFLow, lat.SRF,
-		c.ALULatency, c.FPULatency, c.SFULatency, c.SharedLatency, c.MemLatency}
-}
-
-// eventLane is the FIFO of the events scheduled with one delay, linked
-// through the queue's pool.
-type eventLane struct {
-	delay      int
-	head, tail int32 // pool indices; -1 when the lane is empty
-}
-
-// eventQueue holds an SM's scheduled events in one FIFO lane per
-// distinct scheduling delay. Every event fires a config-constant delay
-// after the cycle it is scheduled in; that cycle never decreases and
-// seq always increases, so each lane is already sorted by (cycle, seq)
-// and the earliest event is the earliest lane head.
+// eventQueue holds an SM's scheduled events in a ring of per-cycle
+// slots. Every delay lies between 1 and the ring length minus one, and
+// the SM ticks every cycle while events are pending, so a slot only
+// ever holds one cycle's events, in the order they were scheduled.
 type eventQueue struct {
-	lanes  [maxLanes]eventLane
-	nlanes int
-	// pool stores the events of every lane. It grows to the peak number
+	slots []eventSlot
+	mask  int64 // len(slots) - 1
+	// pool stores the events of every slot. It grows to the peak number
 	// of events in flight; fired events' entries go on the free list.
 	pool []event
 	free int32 // head of the free list; -1 when empty
 	n    int   // events pending
-	seq  uint64
-	// next is the earliest lane head's cycle (math.MaxInt64 when empty).
-	next int64
 }
 
-// newEventQueue returns a queue with one lane per distinct delay.
-func newEventQueue(delays ...int) eventQueue {
-	q := eventQueue{free: -1, next: math.MaxInt64}
-	for _, d := range delays {
-		if q.lane(d) < 0 {
-			q.lanes[q.nlanes] = eventLane{delay: d, head: -1, tail: -1}
-			q.nlanes++
-		}
+// newEventQueue returns a queue whose ring is the smallest power of two
+// longer than maxDelay, the longest delay it will be asked to schedule.
+func newEventQueue(maxDelay int) eventQueue {
+	slots := make([]eventSlot, 1<<bits.Len(uint(maxDelay)))
+	for i := range slots {
+		slots[i] = eventSlot{head: -1, tail: -1}
 	}
-	return q
+	return eventQueue{slots: slots, mask: int64(len(slots) - 1), free: -1}
 }
 
-// lane returns the index of the lane for delay d, or -1.
-func (q *eventQueue) lane(d int) int {
-	for i := range q.lanes[:q.nlanes] {
-		if q.lanes[i].delay == d {
-			return i
-		}
-	}
-	return -1
-}
-
-// push schedules e to fire delay cycles after now. The delay must be
-// one the queue was built with.
+// push schedules e to fire delay cycles after now, at the tail of that
+// cycle's slot.
 func (q *eventQueue) push(now int64, delay int, e event) {
-	l := q.lane(delay)
-	if l < 0 {
-		panic("sim: event delay without a lane")
-	}
-	q.seq++
-	e.cycle, e.seq, e.next = now+int64(delay), q.seq, -1
+	e.next = -1
 	i := q.free
 	if i >= 0 {
 		q.free = q.pool[i].next
@@ -114,54 +69,28 @@ func (q *eventQueue) push(now int64, delay int, e event) {
 		i = int32(len(q.pool))
 		q.pool = append(q.pool, e)
 	}
-	ln := &q.lanes[l]
-	if ln.tail < 0 {
-		ln.head = i
+	sl := &q.slots[(now+int64(delay))&q.mask]
+	if sl.tail < 0 {
+		sl.head = i
 	} else {
-		q.pool[ln.tail].next = i
+		q.pool[sl.tail].next = i
 	}
-	ln.tail = i
+	sl.tail = i
 	q.n++
-	if e.cycle < q.next {
-		q.next = e.cycle
-	}
 }
 
-// popDue removes and returns the earliest event if it is due by now.
+// popDue removes and returns the next event due at now.
 func (q *eventQueue) popDue(now int64) (event, bool) {
-	if q.next > now {
+	sl := &q.slots[now&q.mask]
+	i := sl.head
+	if i < 0 {
 		return event{}, false
 	}
-	// Find the earliest head, and the earliest cycle among the others
-	// for the next call.
-	best, rest := -1, int64(math.MaxInt64)
-	var head *event
-	for l := range q.lanes[:q.nlanes] {
-		i := q.lanes[l].head
-		if i < 0 {
-			continue
-		}
-		e := &q.pool[i]
-		switch {
-		case head == nil:
-			best, head = l, e
-		case e.before(head):
-			rest = min(rest, head.cycle)
-			best, head = l, e
-		default:
-			rest = min(rest, e.cycle)
-		}
+	e := q.pool[i]
+	sl.head = e.next
+	if sl.head < 0 {
+		sl.tail = -1
 	}
-	ln := &q.lanes[best]
-	i := ln.head
-	e := *head
-	ln.head = e.next
-	if ln.head < 0 {
-		ln.tail = -1
-	} else {
-		rest = min(rest, q.pool[ln.head].cycle)
-	}
-	q.next = rest
 	q.pool[i].next = q.free
 	q.free = i
 	q.n--

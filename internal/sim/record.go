@@ -93,7 +93,7 @@ func (s *sm) recordChecksum() {
 // mappingHash fingerprints the swapping table: the physical location of
 // every architected register.
 func (s *sm) mappingHash() uint64 {
-	m := s.rf.Mapper()
+	m := s.rf.SwapTable()
 	h := uint64(fnvOffset)
 	for r := 0; r < isa.MaxRegs; r++ {
 		h = fnvAdd(h, uint64(m.Lookup(isa.Reg(r))))

@@ -469,6 +469,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("accepted RFC in front of a partitioned RF")
 	}
+	// Every event fires at least one cycle after it is scheduled.
+	for name, set := range map[string]func(*Config){
+		"ALU":      func(c *Config) { c.ALULatency = 0 },
+		"FPU":      func(c *Config) { c.FPULatency = 0 },
+		"SFU":      func(c *Config) { c.SFULatency = -1 },
+		"shared":   func(c *Config) { c.SharedLatency = 0 },
+		"memory":   func(c *Config) { c.MemLatency = 0 },
+		"MRF":      func(c *Config) { c.RF.Lat.MRF = 0 },
+		"FRF high": func(c *Config) { c.RF.Lat.FRFHigh = 0 },
+		"FRF low":  func(c *Config) { c.RF.Lat.FRFLow = 0 },
+		"SRF":      func(c *Config) { c.RF.Lat.SRF = 0 },
+	} {
+		bad = schemeConfig(t, "part-adaptive")
+		set(&bad)
+		if _, err := New(bad); err == nil {
+			t.Errorf("accepted a zero-cycle %s latency", name)
+		}
+	}
 }
 
 func TestKernelTooBigRejected(t *testing.T) {

@@ -92,17 +92,20 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 	if err != nil {
 		return nil, err
 	}
-	delays := cfg.eventDelays()
+	// The event ring spans the longest delay an event is scheduled
+	// with: a bank, pipe or memory latency.
+	lat := cfg.RF.Lat
 	s := &sm{
-		id:     id,
-		cfg:    cfg,
-		run:    run,
-		warps:  make([]*warpCtx, cfg.WarpSlotsPerSM),
-		banks:  make([]bankState, cfg.RF.Banks),
-		rf:     rf,
-		events: newEventQueue(delays[:]...),
+		id:    id,
+		cfg:   cfg,
+		run:   run,
+		warps: make([]*warpCtx, cfg.WarpSlotsPerSM),
+		banks: make([]bankState, cfg.RF.Banks),
+		rf:    rf,
+		events: newEventQueue(max(lat.MRF, lat.FRFHigh, lat.FRFLow, lat.SRF,
+			cfg.ALULatency, cfg.FPULatency, cfg.SFULatency, cfg.SharedLatency, cfg.MemLatency)),
 	}
-	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.RF.FRFRegs, s.rf.Mapper())
+	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.RF.FRFRegs, s.rf.SwapTable())
 	if err != nil {
 		return nil, err
 	}

@@ -122,8 +122,8 @@ func (t *WriterTracer) Flush() error {
 	return t.bw.Flush()
 }
 
-// RingTracer keeps the last N events in memory (the flight recorder used
-// by tests and for post-mortem debugging).
+// RingTracer keeps the last N events in memory, for tests and
+// post-mortem debugging.
 type RingTracer struct {
 	buf   []TraceEvent
 	next  int

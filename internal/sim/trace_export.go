@@ -61,48 +61,6 @@ func (t *TeeTracer) Flush() error {
 	return first
 }
 
-// KindMask builds a TraceKind bitmask for FilterTracer.
-func KindMask(kinds ...TraceKind) uint32 {
-	var m uint32
-	for _, k := range kinds {
-		m |= 1 << uint(k)
-	}
-	return m
-}
-
-// FilterTracer forwards only events matching a kind mask and an SM id to
-// the next tracer — e.g. Perfetto-export only issues and mode switches
-// of SM 0 while a ring tracer sees everything.
-type FilterTracer struct {
-	next Tracer
-	mask uint32
-	sm   int
-}
-
-// NewFilterTracer returns a tracer forwarding events of the given kinds
-// (none = all kinds) from the given SM (-1 = all SMs) to next.
-func NewFilterTracer(next Tracer, sm int, kinds ...TraceKind) *FilterTracer {
-	mask := KindMask(kinds...)
-	if len(kinds) == 0 {
-		mask = ^uint32(0)
-	}
-	return &FilterTracer{next: next, mask: mask, sm: sm}
-}
-
-// Event implements Tracer.
-func (t *FilterTracer) Event(e TraceEvent) {
-	if t.mask&(1<<uint(e.Kind)) == 0 {
-		return
-	}
-	if t.sm >= 0 && e.SM != t.sm {
-		return
-	}
-	t.next.Event(e)
-}
-
-// Flush flushes the wrapped tracer if it buffers.
-func (t *FilterTracer) Flush() error { return FlushTracer(t.next) }
-
 // NDJSONTracer streams events as newline-delimited JSON objects, one
 // event per line — the format for piping a run into jq or a log stash.
 // Call Flush when the run completes.

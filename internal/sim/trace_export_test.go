@@ -152,28 +152,6 @@ func TestTeeTracerFansOut(t *testing.T) {
 	}
 }
 
-func TestFilterTracerByKindAndSM(t *testing.T) {
-	ring := NewRingTracer(64)
-	ft := NewFilterTracer(ring, 1, TraceIssue, TraceModeSwitch)
-	ft.Event(TraceEvent{SM: 1, Kind: TraceIssue})      // pass
-	ft.Event(TraceEvent{SM: 0, Kind: TraceIssue})      // wrong SM
-	ft.Event(TraceEvent{SM: 1, Kind: TraceDispatch})   // wrong kind
-	ft.Event(TraceEvent{SM: 1, Kind: TraceModeSwitch}) // pass
-	if got := len(ring.Events()); got != 2 {
-		t.Errorf("filter passed %d events, want 2", got)
-	}
-}
-
-func TestFilterTracerDefaultsToAll(t *testing.T) {
-	ring := NewRingTracer(64)
-	ft := NewFilterTracer(ring, -1)
-	ft.Event(TraceEvent{SM: 3, Kind: TraceBarrier})
-	ft.Event(TraceEvent{SM: 0, Kind: TraceIssue})
-	if got := len(ring.Events()); got != 2 {
-		t.Errorf("unfiltered tracer passed %d events, want 2", got)
-	}
-}
-
 func TestFlushTracerOnUnbuffered(t *testing.T) {
 	if err := FlushTracer(NewRingTracer(4)); err != nil {
 		t.Errorf("flushing an unbuffered tracer: %v", err)

@@ -245,13 +245,13 @@ type (
 	Tracer = sim.Tracer
 	// TraceEvent is one pipeline occurrence.
 	TraceEvent = sim.TraceEvent
-	// RingTracer keeps the last N events (a flight recorder).
+	// RingTracer keeps the last N events in a ring buffer.
 	RingTracer = sim.RingTracer
 	// WriterTracer streams events to an io.Writer.
 	WriterTracer = sim.WriterTracer
 )
 
-// NewRingTracer returns a flight recorder holding the last n events.
+// NewRingTracer returns a tracer holding the last n events.
 func NewRingTracer(n int) *RingTracer { return sim.NewRingTracer(n) }
 
 // Trace exporters and combinators, re-exported from the simulator.
@@ -260,8 +260,6 @@ type (
 	TraceKind = sim.TraceKind
 	// TeeTracer fans events out to multiple tracers.
 	TeeTracer = sim.TeeTracer
-	// FilterTracer forwards only events matching a kind set and SM id.
-	FilterTracer = sim.FilterTracer
 	// PerfettoTracer exports Chrome/Perfetto trace_event JSON.
 	PerfettoTracer = sim.PerfettoTracer
 	// NDJSONTracer exports newline-delimited JSON events.
@@ -280,12 +278,6 @@ func NewNDJSONTracer(w io.Writer) *NDJSONTracer { return sim.NewNDJSONTracer(w) 
 // NewTeeTracer returns a tracer forwarding each event to every given
 // tracer (nils are skipped).
 func NewTeeTracer(tracers ...Tracer) *TeeTracer { return sim.NewTeeTracer(tracers...) }
-
-// NewFilterTracer forwards events of the given kinds (none = all) from
-// the given SM (-1 = all) to next.
-func NewFilterTracer(next Tracer, smID int, kinds ...TraceKind) *FilterTracer {
-	return sim.NewFilterTracer(next, smID, kinds...)
-}
 
 // FlushTracer drains a buffering tracer (no-op for unbuffered or nil).
 func FlushTracer(t Tracer) error { return sim.FlushTracer(t) }
@@ -398,7 +390,7 @@ type (
 	// periodic state checksums) into an in-memory event log.
 	FlightRecorder = flightrec.Recorder
 	// Recording is one captured run: header plus ordered event stream,
-	// serializable as pilotrf-flightrec/v1 NDJSON.
+	// serializable as pilotrf-flightrec/v2 NDJSON.
 	Recording = flightrec.Log
 	// FlightEvent is one recorded architectural commitment.
 	FlightEvent = flightrec.Event
@@ -435,7 +427,7 @@ func DiffRecordings(a, b *Recording, window int) *DiffReport {
 	return flightrec.Diff(a, b, window)
 }
 
-// ReadRecording loads a pilotrf-flightrec/v1 NDJSON recording.
+// ReadRecording loads a pilotrf-flightrec/v2 NDJSON recording.
 func ReadRecording(path string) (*Recording, error) { return flightrec.ReadFile(path) }
 
 // Resilience types, re-exported for soft-error injection campaigns,
