@@ -208,8 +208,14 @@ func (s Spec) NumJobs() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cells := len(p.configs) * len(p.wls)
-	return cells + cells*len(p.schemes)*p.spec.Trials, nil
+	return p.numJobs(), nil
+}
+
+// numJobs returns the plan's pool tasks: one golden run per (design,
+// workload) pair plus every cell's trials.
+func (p *plan) numJobs() int {
+	pairs := len(p.configs) * len(p.wls)
+	return pairs + pairs*len(p.schemes)*p.spec.Trials
 }
 
 // Options configures a Run beyond the spec.
@@ -402,10 +408,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 	s := p.spec
 	rep := Report{Schema: Schema, Rate: s.Rate, Seed: s.Seed, Trials: s.Trials, Scale: s.Scale, SMs: s.SMs}
 
-	totalJobs, err := s.NumJobs()
-	if err != nil {
-		return Report{}, err
-	}
+	totalJobs := p.numJobs()
 
 	// Span tracing. The campaign span hangs under the caller's span when
 	// ctx carries one (the job server's per-job root) and otherwise roots

@@ -218,6 +218,18 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestNumJobsAllocs: pricing a spec resolves its workloads from the
+// suite assembled once per process, so admission assembles no kernels.
+func TestNumJobsAllocs(t *testing.T) {
+	spec := Spec{Benchmarks: []string{"sgemm"}, Designs: []string{"part-adaptive"}}
+	if _, err := spec.NumJobs(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { spec.NumJobs() }); n > 20 {
+		t.Errorf("Spec.NumJobs makes %v allocations, want at most 20", n)
+	}
+}
+
 // TestCancelledRunFails: a pre-cancelled context aborts the run with
 // the context error instead of producing a partial report.
 func TestCancelledRunFails(t *testing.T) {
@@ -225,5 +237,43 @@ func TestCancelledRunFails(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, testSpec(), Options{Pool: newPool(t, 2, nil)}); err == nil {
 		t.Fatal("cancelled run returned a report")
+	}
+}
+
+// BenchmarkCachedRun times one campaign whose goldens and cells are all
+// in a warm directory cache: the per-request cost of compiling a spec
+// and reading its results back, with no simulation. It fails if any
+// lookup misses.
+func BenchmarkCachedRun(b *testing.B) {
+	spec := Spec{
+		Benchmarks: []string{"sgemm"},
+		Designs:    []string{"part-adaptive"},
+		Protect:    []string{"none", "parity", "secded", "paper"},
+		Trials:     2,
+	}
+	cache, err := jobs.OpenCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := jobs.New(jobs.Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	opt := Options{Pool: pool, Cache: cache}
+	if _, err := Run(context.Background(), spec, opt); err != nil {
+		b.Fatal(err)
+	}
+	warm := cache.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), spec, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := cache.Stats(); st.Misses != warm.Misses {
+		b.Fatalf("%d cache misses on a warm cache", st.Misses-warm.Misses)
 	}
 }

@@ -69,10 +69,7 @@ func (pl *Plan) NumCells() int { return len(pl.cells) }
 
 // NumJobs returns the spec's admission price (golden runs + trials),
 // matching Spec.NumJobs.
-func (pl *Plan) NumJobs() int {
-	goldens := len(pl.p.configs) * len(pl.p.wls)
-	return goldens + len(pl.cells)*pl.p.spec.Trials
-}
+func (pl *Plan) NumJobs() int { return pl.p.numJobs() }
 
 // Cells returns the cells in canonical report order.
 func (pl *Plan) Cells() []CellRef { return pl.cells }

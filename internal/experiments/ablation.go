@@ -6,6 +6,7 @@ import (
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
+	"pilotrf/internal/workloads"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out: the FRF
@@ -167,7 +168,7 @@ type GatingRow struct {
 func RegisterGatingExtension(r *Runner) []GatingRow {
 	base := energy.LeakageMW(regfile.DesignMonolithicSTV)
 	var rows []GatingRow
-	for _, w := range suite() {
+	for _, w := range workloads.All() {
 		k := w.Kernels[0]
 		warps := (k.ThreadsPerCTA + 31) / 32
 		resident := 16

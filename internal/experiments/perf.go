@@ -5,6 +5,7 @@ import (
 	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/stats"
+	"pilotrf/internal/workloads"
 )
 
 // Figure12Row is one benchmark's normalized execution time (cycles over
@@ -51,7 +52,7 @@ func Figure12(r *Runner) Figure12Result {
 
 	var res Figure12Result
 	var hg, cg, ng, ht, hl []float64
-	for i, w := range suite() {
+	for i, w := range workloads.All() {
 		row := Figure12Row{
 			Benchmark:              w.Name,
 			PartitionedHybridGTO:   slowdown(hybrid[i], baseGTO[i]),

@@ -28,7 +28,7 @@ type Table1Row struct {
 func Table1(r *Runner) []Table1Row {
 	runs := r.runs(r.hybridConfig())
 	var rows []Table1Row
-	for i, w := range suite() {
+	for i, w := range workloads.All() {
 		rs := runs[i]
 		pilot := 0.0
 		if len(rs.Kernels) > 0 {
@@ -109,7 +109,7 @@ func Figure4(r *Runner) []Figure4Row {
 	compRuns, pilotRuns, hybridRuns := r.runs(comp), r.runs(pilot), r.runs(r.hybridConfig())
 	oracleRuns := r.oracleRuns(base, 4)
 	var rows []Figure4Row
-	for i, w := range suite() {
+	for i, w := range workloads.All() {
 		rows = append(rows, Figure4Row{
 			Benchmark: w.Name,
 			Category:  w.Category,

@@ -109,16 +109,12 @@ func newGPU(cfg sim.Config) *sim.GPU {
 	return g
 }
 
-// suite returns the Table I workloads. Building them assembles every
-// kernel, so it happens once; the experiments only read them.
-var suite = sync.OnceValue(workloads.All)
-
 // perWorkload calls fn for every Table I workload, up to Workers at a
 // time, and returns the results in Table I order, so callers fold means
 // and geomeans in the same order at any worker count. fn must not call
 // perWorkload itself.
 func perWorkload[T any](r *Runner, fn func(w workloads.Workload) T) []T {
-	all := suite()
+	all := workloads.All()
 	out := make([]T, len(all))
 	workers := r.Workers
 	if workers <= 0 {
@@ -159,12 +155,12 @@ func (r *Runner) runs(cfg sim.Config) []sim.RunStats {
 // cachedRuns returns every workload's cached run under the configuration
 // rendered as key, or false if any is missing.
 func (r *Runner) cachedRuns(key string) ([]sim.RunStats, bool) {
-	all := suite()
-	out := make([]sim.RunStats, len(all))
+	names := workloads.Names()
+	out := make([]sim.RunStats, len(names))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, w := range all {
-		rs, ok := r.cache[runKey{workload: w.Name, config: key}]
+	for i, name := range names {
+		rs, ok := r.cache[runKey{workload: name, config: key}]
 		if !ok {
 			return nil, false
 		}

@@ -88,7 +88,7 @@ func TestWarmParallelMatchesSequential(t *testing.T) {
 	par.Workers = 4
 	cfg := par.hybridConfig()
 	fanned := par.runs(cfg)
-	for i, w := range suite() {
+	for i, w := range workloads.All() {
 		a := seq.run(w, cfg)
 		if !reflect.DeepEqual(a, fanned[i]) {
 			t.Errorf("%s: parallel warm diverged from sequential (%d/%d vs %d/%d cycles/accesses)",

@@ -27,7 +27,9 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"pilotrf/internal/kernel"
 )
@@ -108,8 +110,8 @@ func grid(regs, threadsPerCTA int, waves float64) int {
 	return n
 }
 
-// All returns every benchmark, in Table I order.
-func All() []Workload {
+// assemble builds every benchmark's kernels afresh, in Table I order.
+func assemble() []Workload {
 	return []Workload{
 		BFS(), Btree(), Hotspot(), NW(), Stencil(), Backprop(), SAD(), SRAD(), MUM(),
 		Kmeans(), LavaMD(), MRIQ(), NN(), SGEMM(), CP(),
@@ -117,9 +119,28 @@ func All() []Workload {
 	}
 }
 
+// suite is the Table I suite, assembled once per process: building and
+// validating every kernel is the expensive part of All, and a
+// kernel.Program is read-only once built.
+var suite = sync.OnceValue(assemble)
+
+// All returns every benchmark, in Table I order. The suite is built
+// once per process and its programs are shared by every caller, so they
+// are read-only; each call gets its own slice and its own Kernels
+// slices, so a caller may rewrite a kernel's launch geometry.
+func All() []Workload {
+	all := suite()
+	out := make([]Workload, len(all))
+	for i, w := range all {
+		w.Kernels = slices.Clone(w.Kernels)
+		out[i] = w
+	}
+	return out
+}
+
 // Names returns all benchmark names in Table I order.
 func Names() []string {
-	all := All()
+	all := suite()
 	names := make([]string, len(all))
 	for i, w := range all {
 		names[i] = w.Name
@@ -127,10 +148,13 @@ func Names() []string {
 	return names
 }
 
-// ByName returns the named benchmark.
+// ByName returns the named benchmark. Like All, it shares the suite's
+// read-only programs, built once per process, and returns its own
+// Kernels slice.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
+	for _, w := range suite() {
 		if w.Name == name {
+			w.Kernels = slices.Clone(w.Kernels)
 			return w, nil
 		}
 	}

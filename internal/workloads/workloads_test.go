@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"pilotrf/internal/profile"
@@ -109,6 +110,48 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("ByName accepted unknown benchmark")
+	}
+}
+
+// The suite is assembled once per process: All and ByName share its
+// programs, which stay equal to a fresh assembly after the simulator has
+// run them, while every call gets its own Kernels slices.
+func TestSuiteAssembledOnce(t *testing.T) {
+	sgemm := func(all []Workload) Workload {
+		for _, w := range all {
+			if w.Name == "sgemm" {
+				return w
+			}
+		}
+		t.Fatal("All has no sgemm")
+		return Workload{}
+	}
+	a, err := ByName("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := ByName("sgemm")
+	c := sgemm(All())
+	if a.Kernels[0].Prog != b.Kernels[0].Prog || a.Kernels[0].Prog != c.Kernels[0].Prog {
+		t.Fatal("ByName and All assembled sgemm's program more than once")
+	}
+
+	run(t, a.Scale(0.05), quickCfg())
+	fresh := assemble()
+	for i, w := range All() {
+		if !reflect.DeepEqual(w, fresh[i]) {
+			t.Errorf("%s: the shared workload differs from a fresh assembly", w.Name)
+		}
+	}
+
+	want := a.Kernels[0].NumCTAs
+	a.Kernels[0].NumCTAs = want + 1
+	c.Kernels[0].NumCTAs = want + 2
+	if got, _ := ByName("sgemm"); got.Kernels[0].NumCTAs != want {
+		t.Errorf("ByName after a caller's write: %d CTAs, want %d", got.Kernels[0].NumCTAs, want)
+	}
+	if got := sgemm(All()).Kernels[0].NumCTAs; got != want {
+		t.Errorf("All after a caller's write: %d CTAs, want %d", got, want)
 	}
 }
 
