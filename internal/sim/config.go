@@ -249,6 +249,9 @@ func (c *Config) Validate() error {
 	case c.WarpSlotsPerSM/c.Schedulers > 64:
 		// A scheduler's parked-warp mask has one bit per slot it owns.
 		return fmt.Errorf("sim: %d warp slots per scheduler, more than 64", c.WarpSlotsPerSM/c.Schedulers)
+	case c.RF.Banks > 64:
+		// The SM's busy-bank mask has one bit per bank.
+		return fmt.Errorf("sim: %d RF banks, more than 64", c.RF.Banks)
 	case c.OperandCollectors <= 0:
 		return fmt.Errorf("sim: %d operand collectors", c.OperandCollectors)
 	case c.Policy > PolicyFetchGroup:

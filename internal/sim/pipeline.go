@@ -121,8 +121,7 @@ type bankReq struct {
 // service latency depends on the partition (FRF/SRF/MRF) and, for the
 // FRF, on the adaptive power mode at service time.
 type bankState struct {
-	queue     []bankReq
-	busyUntil int64
+	queue []bankReq
 }
 
 // collectorUnit buffers one issued instruction while its source operands
@@ -165,20 +164,23 @@ type memUnit struct {
 	waiting  []memReq // transactions waiting for a slot, oldest first
 }
 
-// tickBanks advances every bank: each bank accepts one request per cycle
-// (the arrays are pipelined, so a slow NTV partition costs access LATENCY
-// on dependency chains, not bank throughput — the premise behind the
-// paper's 7.1% NTV slowdown); the requested data becomes available after
-// the partition's access latency.
+// tickBanks advances every bank with a request queued, in ascending bank
+// order: each bank accepts one request per cycle (the arrays are
+// pipelined, so a slow NTV partition costs access LATENCY on dependency
+// chains, not bank throughput — the premise behind the paper's 7.1% NTV
+// slowdown); the requested data becomes available after the partition's
+// access latency.
 func (s *sm) tickBanks() {
-	for b := range s.banks {
+	for m := s.busyBanks; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
 		bank := &s.banks[b]
-		if bank.busyUntil > s.now || len(bank.queue) == 0 {
-			continue
-		}
 		req := bank.queue[0]
 		copy(bank.queue, bank.queue[1:])
 		bank.queue = bank.queue[:len(bank.queue)-1]
+		if len(bank.queue) == 0 {
+			s.busyBanks &^= 1 << uint(b)
+		}
+		s.queued--
 
 		part, lat := s.rf.Route(req.phys)
 		if s.pf != nil {
@@ -188,7 +190,6 @@ func (s *sm) tickBanks() {
 		if s.cfg.Tracer != nil {
 			s.trace(TraceBankAccess, req.warp.slot, -1, s.bankDetail(b, req.isWrite, req.arch, part, lat))
 		}
-		bank.busyUntil = s.now + 1
 		s.schedule(lat, event{kind: evBankDone, req: req})
 	}
 }
@@ -213,20 +214,23 @@ func (s *sm) completeBankReq(req bankReq) {
 // enqueueBankRead queues a source-operand read for a collector.
 func (s *sm) enqueueBankRead(col *collectorUnit, arch isa.Reg) {
 	phys := s.rf.PhysicalReg(arch)
-	b := s.rf.BankOf(col.warp.slot, phys)
-	s.banks[b].queue = append(s.banks[b].queue, bankReq{
-		warp: col.warp, arch: arch, phys: phys, col: col,
-	})
+	s.enqueueBank(bankReq{warp: col.warp, arch: arch, phys: phys, col: col})
 }
 
 // enqueueBankWrite queues a destination write; done says what its
 // retirement does (scoreboard release, instruction completion).
 func (s *sm) enqueueBankWrite(w *warpCtx, arch isa.Reg, done writeDone) {
 	phys := s.rf.PhysicalReg(arch)
-	b := s.rf.BankOf(w.slot, phys)
-	s.banks[b].queue = append(s.banks[b].queue, bankReq{
-		warp: w, arch: arch, phys: phys, isWrite: true, done: done,
-	})
+	s.enqueueBank(bankReq{warp: w, arch: arch, phys: phys, isWrite: true, done: done})
+}
+
+// enqueueBank appends req to the queue of the bank its warp slot and
+// physical register map to.
+func (s *sm) enqueueBank(req bankReq) {
+	b := s.rf.BankOf(req.warp.slot, req.phys)
+	s.banks[b].queue = append(s.banks[b].queue, req)
+	s.busyBanks |= 1 << uint(b)
+	s.queued++
 }
 
 // schedule queues e to fire delay cycles from now.

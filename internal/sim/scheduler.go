@@ -9,11 +9,13 @@ type schedState struct {
 	id    int
 	slots []int // warp slots owned by this scheduler
 
-	// parked has bit i set while the warp in slots[i] waits on a
-	// scoreboard hazard. A probe that fails on a pending register or
-	// predicate sets it; the bit clears when one of the warp's pending
-	// bits clears or its slot is freed. Until then the warp cannot
-	// issue, so the pick loops skip it.
+	// parked has bit i set while slots[i] cannot issue until an SM event
+	// clears the bit. A probe sets it when the slot is empty, its warp
+	// has retired or its SIMT stack has emptied, which only launchCTA,
+	// filling the slot, ends; or when the warp waits on a pending
+	// register or predicate, which ends when one of the warp's pending
+	// bits clears. The pick loops skip parked slots, so they probe only
+	// live warps.
 	parked uint64
 
 	// rrPtr is the round-robin rotation pointer (LRR, and TL's active
@@ -52,9 +54,10 @@ func (sc *schedState) isParked(i int) bool { return sc.parked&(1<<uint(i)) != 0 
 // it counts one CollectorStalls when it fails on the collector hazard,
 // and pickGTO probes a stalled greedy warp twice (once as the greedy
 // warp, once in its oldest-first scan). The number and order of those
-// probes are therefore part of the pinned statistics. A parked warp is
-// skipped without a probe: its probe would fail on the scoreboard before
-// the collector check, so it would have no side effect.
+// probes are therefore part of the pinned statistics. A parked slot is
+// skipped without a probe: its probe would fail on residency or the
+// scoreboard before the collector check, so it would have no side
+// effect.
 func (sc *schedState) pickWarp(sm *sm) int {
 	switch sm.cfg.Policy {
 	case PolicyLRR:
@@ -92,12 +95,11 @@ func (sc *schedState) pickGTO(sm *sm) int {
 	unparked := ^sc.parked & (^uint64(0) >> uint(64-len(sc.slots)))
 	for ; unparked != 0; unparked &= unparked - 1 {
 		i := bits.TrailingZeros64(unparked)
-		w := sm.warps[sc.slots[i]]
-		if w == nil || !sm.canIssue(sc, i) {
+		if !sm.canIssue(sc, i) {
 			continue
 		}
-		if w.globalID < bestAge {
-			best, bestAge = i, w.globalID
+		if id := sm.warps[sc.slots[i]].globalID; id < bestAge {
+			best, bestAge = i, id
 		}
 	}
 	sc.greedy = best

@@ -463,6 +463,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(good); err != nil {
 		t.Errorf("rejected 64 warp slots on one scheduler: %v", err)
 	}
+	// The SM marks its busy banks in a 64-bit mask.
+	bad = testConfig()
+	bad.RF.Banks = 65
+	if _, err := New(bad); err == nil {
+		t.Error("accepted 65 RF banks")
+	}
+	good = testConfig()
+	good.RF.Banks = 64
+	if _, err := New(good); err != nil {
+		t.Errorf("rejected 64 RF banks: %v", err)
+	}
 	// The register file's own rules (regfile.Config.Validate) apply.
 	bad = schemeConfig(t, "part")
 	bad.RF.RFCEntries = 6

@@ -29,6 +29,10 @@ type sm struct {
 	// flushBuf receives the registers an RFC flush writes back; one
 	// buffer serves every two-level-scheduler demote.
 	flushBuf []isa.Reg
+	// busyBanks has bit b set while banks[b] has a request queued, and
+	// queued counts the requests queued over all banks.
+	busyBanks uint64
+	queued    int
 
 	rf       *regfile.File
 	profCtl  *profile.Controller
@@ -218,6 +222,7 @@ func (s *sm) launchCTA(ctaID int) {
 		w := newWarpCtx(slot, s.run.nextWarpID(), cta, i, k.Prog, threads)
 		cta.warps = append(cta.warps, w)
 		s.warps[slot] = w
+		s.unpark(w)
 		s.liveWarps++
 		if s.cfg.CollectPerWarpCTAs > 0 && ctaID < s.cfg.CollectPerWarpCTAs*s.cfg.NumSMs {
 			s.run.registerWarpHist(w.globalID, k.Prog.NumRegs)
@@ -324,9 +329,7 @@ func (s *sm) tick() {
 		}
 	}
 	s.run.stats.WarpInstrs += uint64(s.issuedEpoch)
-	for b := range s.banks {
-		s.run.stats.BankQueueSum += uint64(len(s.banks[b].queue))
-	}
+	s.run.stats.BankQueueSum += uint64(s.queued)
 	if pf != nil {
 		t0 = pf.lap(perfscope.PhaseAdaptive, t0)
 	}
@@ -366,13 +369,19 @@ func (s *sm) scheduleIssue(sc *schedState) {
 
 // canIssue is the issue check of the warp in sc.slots[i]: residency,
 // barriers, branch shadow, scoreboard, and structural (collector)
-// hazards. It is not free of side effects: a probe that fails on the
-// scoreboard parks the warp, and a probe that fails on the collector
+// hazards. It is not free of side effects: a probe that finds the slot
+// empty, its warp retired or its SIMT stack empty, or that fails on the
+// scoreboard, parks the slot, and a probe that fails on the collector
 // hazard adds one to CollectorStalls, so every probe, repeats included,
 // shows in the statistics (see schedState.pickWarp).
 func (s *sm) canIssue(sc *schedState, i int) bool {
 	w := s.warps[sc.slots[i]]
-	if w == nil || w.done || w.atBarrier || w.blockedUntil > s.now || w.finished() {
+	if w == nil || w.done || w.finished() {
+		// Only launchCTA, filling the slot, can make it issue again.
+		sc.parked |= 1 << uint(i)
+		return false
+	}
+	if w.atBarrier || w.blockedUntil > s.now {
 		return false
 	}
 	in := s.run.kern.Prog.At(w.pc())
@@ -414,7 +423,7 @@ func scoreboardHazard(w *warpCtx, in *isa.Instruction) bool {
 }
 
 // unpark lets w's scheduler probe it again: one of its pending bits
-// cleared, or its slot was freed.
+// cleared, or launchCTA just placed it in its slot.
 func (s *sm) unpark(w *warpCtx) {
 	n := len(s.schedulers)
 	s.schedulers[w.slot%n].parked &^= 1 << uint(w.slot/n)
@@ -643,7 +652,6 @@ func (s *sm) checkBarrier(cta *ctaCtx) {
 func (s *sm) finishCTA(cta *ctaCtx) {
 	for _, w := range cta.warps {
 		s.warps[w.slot] = nil
-		s.unpark(w)
 	}
 	s.residentCTAs--
 	s.run.ctaDone(s)

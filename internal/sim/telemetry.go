@@ -135,9 +135,7 @@ func (s *sm) observeCycle() {
 		t.cur.stalls[c]++
 		st.StallBreakdown[c]++
 	}
-	for b := range s.banks {
-		t.cur.bankQueueSum += uint64(len(s.banks[b].queue))
-	}
+	t.cur.bankQueueSum += uint64(s.queued)
 	if t.rec == nil {
 		return
 	}
