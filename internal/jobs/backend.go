@@ -100,7 +100,8 @@ func (d dirBackend) Store(hexKey string, envelope []byte) error {
 // round-trip; the full preimage comparison still happens in Cache.Get,
 // which knows the expected preimage, not just its hash.
 func ValidateEnvelope(hexKey string, data []byte) error {
-	var ent cacheEntry
+	var payload json.RawMessage
+	ent := cacheEntry{Payload: &payload}
 	if err := json.Unmarshal(data, &ent); err != nil {
 		return fmt.Errorf("jobs: envelope: %w", err)
 	}
@@ -118,7 +119,9 @@ func ValidateEnvelope(hexKey string, data []byte) error {
 	if got := fmt.Sprintf("%016x", h); got != hexKey {
 		return fmt.Errorf("jobs: envelope: preimage hashes to %s, not %s", got, hexKey)
 	}
-	if len(ent.Payload) == 0 {
+	// A null payload sets Payload to nil; an absent one leaves payload
+	// empty.
+	if ent.Payload != nil && len(payload) == 0 {
 		return fmt.Errorf("jobs: envelope: empty payload")
 	}
 	return nil
