@@ -71,20 +71,6 @@ import (
 	"pilotrf/internal/trace"
 )
 
-// Schema identifies the report format; bump on incompatible change.
-const Schema = campaign.Schema
-
-// The report types live in internal/campaign (shared with the job
-// server); the aliases keep this command's public shape unchanged.
-type (
-	// Report is the versioned campaign result.
-	Report = campaign.Report
-	// Cell is one (design, protection, workload) campaign cell.
-	Cell = campaign.Cell
-	// Outcomes counts trial classifications within one cell.
-	Outcomes = campaign.Outcomes
-)
-
 // usageError marks a bad flag value, exiting 2 rather than the runtime
 // failures' 1.
 type usageError struct{ error }
@@ -158,18 +144,7 @@ func run(args []string, stdout io.Writer) error {
 		return usageError{err}
 	}
 
-	cellRow := func(c campaign.Cell) {
-		o := c.Outcomes
-		fmt.Fprintf(stdout, "%-14s %-8s %-10s %7d %7d %7d %7d %9d\n",
-			c.Design, c.Protection, c.Workload,
-			o.Masked, o.Corrected, o.DetectedUnrecoverable, o.SDC, c.Injected)
-	}
-	cellHeader := func() {
-		fmt.Fprintf(stdout, "%-14s %-8s %-10s %7s %7s %7s %7s %9s\n",
-			"design", "protect", "bench", "masked", "corr", "unrec", "sdc", "injected")
-	}
-
-	var rep Report
+	var rep campaign.Report
 	var cache *jobs.Cache
 	if *coordURL != "" {
 		// Remote mode: the campaign runs on a pilotserve coordinator's
@@ -197,15 +172,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintf(os.Stderr, "wrote remote Perfetto trace to %s\n", *perfPath)
 		}
-		if *verbose {
-			// Remote cells arrive all at once with the report; the table
-			// is identical to a local run's because the order is
-			// canonical either way.
-			cellHeader()
-			for _, c := range rep.Cells {
-				cellRow(c)
-			}
-		}
 	} else {
 		if *cacheDir != "" {
 			var err error
@@ -227,10 +193,6 @@ func run(args []string, stdout io.Writer) error {
 			// recoverable via trace.StripWall.
 			rec = trace.NewRecorder(true)
 			opt.Trace = rec
-		}
-		if *verbose {
-			cellHeader()
-			opt.CellDone = cellRow
 		}
 		rep, err = campaign.Run(context.Background(), spec, opt)
 		if err != nil {
@@ -262,6 +224,18 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	if *verbose {
+		// The report's cells are in canonical order whether they ran
+		// locally or on a fleet, so the table is the same either way.
+		fmt.Fprintf(stdout, "%-14s %-8s %-10s %7s %7s %7s %7s %9s\n",
+			"design", "protect", "bench", "masked", "corr", "unrec", "sdc", "injected")
+		for _, c := range rep.Cells {
+			o := c.Outcomes
+			fmt.Fprintf(stdout, "%-14s %-8s %-10s %7d %7d %7d %7d %9d\n",
+				c.Design, c.Protection, c.Workload,
+				o.Masked, o.Corrected, o.DetectedUnrecoverable, o.SDC, c.Injected)
+		}
+	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

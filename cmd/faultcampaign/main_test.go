@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pilotrf/internal/campaign"
 )
 
 // campaignArgs is a small two-cell campaign that still exercises every
@@ -64,12 +66,12 @@ func TestCampaignReportShape(t *testing.T) {
 	if err := run(campaignArgs(), &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var rep Report
+	var rep campaign.Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.Schema != Schema {
-		t.Errorf("schema = %q, want %q", rep.Schema, Schema)
+	if rep.Schema != campaign.Schema {
+		t.Errorf("schema = %q, want %q", rep.Schema, campaign.Schema)
 	}
 	if len(rep.Cells) != 3 {
 		t.Fatalf("cells = %d, want 1 design x 3 schemes x 1 workload", len(rep.Cells))
@@ -90,11 +92,11 @@ func TestCampaignProtectionOrdering(t *testing.T) {
 	if err := run(campaignArgs("-trials", "4", "-rate", "1e-10"), &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var rep Report
+	var rep campaign.Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	byScheme := map[string]Cell{}
+	byScheme := map[string]campaign.Cell{}
 	for _, c := range rep.Cells {
 		byScheme[c.Protection] = c
 	}
@@ -128,7 +130,7 @@ func TestCampaignRunawayClassifiedSDC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("runaway trial escaped classification: %v", err)
 	}
-	var rep Report
+	var rep campaign.Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +185,8 @@ func TestCampaignParallelByteIdentical(t *testing.T) {
 		t.Error("-parallel 4 report differs from -parallel 1")
 	}
 
-	// The verbose table must be byte-identical too: CellDone is
-	// ordered, not completion-ordered.
+	// The verbose table must be byte-identical too: it prints the
+	// report's cells, which are in canonical order, not completion order.
 	var seqTab, parTab bytes.Buffer
 	if err := run(campaignArgs("-parallel", "1", "-v", "-out", seqPath), &seqTab); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -65,7 +66,7 @@ func runRemote(coordinator string, spec campaign.Spec, progress io.Writer) (camp
 				return *rep, jobID, nil
 			}
 			var terminal *remoteJobError
-			if asRemoteJobError(err, &terminal) {
+			if errors.As(err, &terminal) {
 				// The job itself failed — the campaign is broken (poison
 				// cell, bad spec), not the transport. Do not resubmit.
 				return campaign.Report{}, "", fmt.Errorf("remote campaign failed: %s", terminal.msg)
@@ -86,14 +87,6 @@ type remoteJobError struct{ msg string }
 
 // Error returns the coordinator's failure message verbatim.
 func (e *remoteJobError) Error() string { return e.msg }
-
-func asRemoteJobError(err error, out **remoteJobError) bool {
-	if e, ok := err.(*remoteJobError); ok {
-		*out = e
-		return true
-	}
-	return false
-}
 
 // submitRemote posts the one-job batch and returns the job id.
 func submitRemote(coordinator string, body []byte) (string, error) {

@@ -1,10 +1,11 @@
 // Package campaign is the shared fault-campaign execution engine behind
-// cmd/faultcampaign and cmd/pilotserve: it expands a Spec into the
-// (design × workload × protection × trial) grid, runs the golden
-// references and the seeded trials on a jobs.Pool, classifies every
-// trial, and assembles the byte-reproducible pilotrf-faultcampaign/v1
-// report in canonical cell order — identical bytes whether the pool has
-// one worker or sixty-four.
+// cmd/faultcampaign, cmd/pilotserve and the fleet: it compiles a Spec
+// into a Plan, the (design × workload × protection) grid of cells in
+// canonical order. Run executes that plan: it runs the golden references
+// and every cell's seeded trials on a jobs.Pool, classifies every trial,
+// and assembles the byte-reproducible pilotrf-faultcampaign/v1 report —
+// identical bytes whether the pool has one worker or sixty-four. The
+// fleet coordinator shards the same plan across machines.
 //
 // Two layers of reuse remove the redundant work the sequential driver
 // used to repeat:
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pilotrf/internal/design"
 	"pilotrf/internal/fault"
@@ -35,8 +37,8 @@ import (
 
 // Schema identifies the report format; bump on incompatible change.
 // The value (and the JSON layout it tags) predates this package — it
-// moved here from cmd/faultcampaign, which now re-exports it — so
-// reports stay byte-compatible with the sequential driver's.
+// moved here from cmd/faultcampaign — so reports stay byte-compatible
+// with the sequential driver's.
 const Schema = "pilotrf-faultcampaign/v1"
 
 // goldenVersion versions the cached golden-run snapshot independently of
@@ -138,16 +140,20 @@ func (s Spec) withDefaults() Spec {
 
 // plan is a validated, fully-resolved spec.
 type plan struct {
-	spec    Spec
+	spec    Spec         // defaults applied, every name as registered
 	configs []sim.Config // per design, in spec order
 	schemes []fault.Scheme
 	wls     []workloads.Workload
 }
 
-// compile resolves and validates a spec against the workload suite.
+// compile resolves and validates a spec against the workload suite. The
+// compiled spec names every design, protection and workload by its
+// registry name, so a padded or alias spelling reports, keys and caches
+// its cells as the canonical one does. The caller's slices are never
+// rewritten.
 func compile(s Spec) (*plan, error) {
 	s = s.withDefaults()
-	p := &plan{spec: s}
+	p := &plan{}
 	if s.Trials < 0 {
 		return nil, fmt.Errorf("trials must be positive, got %d", s.Trials)
 	}
@@ -160,7 +166,8 @@ func compile(s Spec) (*plan, error) {
 	if s.Scale <= 0 {
 		return nil, fmt.Errorf("scale must be positive, got %v", s.Scale)
 	}
-	for _, name := range s.Designs {
+	designs := make([]string, len(s.Designs))
+	for i, name := range s.Designs {
 		sch, err := design.Resolve(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
@@ -170,26 +177,34 @@ func compile(s Spec) (*plan, error) {
 			return nil, err
 		}
 		cfg.NumSMs = s.SMs
+		designs[i] = sch.Name()
 		p.configs = append(p.configs, cfg)
 	}
-	for _, name := range s.Protect {
+	protect := make([]string, len(s.Protect))
+	for i, name := range s.Protect {
 		sch, err := fault.ParseScheme(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
+		protect[i] = sch.String()
 		p.schemes = append(p.schemes, sch)
 	}
 	if len(s.Benchmarks) == 0 {
 		p.wls = workloads.All()
 	} else {
-		for _, name := range s.Benchmarks {
+		bench := make([]string, len(s.Benchmarks))
+		for i, name := range s.Benchmarks {
 			w, err := workloads.ByName(strings.TrimSpace(name))
 			if err != nil {
 				return nil, err
 			}
+			bench[i] = w.Name
 			p.wls = append(p.wls, w)
 		}
+		s.Benchmarks = bench
 	}
+	s.Designs, s.Protect = designs, protect
+	p.spec = s
 	return p, nil
 }
 
@@ -226,14 +241,10 @@ type Options struct {
 	// cells across invocations.
 	Cache *jobs.Cache
 	// Progress, when set, is called as jobs finish with the cumulative
-	// done count and the total. Calls may come from any worker
-	// goroutine concurrently; done is monotonic per call site only in
-	// aggregate. Cached cells report their jobs as instantly done.
+	// done count and the total. Calls come from the Run goroutine or a
+	// pool worker but never overlap, and done rises with every call.
+	// Cached goldens and cells report their jobs as instantly done.
 	Progress func(done, total int)
-	// CellDone, when set, is called once per cell in canonical report
-	// order (design-major, then workload, then scheme) from the Run
-	// goroutine — safe for ordered printing.
-	CellDone func(c Cell)
 	// Trace, when non-nil, records a span tree for the run: a campaign
 	// root (unless ctx already carries a span, in which case the
 	// campaign span becomes its child), phase spans for the golden and
@@ -286,15 +297,15 @@ func (p *plan) goldenKey(design string, w workloads.Workload) jobs.Key {
 // cellKey addresses one finished cell. It includes every input the
 // cell's outcome depends on; goldenVersion rides along because the
 // classification compares against golden digests.
-func (p *plan) cellKey(design string, w workloads.Workload, scheme string) jobs.Key {
+func (p *plan) cellKey(ref CellRef) jobs.Key {
 	return jobs.NewKey().
 		Field("kind", "cell").
 		Field("schema", Schema).
 		Field("version", cellVersion).
 		Field("golden", goldenVersion).
-		Field("design", design).
-		Field("workload", w.Name).
-		Field("protect", scheme).
+		Field("design", ref.Design).
+		Field("workload", ref.Workload).
+		Field("protect", ref.Protect).
 		Float("scale", p.spec.Scale).
 		Int("sms", int64(p.spec.SMs)).
 		Float("rate", p.spec.Rate).
@@ -393,21 +404,20 @@ func (p *plan) specKey() jobs.Key {
 		Sum()
 }
 
-// Run executes the campaign on the pool and returns the report. The
-// cell order, and therefore the marshalled report, is byte-identical to
-// the historical sequential driver for the same spec regardless of the
-// pool's worker count.
+// Run executes the campaign's Plan on the pool and returns the report.
+// The cell order, and therefore the marshalled report, is byte-identical
+// to the historical sequential driver for the same spec regardless of
+// the pool's worker count.
 func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
-	p, err := compile(spec)
+	pl, err := NewPlan(spec)
 	if err != nil {
 		return Report{}, err
 	}
 	if opt.Pool == nil {
 		return Report{}, fmt.Errorf("campaign: Options.Pool is required")
 	}
+	p := pl.p
 	s := p.spec
-	rep := Report{Schema: Schema, Rate: s.Rate, Seed: s.Seed, Trials: s.Trials, Scale: s.Scale, SMs: s.SMs}
-
 	totalJobs := p.numJobs()
 
 	// Span tracing. The campaign span hangs under the caller's span when
@@ -432,8 +442,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 	if sc := trace.FromContext(ctx); sc.Active() {
 		camp = track(sc.Start("campaign"))
 	} else if opt.Trace != nil {
-		key := p.specKey()
-		camp = track(opt.Trace.Root("campaign", trace.TraceID("pilotrf-campaign", key.Preimage()), key.Hex()))
+		camp = track(opt.Trace.Root("campaign", pl.TraceID(), p.specKey().Hex()))
 	}
 	camp.SetAttr("designs", strings.Join(s.Designs, ","))
 	camp.SetAttr("protect", strings.Join(s.Protect, ","))
@@ -441,14 +450,17 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 	camp.SetAttr("seed", strconv.FormatUint(s.Seed, 10))
 	camp.SetAttr("jobs", strconv.Itoa(totalJobs))
 	campSC := camp.Context()
-	// done is only touched from one goroutine at a time: the Run
-	// goroutine during the golden and cell-admission phases, then the
-	// drain goroutine (started strictly after) while trials execute.
+	// One counter behind a mutex: the Run goroutine credits cached work,
+	// pool tasks credit their own jobs as they finish. The lock spans
+	// the callback so calls never overlap and done rises with each one.
+	var mu sync.Mutex
 	done := 0
 	report := func(n int) {
-		if opt.Progress == nil || n == 0 {
+		if opt.Progress == nil {
 			return
 		}
+		mu.Lock()
+		defer mu.Unlock()
 		done += n
 		opt.Progress(done, totalJobs)
 	}
@@ -463,15 +475,13 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 	goldenAt := func(di, wi int) int { return di*len(p.wls) + wi }
 	var missing []goldenJob
 	for di, name := range s.Designs {
-		for wi := range p.wls {
-			w := p.wls[wi].Scale(s.Scale)
-			key := p.goldenKey(name, p.wls[wi])
-			var snap goldenSnapshot
-			if opt.Cache.Get(key, &snap) && len(snap.Digests) == len(w.Kernels) && snap.Cycles > 0 {
-				goldens[goldenAt(di, wi)] = snap
+		for wi, w := range p.wls {
+			key := p.goldenKey(name, w)
+			if snap := &goldens[goldenAt(di, wi)]; opt.Cache.Get(key, snap) &&
+				len(snap.Digests) == len(w.Kernels) && snap.Cycles > 0 {
 				gsp := campSC.Start("golden", key.Hex())
 				gsp.SetAttr("design", name)
-				gsp.SetAttr("workload", p.wls[wi].Name)
+				gsp.SetAttr("workload", w.Name)
 				gsp.SetAttr("cache", "hit")
 				gsp.End()
 				report(1)
@@ -484,8 +494,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 		gphase := track(campSC.Start("phase.golden"))
 		gphase.SetAttr("count", strconv.Itoa(len(missing)))
 		gsc := gphase.Context()
-		gctx := trace.NewContext(ctx, gsc)
-		results, err := jobs.Map(gctx, opt.Pool, len(missing), func(ctx context.Context, i int) (interface{}, error) {
+		results, err := jobs.Map(trace.NewContext(ctx, gsc), opt.Pool, len(missing), func(ctx context.Context, i int) (interface{}, error) {
 			j := missing[i]
 			sp := gsc.Start("golden", j.key.Hex())
 			defer sp.End()
@@ -498,6 +507,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 				return nil, fmt.Errorf("golden %s/%s: %w", s.Designs[j.di], w.Name, err)
 			}
 			sp.SetAttr("cycles", strconv.FormatInt(snap.Cycles, 10))
+			report(1)
 			return snap, nil
 		})
 		if err != nil {
@@ -506,174 +516,89 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 		gphase.End()
 		for i, v := range results {
 			j := missing[i]
-			snap := v.(goldenSnapshot)
-			goldens[goldenAt(j.di, j.wi)] = snap
-			if err := opt.Cache.Put(j.key, snap); err != nil {
+			goldens[goldenAt(j.di, j.wi)] = v.(goldenSnapshot)
+			if err := opt.Cache.Put(j.key, v); err != nil {
 				return Report{}, err
 			}
+		}
+	}
+
+	// Phase 2: cells. A cached cell is reused only when it validates
+	// against its ref; every other cell expands into one task per trial,
+	// in canonical order, so the ordered results fold straight into it.
+	type cellJob struct {
+		ref  CellRef
+		key  jobs.Key
+		span *trace.ActiveSpan
+	}
+	cells := make([]Cell, len(pl.cells))
+	var todo []cellJob
+	for i, ref := range pl.cells {
+		key := p.cellKey(ref)
+		sp := campSC.Start("cell", key.Hex())
+		sp.SetAttr("design", ref.Design)
+		sp.SetAttr("workload", ref.Workload)
+		sp.SetAttr("protect", ref.Protect)
+		if opt.Cache.Get(key, &cells[i]) && pl.ValidCell(i, cells[i]) {
+			sp.SetAttr("cache", "hit")
+			outcomeAttrs(sp, cells[i].Outcomes)
+			sp.End()
+			report(s.Trials)
+			continue
+		}
+		sp.SetAttr("cache", "miss")
+		cells[i] = Cell{Design: ref.Design, Protection: ref.Protect, Workload: ref.Workload}
+		todo = append(todo, cellJob{ref: ref, key: key, span: track(sp)})
+	}
+	if len(todo) > 0 {
+		n := len(todo) * s.Trials
+		tphase := track(campSC.Start("phase.trials"))
+		tphase.SetAttr("count", strconv.Itoa(n))
+		results, err := jobs.Map(trace.NewContext(ctx, tphase.Context()), opt.Pool, n, func(ctx context.Context, i int) (interface{}, error) {
+			j, trial := &todo[i/s.Trials], i%s.Trials
+			seed := trialSeed(s.Seed, trial)
+			sp := j.span.Context().Start("trial", strconv.Itoa(trial))
+			defer sp.End()
+			sp.SetAttr("trial", strconv.Itoa(trial))
+			sp.SetAttr("seed", strconv.FormatUint(seed, 10))
+			ref := j.ref
+			tr, err := runTrial(p.configs[ref.di], p.wls[ref.wi].Scale(s.Scale), goldens[goldenAt(ref.di, ref.wi)], p.schemes[ref.si], s.Rate, seed)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s/%s: %w", ref.Design, ref.Protect, ref.Workload, err)
+			}
+			sp.SetAttr("outcome", tr.label)
 			report(1)
-		}
-	}
-
-	// Phase 2: trials. Cells already in the cache skip their trials
-	// entirely; the rest expand into one task per trial, submitted in
-	// canonical order so the ordered batch results fold straight into
-	// the report.
-	type cellSlot struct {
-		cell     Cell
-		cached   bool
-		key      jobs.Key
-		firstJob int // index of the cell's first trial task, -1 if cached
-		span     *trace.ActiveSpan
-	}
-	var slots []cellSlot
-	type trialJob struct {
-		di, wi, si, trial int
-		slot              int
-	}
-	var tjobs []trialJob
-	cellSpan := func(slot *cellSlot, dname, wname, sname, cache string) *trace.ActiveSpan {
-		sp := campSC.Start("cell", slot.key.Hex())
-		sp.SetAttr("design", dname)
-		sp.SetAttr("workload", wname)
-		sp.SetAttr("protect", sname)
-		sp.SetAttr("cache", cache)
-		return sp
-	}
-	outcomeAttrs := func(sp *trace.ActiveSpan, o Outcomes) {
-		sp.SetAttr("masked", strconv.Itoa(o.Masked))
-		sp.SetAttr("corrected", strconv.Itoa(o.Corrected))
-		sp.SetAttr("detected_unrecoverable", strconv.Itoa(o.DetectedUnrecoverable))
-		sp.SetAttr("sdc", strconv.Itoa(o.SDC))
-	}
-	for di, dname := range s.Designs {
-		for wi := range p.wls {
-			for si, sname := range s.Protect {
-				slot := cellSlot{key: p.cellKey(dname, p.wls[wi], sname), firstJob: -1}
-				var cached Cell
-				if opt.Cache.Get(slot.key, &cached) &&
-					cached.Design == dname && cached.Workload == p.wls[wi].Name && cached.Protection == sname {
-					slot.cell = cached
-					slot.cached = true
-					sp := cellSpan(&slot, dname, p.wls[wi].Name, sname, "hit")
-					outcomeAttrs(sp, cached.Outcomes)
-					sp.End()
-					report(s.Trials)
-					slots = append(slots, slot)
-					continue
-				}
-				slot.cell = Cell{Design: dname, Protection: sname, Workload: p.wls[wi].Name}
-				slot.firstJob = len(tjobs)
-				slot.span = track(cellSpan(&slot, dname, p.wls[wi].Name, sname, "miss"))
-				for t := 0; t < s.Trials; t++ {
-					tjobs = append(tjobs, trialJob{di: di, wi: wi, si: si, trial: t, slot: len(slots)})
-				}
-				slots = append(slots, slot)
-			}
-		}
-	}
-
-	var trialResults []jobs.Result
-	var tphase *trace.ActiveSpan
-	if len(tjobs) > 0 {
-		tphase = track(campSC.Start("phase.trials"))
-		tphase.SetAttr("count", strconv.Itoa(len(tjobs)))
-		tctx := trace.NewContext(ctx, tphase.Context())
-		tasks := make([]jobs.Task, len(tjobs))
-		var doneJobs chan int
-		if opt.Progress != nil {
-			doneJobs = make(chan int, len(tjobs))
-		}
-		for i := range tasks {
-			j := tjobs[i]
-			tasks[i] = func(ctx context.Context) (interface{}, error) {
-				seed := trialSeed(s.Seed, j.trial)
-				sp := slots[j.slot].span.Context().Start("trial", strconv.Itoa(j.trial))
-				defer sp.End()
-				sp.SetAttr("trial", strconv.Itoa(j.trial))
-				sp.SetAttr("seed", strconv.FormatUint(seed, 10))
-				w := p.wls[j.wi].Scale(s.Scale)
-				tr, err := runTrial(p.configs[j.di], w, goldens[goldenAt(j.di, j.wi)], p.schemes[j.si], s.Rate, seed)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/%s: %w", s.Designs[j.di], s.Protect[j.si], w.Name, err)
-				}
-				sp.SetAttr("outcome", tr.label)
-				if doneJobs != nil {
-					doneJobs <- 1
-				}
-				return tr, nil
-			}
-		}
-		batch, err := opt.Pool.Submit(tctx, tasks)
+			return tr, nil
+		})
 		if err != nil {
 			return Report{}, err
-		}
-		var drained chan struct{}
-		if doneJobs != nil {
-			// Drain completion ticks into the Progress callback while
-			// the batch runs, serialized on this goroutine. Every send
-			// happens-before its task's completion and batch.Done()
-			// fires after the last completion, so flushing the buffer
-			// once Done() closes observes every tick.
-			drained = make(chan struct{})
-			go func() {
-				defer close(drained)
-				for {
-					select {
-					case <-doneJobs:
-						report(1)
-					case <-batch.Done():
-						for {
-							select {
-							case <-doneJobs:
-								report(1)
-							default:
-								return
-							}
-						}
-					}
-				}
-			}()
-		}
-		trialResults, err = batch.Wait(ctx)
-		if err != nil {
-			return Report{}, err
-		}
-		if drained != nil {
-			<-drained
 		}
 		tphase.End()
-	}
-
-	// Fold trials into cells in canonical order; surface the first
-	// error in that order so failures are as deterministic as results.
-	for i := range slots {
-		slot := &slots[i]
-		if !slot.cached {
-			for t := 0; t < s.Trials; t++ {
-				r := trialResults[slot.firstJob+t]
-				if r.Err != nil {
-					return Report{}, r.Err
-				}
-				tr := r.Value.(trialResult)
-				st := tr.stats
-				slot.cell.Injected += st.TotalInjected()
-				slot.cell.Corrected += st.Corrected
-				slot.cell.Retries += st.DetectedRetry
-				slot.cell.SilentReads += st.SilentReads
-				slot.cell.CAMCorrupted += st.CAMCorrupted
-				*tr.outcome(&slot.cell.Outcomes)++
+		for k, j := range todo {
+			c := &cells[j.ref.Index]
+			for _, v := range results[k*s.Trials : (k+1)*s.Trials] {
+				tr := v.(trialResult)
+				c.Injected += tr.stats.TotalInjected()
+				c.Corrected += tr.stats.Corrected
+				c.Retries += tr.stats.DetectedRetry
+				c.SilentReads += tr.stats.SilentReads
+				c.CAMCorrupted += tr.stats.CAMCorrupted
+				*tr.outcome(&c.Outcomes)++
 			}
-			if err := opt.Cache.Put(slot.key, slot.cell); err != nil {
+			if err := opt.Cache.Put(j.key, *c); err != nil {
 				return Report{}, err
 			}
-			outcomeAttrs(slot.span, slot.cell.Outcomes)
-			slot.span.End()
-		}
-		rep.Cells = append(rep.Cells, slot.cell)
-		if opt.CellDone != nil {
-			opt.CellDone(slot.cell)
+			outcomeAttrs(j.span, c.Outcomes)
+			j.span.End()
 		}
 	}
-	return rep, nil
+	return pl.Assemble(cells), nil
+}
+
+// outcomeAttrs stamps a cell's outcome counts on its span.
+func outcomeAttrs(sp *trace.ActiveSpan, o Outcomes) {
+	sp.SetAttr("masked", strconv.Itoa(o.Masked))
+	sp.SetAttr("corrected", strconv.Itoa(o.Corrected))
+	sp.SetAttr("detected_unrecoverable", strconv.Itoa(o.DetectedUnrecoverable))
+	sp.SetAttr("sdc", strconv.Itoa(o.SDC))
 }

@@ -190,8 +190,9 @@ func TestGoldenSharedAcrossSchemes(t *testing.T) {
 	}
 }
 
-// TestProgressAndCellDone: Progress reaches (total, total), CellDone
-// fires once per cell in canonical order.
+// TestProgressAndCellDone: on four workers Progress calls never
+// overlap, done rises with every call, never passes the total and ends
+// at it, and the report lists its cells in canonical order.
 func TestProgressAndCellDone(t *testing.T) {
 	spec := testSpec()
 	total, err := spec.NumJobs()
@@ -200,21 +201,23 @@ func TestProgressAndCellDone(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var lastDone, calls int
-	var cells []string
 	rep, err := Run(context.Background(), spec, Options{
-		Pool: newPool(t, 2, nil),
+		Pool: newPool(t, 4, nil),
 		Progress: func(done, tot int) {
-			mu.Lock()
+			if !mu.TryLock() {
+				t.Error("progress calls overlap")
+				return
+			}
 			defer mu.Unlock()
 			calls++
 			if tot != total {
 				t.Errorf("progress total %d, want %d", tot, total)
 			}
-			if done > lastDone {
-				lastDone = done
+			if done <= lastDone || done > total {
+				t.Errorf("progress %d after %d, want it to rise and stay within %d", done, lastDone, total)
 			}
+			lastDone = done
 		},
-		CellDone: func(c Cell) { cells = append(cells, c.Protection) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +225,95 @@ func TestProgressAndCellDone(t *testing.T) {
 	if lastDone != total || calls != total {
 		t.Errorf("progress reached %d in %d calls, want %d in %d", lastDone, calls, total, total)
 	}
-	want := []string{"none", "parity", "secded"}
-	if !reflect.DeepEqual(cells, want) {
-		t.Errorf("CellDone order %v, want %v", cells, want)
+	var cells []string
+	for _, c := range rep.Cells {
+		cells = append(cells, c.Protection)
+	}
+	if want := []string{"none", "parity", "secded"}; !reflect.DeepEqual(cells, want) {
+		t.Errorf("cell order %v, want %v", cells, want)
 	}
 	if rep.Schema != Schema {
 		t.Errorf("schema %q", rep.Schema)
+	}
+}
+
+// TestTamperedCellRecomputed: a cached cell whose outcome counts do not
+// sum to the spec's trials fails ValidCell, so Run recomputes it, as
+// the fleet coordinator does, instead of reporting the tampered counts.
+func TestTamperedCellRecomputed(t *testing.T) {
+	spec := testSpec()
+	cache, err := jobs.OpenCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := runSpec(t, spec, cache)
+	pl, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cold.Cells[1]
+	bad.Outcomes = Outcomes{Masked: 99}
+	if err := cache.Put(pl.CellKey(1), bad); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	warm, err := Run(context.Background(), spec, Options{Pool: newPool(t, 2, reg), Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("tampered cell reported: cell 1 %+v, want %+v", warm.Cells[1], cold.Cells[1])
+	}
+	if n := reg.Map()["jobs_submitted"]; n != float64(spec.Trials) {
+		t.Errorf("run over one tampered cell submitted %v jobs, want its %d trials", n, spec.Trials)
+	}
+	var c Cell
+	if !cache.Get(pl.CellKey(1), &c) || c != cold.Cells[1] {
+		t.Errorf("recomputed cell not cached: read %+v, want %+v", c, cold.Cells[1])
+	}
+}
+
+// TestCanonicalSpelling: padded names and protection aliases report,
+// key and cache their cells under the registry names, so a rerun with
+// the canonical spelling hits every entry the first run wrote.
+func TestCanonicalSpelling(t *testing.T) {
+	spec := testSpec()
+	spec.Benchmarks = []string{" sgemm"}
+	spec.Designs = []string{" part-adaptive "}
+	spec.Protect = []string{"unprotected", "parity ", "ecc"}
+	cache, err := jobs.OpenCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runSpec(t, spec, cache)
+	if spec.Designs[0] != " part-adaptive " || spec.Protect[2] != "ecc" || spec.Benchmarks[0] != " sgemm" {
+		t.Errorf("Run rewrote the caller's spec: %+v", spec)
+	}
+	want := runSpec(t, testSpec(), nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aliased spec reported %+v, want %+v", got.Cells, want.Cells)
+	}
+	pl, err := NewPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := NewPlan(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pl.NumCells(); i++ {
+		if pl.Cell(i) != canon.Cell(i) || pl.CellKey(i) != canon.CellKey(i) {
+			t.Errorf("cell %d: %+v keyed %s, canonical %+v keyed %s", i, pl.Cell(i), pl.CellKey(i), canon.Cell(i), canon.CellKey(i))
+		}
+	}
+	if pl.TraceID() != canon.TraceID() {
+		t.Error("aliased spec traces under a different id")
+	}
+	before := cache.Stats()
+	runSpec(t, testSpec(), cache)
+	if st := cache.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != 4 {
+		t.Errorf("canonical rerun: %d hits and %d misses, want 4 hits (1 golden, 3 cells) and none",
+			st.Hits-before.Hits, st.Misses-before.Misses)
 	}
 }
 

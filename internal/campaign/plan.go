@@ -3,15 +3,16 @@ package campaign
 import (
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/trace"
-	"pilotrf/internal/workloads"
 )
 
-// Plan is the sharding projection of a compiled spec, built for the
-// fleet coordinator (internal/fleet): the campaign grid exposed as an
-// indexed list of cells in the exact canonical report order Run uses
-// (design-major, then workload, then protection scheme), each with its
-// content-addressed cache key and a self-contained single-cell Spec a
-// remote worker can execute in isolation.
+// Plan is a compiled spec's campaign grid: an indexed list of cells in
+// canonical report order (design-major, then workload, then protection
+// scheme), each with its content-addressed cache key and a
+// self-contained single-cell Spec a remote worker can execute in
+// isolation. Run executes a plan on one pool; the fleet coordinator
+// (internal/fleet) shards the same plan across workers. Both reuse a
+// cached cell only when ValidCell accepts it, and both build the report
+// with Assemble.
 //
 // The load-bearing property, pinned by TestCellSpecMatchesFullRun, is
 // that running CellSpec(i) anywhere — any machine, any worker count —
@@ -32,27 +33,32 @@ type Plan struct {
 type CellRef struct {
 	// Index is the cell's position in the canonical report order.
 	Index int `json:"index"`
-	// Design, Workload, and Protect are the cell's CLI-facing names.
+	// Design, Workload, and Protect are the cell's registry names.
 	Design   string `json:"design"`
 	Workload string `json:"workload"`
 	Protect  string `json:"protect"`
+
+	di, wi, si int // the compiled design, workload and protection
 }
 
-// NewPlan compiles and validates the spec into its sharding projection.
+// NewPlan compiles and validates the spec into its campaign grid.
 func NewPlan(spec Spec) (*Plan, error) {
 	p, err := compile(spec)
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{p: p}
-	for _, dname := range p.spec.Designs {
+	pl := &Plan{p: p, cells: make([]CellRef, 0, len(p.configs)*len(p.wls)*len(p.schemes))}
+	for di, dname := range p.spec.Designs {
 		for wi := range p.wls {
-			for _, sname := range p.spec.Protect {
+			for si, sname := range p.spec.Protect {
 				pl.cells = append(pl.cells, CellRef{
 					Index:    len(pl.cells),
 					Design:   dname,
 					Workload: p.wls[wi].Name,
 					Protect:  sname,
+					di:       di,
+					wi:       wi,
+					si:       si,
 				})
 			}
 		}
@@ -60,8 +66,9 @@ func NewPlan(spec Spec) (*Plan, error) {
 	return pl, nil
 }
 
-// Spec returns the spec with campaign defaults applied — the fully
-// resolved form whose zero fields no longer mean "pick a default".
+// Spec returns the spec with campaign defaults applied and every name
+// canonical — the fully resolved form whose zero fields no longer mean
+// "pick a default".
 func (pl *Plan) Spec() Spec { return pl.p.spec }
 
 // NumCells returns the grid size.
@@ -80,10 +87,7 @@ func (pl *Plan) Cell(i int) CellRef { return pl.cells[i] }
 // CellKey returns cell i's content-addressed cache key — identical to
 // the key a full Run of the spec stores the finished cell under, which
 // is what makes coordinator crash-resume a cache replay.
-func (pl *Plan) CellKey(i int) jobs.Key {
-	ref := pl.cells[i]
-	return pl.p.cellKey(ref.Design, pl.workload(ref.Workload), ref.Protect)
-}
+func (pl *Plan) CellKey(i int) jobs.Key { return pl.p.cellKey(pl.cells[i]) }
 
 // CellSpec returns the self-contained single-cell spec for cell i: a
 // full Run of it produces exactly one cell, byte-identical to cell i of
@@ -105,9 +109,10 @@ func (pl *Plan) CellSpec(i int) Spec {
 
 // ValidCell reports whether c is a plausible result for cell i: the
 // identity fields match the ref and the outcome counts sum to the
-// spec's trial count. Both the coordinator's resume path and its
-// result-ingest path run this, so a stale cache entry or a confused
-// worker degrades to recomputation instead of corrupting the report.
+// spec's trial count. Run's cache reads and the coordinator's resume
+// and result-ingest paths all run this, so a stale or tampered cache
+// entry or a confused worker degrades to recomputation instead of
+// corrupting the report.
 func (pl *Plan) ValidCell(i int, c Cell) bool {
 	ref := pl.cells[i]
 	o := c.Outcomes
@@ -116,8 +121,8 @@ func (pl *Plan) ValidCell(i int, c Cell) bool {
 }
 
 // Assemble builds the campaign report from cells in canonical order
-// (len(cells) must equal NumCells). The bytes of the marshalled report
-// are identical to a local Run's for the same spec.
+// (len(cells) must equal NumCells). Run builds its report with it too,
+// so a fleet's report marshals to a local Run's bytes for the same spec.
 func (pl *Plan) Assemble(cells []Cell) Report {
 	s := pl.p.spec
 	return Report{
@@ -126,20 +131,9 @@ func (pl *Plan) Assemble(cells []Cell) Report {
 	}
 }
 
-// TraceID returns the deterministic trace id a standalone run of this
-// spec would root its span tree with — the fleet coordinator uses it so
+// TraceID returns the deterministic trace id a standalone Run of this
+// spec roots its span tree with — the fleet coordinator uses it so
 // a sharded campaign's tree shares identity with the local run's.
 func (pl *Plan) TraceID() string {
 	return trace.TraceID("pilotrf-campaign", pl.p.specKey().Preimage())
-}
-
-// workload resolves a name that compile already validated.
-func (pl *Plan) workload(name string) workloads.Workload {
-	for i := range pl.p.wls {
-		if pl.p.wls[i].Name == name {
-			return pl.p.wls[i]
-		}
-	}
-	// Unreachable: every CellRef name came from p.wls.
-	panic("campaign: unknown workload " + name)
 }

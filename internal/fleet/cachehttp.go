@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -111,12 +112,10 @@ func (b *httpBackend) Load(hexKey string) ([]byte, error) {
 		if !retryable {
 			return nil, err
 		}
-		d, ok := bo.Next()
-		if !ok {
-			return nil, fmt.Errorf("fleet: cache get %s: retry budget exhausted: %w", hexKey, err)
+		if serr := bo.Sleep(context.TODO()); serr != nil {
+			return nil, fmt.Errorf("%w: %w", serr, err)
 		}
 		b.cRetries.Inc()
-		sleep(d)
 	}
 }
 
@@ -168,12 +167,9 @@ func (b *httpBackend) Store(hexKey string, envelope []byte) error {
 			b.cPuts.Inc()
 			return nil
 		}
-		if retryable {
-			if d, ok := bo.Next(); ok {
-				b.cRetries.Inc()
-				sleep(d)
-				continue
-			}
+		if retryable && bo.Sleep(context.TODO()) == nil {
+			b.cRetries.Inc()
+			continue
 		}
 		b.cDropped.Inc()
 		b.log.Warn("remote cache put dropped", "key", hexKey, "error", err.Error())

@@ -18,9 +18,6 @@ import (
 	"pilotrf/internal/trace"
 )
 
-// sleep is time.Sleep, swappable in tests.
-var sleep = time.Sleep
-
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
@@ -145,17 +142,13 @@ func (w *Worker) post(ctx context.Context, path string, msg interface{}) ([]byte
 		if ctx.Err() != nil {
 			return nil, 0, ctx.Err()
 		}
-		if retryable {
-			if d, ok := bo.Next(); ok {
-				w.cRetries.Inc()
-				if serr := sleepCtx(ctx, d); serr != nil {
-					return nil, 0, serr
-				}
-				continue
-			}
-			return nil, code, fmt.Errorf("fleet: %s: retry budget exhausted: %w", path, err)
+		if !retryable {
+			return buf, code, err
 		}
-		return buf, code, err
+		if serr := bo.Sleep(ctx); serr != nil {
+			return nil, code, fmt.Errorf("%w: %w", serr, err)
+		}
+		w.cRetries.Inc()
 	}
 }
 

@@ -36,7 +36,7 @@ type (
 	// fields select the cmd/faultcampaign defaults.
 	CampaignSpec = campaign.Spec
 	// CampaignOptions wires a campaign onto a pool, an optional cache,
-	// and optional progress callbacks.
+	// an optional progress callback and an optional span recorder.
 	CampaignOptions = campaign.Options
 	// CampaignReport is the versioned campaign result
 	// (pilotrf-faultcampaign/v1), byte-reproducible from the spec.
