@@ -366,7 +366,7 @@ func execLane(w *warp, in *isa.Instruction, lane int, seed uint64) {
 			wr(rd(in.SrcB))
 		}
 	case isa.OpSEL:
-		if w.preds[in.SrcPred]&(1<<uint(lane)) != 0 {
+		if w.predMask(isa.Guard{Pred: in.SrcPred})&(1<<uint(lane)) != 0 {
 			wr(rd(in.SrcA))
 		} else {
 			wr(rd(in.SrcB))

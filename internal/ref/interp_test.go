@@ -3,6 +3,7 @@ package ref
 import (
 	"testing"
 
+	"pilotrf/internal/asm"
 	"pilotrf/internal/isa"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/sim"
@@ -83,6 +84,48 @@ func TestDivergentExit(t *testing.T) {
 	// S2R 32 + SETPI 32 + BRA 32 + EXIT 8 + MOVI 24 + IADD 24 + EXIT 24.
 	if want := uint64(32 + 32 + 32 + 8 + 24 + 24 + 24); res.ThreadInstrs != want {
 		t.Errorf("ThreadInstrs = %d, want %d", res.ThreadInstrs, want)
+	}
+}
+
+// TestSELWithPTSelectsRa runs a SEL whose selector is PT, which the
+// assembler accepts, on both engines. PT reads true, so every lane must
+// select Ra. The kernel checks itself: a lane whose R2 differs from R0
+// exits before the store, and the thread-instruction counts show it.
+func TestSELWithPTSelectsRa(t *testing.T) {
+	prog, err := asm.Assemble(`
+		.kernel sel-pt
+		.regs 3
+		S2R R0, SR_TID
+		MOVI R1, -1
+		SEL R2, R0, R1, PT
+		SETP.NE P0, R2, R0
+		@P0 EXIT
+		STG [R0+0], R2
+		EXIT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &kernel.Kernel{Prog: prog, ThreadsPerCTA: 64, NumCTAs: 2}
+	const want = 7 * 64 * 2 // every thread runs all seven instructions
+	refRes, err := Run(k, 1)
+	if err != nil {
+		t.Fatalf("ref: %v", err)
+	}
+	if refRes.ThreadInstrs != want {
+		t.Errorf("ref: %d thread instructions, want %d", refRes.ThreadInstrs, want)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.NumSMs = 1
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simKS, err := g.RunKernel(k)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if simKS.ThreadInstrs != want {
+		t.Errorf("sim: %d thread instructions, want %d", simKS.ThreadInstrs, want)
 	}
 }
 
