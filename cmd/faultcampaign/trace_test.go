@@ -79,7 +79,7 @@ func TestCampaignTraceSpansFlag(t *testing.T) {
 
 // TestCampaignVerboseCacheSummary: -v ends the run with one cache
 // summary line whose numbers flip from all-misses to all-hits on the
-// warm pass.
+// warm pass, which reads only the cells: no cell needs the golden.
 func TestCampaignVerboseCacheSummary(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
@@ -92,12 +92,12 @@ func TestCampaignVerboseCacheSummary(t *testing.T) {
 	}
 	coldLine := lastLine(cold.String())
 	warmLine := lastLine(warm.String())
-	// 1 golden + 3 cells per run.
+	// Cold: 3 cells and 1 golden. Warm: the 3 cells.
 	if !strings.Contains(coldLine, "0 hits, 4 misses (0 corrupt), 4 writes") {
 		t.Errorf("cold cache summary %q, want 0 hits / 4 misses / 4 writes", coldLine)
 	}
-	if !strings.Contains(warmLine, "4 hits, 0 misses (0 corrupt), 0 writes") {
-		t.Errorf("warm cache summary %q, want 4 hits / 0 misses / 0 writes", warmLine)
+	if !strings.Contains(warmLine, "3 hits, 0 misses (0 corrupt), 0 writes") {
+		t.Errorf("warm cache summary %q, want 3 hits / 0 misses / 0 writes", warmLine)
 	}
 	for _, line := range []string{coldLine, warmLine} {
 		if !strings.HasPrefix(line, "cache "+cacheDir+":") {

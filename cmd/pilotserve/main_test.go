@@ -254,6 +254,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRejected: specs past campaign's caps get a 400 at
+// admission. The first body's 2^62 trials once wrapped its price to one
+// job, so the server admitted it and its job goroutine panicked; the
+// server must go on serving.
+func TestOversizedSpecRejected(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{workers: 1})
+	for _, body := range []string{
+		`{"jobs":[{"benchmarks":["sgemm"],"designs":["part"],"trials":4611686018427387904,"scale":0.02,"sms":1}]}`,
+		`{"jobs":[{"benchmarks":["sgemm"],"designs":["part"],"sms":1000000000}]}`,
+		`{"jobs":[{"benchmarks":["sgemm"],"designs":["part"],"scale":1e9}]}`,
+	} {
+		resp := submit(t, ts, body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	resp := submit(t, ts, `{"jobs":[`+testSpecJSON+`]}`)
+	var sub submitResponse
+	err := json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid spec after the rejections: status %d, %v", resp.StatusCode, err)
+	}
+	if final := streamJob(t, ts, sub.Jobs[0].ID); final.State != "done" {
+		t.Fatalf("valid spec after the rejections ended %+v", final)
+	}
+}
+
 // TestDrainStopsAdmission: after beginDrain, submissions get 503 and
 // /healthz reports unhealthy, but already-running jobs still finish and
 // stream.

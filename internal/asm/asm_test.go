@@ -139,6 +139,9 @@ func TestAssembleErrors(t *testing.T) {
 		"bad regs count":  ".kernel k\n.regs 99\n EXIT",
 		"guard alone":     ".kernel k\n.regs 4\n @P0\n EXIT",
 		"bad branch args": ".kernel k\n.regs 4\nx:\n BRA x y z\n EXIT",
+		// Lanes with P0 false would run past the last instruction.
+		"falls off the end":  ".kernel t\n.regs 10\n S2R R0, SR_TID\n IMAD R2, R0, R0, R0\n @P0 EXIT",
+		"label past the end": ".kernel t\n.regs 4\n @P0 BRA end\n EXIT\nend:",
 	}
 	for name, src := range cases {
 		if _, err := Assemble(src); err == nil {

@@ -16,7 +16,9 @@
 //     cells under content-addressed keys, so re-sweeps with overlapping
 //     grids, and campaigns resumed after an interrupt, recompute only
 //     what is genuinely new. Corrupt or stale entries load as misses
-//     and are recomputed, never trusted.
+//     and are recomputed, never trusted. Run looks every cell up first
+//     and reads (or runs) a pair's golden only when one of its cells is
+//     to be computed, so a fully cached campaign reads no golden.
 package campaign
 
 import (
@@ -86,7 +88,9 @@ type Report struct {
 
 // Spec is a campaign request: the grid axes and the physics knobs. The
 // zero value of each list field selects the corresponding default, so a
-// JSON body of {"trials": 3, "seed": 7} is a complete request.
+// JSON body of {"trials": 3, "seed": 7} is a complete request. A spec
+// that expands to more than 1<<20 jobs (golden runs plus trials) is
+// invalid.
 type Spec struct {
 	// Benchmarks lists workload names (empty = the full Table I suite).
 	Benchmarks []string `json:"benchmarks,omitempty"`
@@ -96,7 +100,8 @@ type Spec struct {
 	// Protect lists protection schemes by name (empty = none, parity,
 	// secded, paper).
 	Protect []string `json:"protect,omitempty"`
-	// Trials is the seeded injection count per cell (0 selects 5).
+	// Trials is the seeded injection count per cell (0 selects 5; at
+	// most 65536).
 	Trials int `json:"trials,omitempty"`
 	// Rate is the accelerated soft-error rate in upsets/bit/cycle at
 	// STV (0 selects 2e-11).
@@ -105,9 +110,9 @@ type Spec struct {
 	// byte-identical reports (0 selects 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// Scale multiplies workload CTA counts (0 selects 0.05, the
-	// campaign default).
+	// campaign default; at most 32).
 	Scale float64 `json:"scale,omitempty"`
-	// SMs is the simulated SM count (0 selects 2).
+	// SMs is the simulated SM count (0 selects 2; at most 64).
 	SMs int `json:"sms,omitempty"`
 }
 
@@ -138,6 +143,25 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// Upper bounds on a spec, which compile enforces for faultcampaign, the
+// fleet and pilotserve alike: no spec may ask for more SMs, work or jobs
+// than these, or overflow its job count.
+const (
+	maxTrials = 1 << 16 // trials per cell
+	maxSMs    = 64      // over 4x KeplerConfig's 15 SMs
+	maxScale  = 32      // keeps WORKLOADS.md's scale x 2/SMs = 1 reachable at maxSMs
+	maxJobs   = 1 << 20 // golden runs plus trials
+)
+
+// capMul returns a*b for non-negative a and b, or maxJobs+1 once the
+// product passes maxJobs, so it never overflows.
+func capMul(a, b int) int {
+	if b != 0 && a > maxJobs/b {
+		return maxJobs + 1
+	}
+	return a * b
+}
+
 // plan is a validated, fully-resolved spec.
 type plan struct {
 	spec    Spec         // defaults applied, every name as registered
@@ -154,17 +178,27 @@ type plan struct {
 func compile(s Spec) (*plan, error) {
 	s = s.withDefaults()
 	p := &plan{}
-	if s.Trials < 0 {
-		return nil, fmt.Errorf("trials must be positive, got %d", s.Trials)
+	if s.Trials < 0 || s.Trials > maxTrials {
+		return nil, fmt.Errorf("trials must be in [1, %d], got %d", maxTrials, s.Trials)
 	}
 	if (fault.Config{Rate: s.Rate}).Validate() != nil {
 		return nil, fmt.Errorf("rate must be a positive finite upsets/bit/cycle, got %v", s.Rate)
 	}
-	if s.SMs <= 0 {
-		return nil, fmt.Errorf("sms must be positive, got %d", s.SMs)
+	if s.SMs <= 0 || s.SMs > maxSMs {
+		return nil, fmt.Errorf("sms must be in [1, %d], got %d", maxSMs, s.SMs)
 	}
-	if s.Scale <= 0 {
-		return nil, fmt.Errorf("scale must be positive, got %v", s.Scale)
+	if !(s.Scale > 0 && s.Scale <= maxScale) {
+		return nil, fmt.Errorf("scale must be in (0, %d], got %v", maxScale, s.Scale)
+	}
+	numWls := len(s.Benchmarks)
+	if numWls == 0 {
+		p.wls = workloads.All()
+		numWls = len(p.wls)
+	}
+	// Price the grid from its axis lengths before resolving any name.
+	pairs := capMul(len(s.Designs), numWls)
+	if capMul(pairs, 1+capMul(len(s.Protect), s.Trials)) > maxJobs {
+		return nil, fmt.Errorf("spec expands to more than %d jobs (golden runs plus trials)", maxJobs)
 	}
 	designs := make([]string, len(s.Designs))
 	for i, name := range s.Designs {
@@ -189,9 +223,7 @@ func compile(s Spec) (*plan, error) {
 		protect[i] = sch.String()
 		p.schemes = append(p.schemes, sch)
 	}
-	if len(s.Benchmarks) == 0 {
-		p.wls = workloads.All()
-	} else {
+	if len(s.Benchmarks) > 0 {
 		bench := make([]string, len(s.Benchmarks))
 		for i, name := range s.Benchmarks {
 			w, err := workloads.ByName(strings.TrimSpace(name))
@@ -243,7 +275,8 @@ type Options struct {
 	// Progress, when set, is called as jobs finish with the cumulative
 	// done count and the total. Calls come from the Run goroutine or a
 	// pool worker but never overlap, and done rises with every call.
-	// Cached goldens and cells report their jobs as instantly done.
+	// Cached cells, and goldens that are cached or that no cell to
+	// compute needs, report their jobs as instantly done.
 	Progress func(done, total int)
 	// Trace, when non-nil, records a span tree for the run: a campaign
 	// root (unless ctx already carries a span, in which case the
@@ -465,17 +498,56 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 		opt.Progress(done, totalJobs)
 	}
 
-	// Phase 1: golden references, one per (design, workload), pulled
-	// from the cache where possible, computed on the pool otherwise.
+	// Cells first. A cached cell is reused only when it validates
+	// against its ref; every other cell expands into one task per trial,
+	// in canonical order, so the ordered results fold straight into it.
+	type cellJob struct {
+		ref  CellRef
+		key  jobs.Key
+		span *trace.ActiveSpan
+	}
+	cells := make([]Cell, len(pl.cells))
+	var todo []cellJob
+	for i, ref := range pl.cells {
+		key := p.cellKey(ref)
+		sp := campSC.Start("cell", key.Hex())
+		sp.SetAttr("design", ref.Design)
+		sp.SetAttr("workload", ref.Workload)
+		sp.SetAttr("protect", ref.Protect)
+		if opt.Cache.Get(key, &cells[i]) && pl.ValidCell(i, cells[i]) {
+			sp.SetAttr("cache", "hit")
+			outcomeAttrs(sp, cells[i].Outcomes)
+			sp.End()
+			report(s.Trials)
+			continue
+		}
+		sp.SetAttr("cache", "miss")
+		cells[i] = Cell{Design: ref.Design, Protection: ref.Protect, Workload: ref.Workload}
+		todo = append(todo, cellJob{ref: ref, key: key, span: track(sp)})
+	}
+
+	// Then the golden references, one per (design, workload) pair with a
+	// cell to compute, pulled from the cache where possible and computed
+	// on the pool otherwise. A pair whose cells all hit needs no golden:
+	// its job counts as done unread.
 	type goldenJob struct {
 		di, wi int
 		key    jobs.Key
 	}
 	goldens := make([]goldenSnapshot, len(p.configs)*len(p.wls))
 	goldenAt := func(di, wi int) int { return di*len(p.wls) + wi }
+	needed := make([]bool, len(goldens))
+	for _, j := range todo {
+		needed[goldenAt(j.ref.di, j.ref.wi)] = true
+	}
 	var missing []goldenJob
+	skipped := 0
 	for di, name := range s.Designs {
 		for wi, w := range p.wls {
+			if !needed[goldenAt(di, wi)] {
+				skipped++
+				continue
+			}
 			key := p.goldenKey(name, w)
 			if snap := &goldens[goldenAt(di, wi)]; opt.Cache.Get(key, snap) &&
 				len(snap.Digests) == len(w.Kernels) && snap.Cycles > 0 {
@@ -489,6 +561,9 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 			}
 			missing = append(missing, goldenJob{di: di, wi: wi, key: key})
 		}
+	}
+	if skipped > 0 {
+		report(skipped)
 	}
 	if len(missing) > 0 {
 		gphase := track(campSC.Start("phase.golden"))
@@ -523,33 +598,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (Report, error) {
 		}
 	}
 
-	// Phase 2: cells. A cached cell is reused only when it validates
-	// against its ref; every other cell expands into one task per trial,
-	// in canonical order, so the ordered results fold straight into it.
-	type cellJob struct {
-		ref  CellRef
-		key  jobs.Key
-		span *trace.ActiveSpan
-	}
-	cells := make([]Cell, len(pl.cells))
-	var todo []cellJob
-	for i, ref := range pl.cells {
-		key := p.cellKey(ref)
-		sp := campSC.Start("cell", key.Hex())
-		sp.SetAttr("design", ref.Design)
-		sp.SetAttr("workload", ref.Workload)
-		sp.SetAttr("protect", ref.Protect)
-		if opt.Cache.Get(key, &cells[i]) && pl.ValidCell(i, cells[i]) {
-			sp.SetAttr("cache", "hit")
-			outcomeAttrs(sp, cells[i].Outcomes)
-			sp.End()
-			report(s.Trials)
-			continue
-		}
-		sp.SetAttr("cache", "miss")
-		cells[i] = Cell{Design: ref.Design, Protection: ref.Protect, Workload: ref.Workload}
-		todo = append(todo, cellJob{ref: ref, key: key, span: track(sp)})
-	}
+	// Finally the trials of every cell to compute.
 	if len(todo) > 0 {
 		n := len(todo) * s.Trials
 		tphase := track(campSC.Start("phase.trials"))

@@ -139,10 +139,10 @@ func TestPlanResumeFromCache(t *testing.T) {
 		t.Fatal("cell 0's result validated as cell 1")
 	}
 	// An entry without its payload hits but reads as a zero cell, which
-	// fails validation, so a resume recomputes that cell.
+	// fails validation, so a resume (a fresh Cache) recomputes that cell.
 	stripPayload(t, filepath.Join(dir, pl.CellKey(0).Hex()+".json"))
 	var z Cell
-	if !cache.Get(pl.CellKey(0), &z) || pl.ValidCell(0, z) {
+	if !openCache(t, dir).Get(pl.CellKey(0), &z) || pl.ValidCell(0, z) {
 		t.Fatalf("payload-less cell 0 entry: read %+v, want a hit that fails ValidCell", z)
 	}
 }

@@ -359,16 +359,23 @@ func TestFleetPoisonCell(t *testing.T) {
 
 // TestFleetRemoteCacheIntegrity: the remote cache round-trip
 // re-verifies envelope integrity — a corrupted coordinator-side file is
-// a miss for workers, and a corrupt PUT is rejected.
+// a miss for workers, and a corrupt PUT is rejected. A Cache serves an
+// entry it has validated from memory, so the corrupted file is read
+// through a fresh remote cache, as a restarted worker would.
 func TestFleetRemoteCacheIntegrity(t *testing.T) {
 	_, ts, dir := newFleet(t, Config{})
-	remote, err := NewRemoteCache(RemoteCacheConfig{
-		Coordinator: ts.URL,
-		Retry:       Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
+	newRemote := func() *jobs.Cache {
+		t.Helper()
+		remote, err := NewRemoteCache(RemoteCacheConfig{
+			Coordinator: ts.URL,
+			Retry:       Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return remote
 	}
+	remote := newRemote()
 	key := jobs.NewKey().Field("kind", "fleet-test").Uint("n", 7).Sum()
 	type payload struct {
 		V int `json:"v"`
@@ -391,7 +398,7 @@ func TestFleetRemoteCacheIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after payload
-	if remote.Get(key, &after) {
+	if newRemote().Get(key, &after) {
 		t.Fatal("corrupt remote entry served as a hit")
 	}
 

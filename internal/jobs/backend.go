@@ -116,7 +116,7 @@ func ValidateEnvelope(hexKey string, data []byte) error {
 		h ^= uint64(ent.Preimage[i])
 		h *= fnvPrime
 	}
-	if got := fmt.Sprintf("%016x", h); got != hexKey {
+	if got := hex16(h); got != hexKey {
 		return fmt.Errorf("jobs: envelope: preimage hashes to %s, not %s", got, hexKey)
 	}
 	// A null payload sets Payload to nil; an absent one leaves payload

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"sync"
 
 	"pilotrf/internal/telemetry"
@@ -25,7 +26,18 @@ type Key struct {
 }
 
 // Hex returns the 16-digit lowercase hash, the cache's file stem.
-func (k Key) Hex() string { return fmt.Sprintf("%016x", k.sum) }
+func (k Key) Hex() string { return hex16(k.sum) }
+
+// hex16 formats v as 16 zero-padded lowercase hex digits, as %016x does.
+func hex16(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
+}
 
 // Preimage returns the canonical string the key hashes.
 func (k Key) Preimage() string { return k.pre }
@@ -67,17 +79,21 @@ func (b *KeyBuilder) Field(name, value string) *KeyBuilder {
 
 // Uint appends an unsigned integer field.
 func (b *KeyBuilder) Uint(name string, v uint64) *KeyBuilder {
-	return b.Field(name, fmt.Sprintf("%d", v))
+	var buf [24]byte
+	return b.Field(name, string(strconv.AppendUint(buf[:0], v, 10)))
 }
 
 // Int appends a signed integer field.
 func (b *KeyBuilder) Int(name string, v int64) *KeyBuilder {
-	return b.Field(name, fmt.Sprintf("%d", v))
+	var buf [24]byte
+	return b.Field(name, string(strconv.AppendInt(buf[:0], v, 10)))
 }
 
-// Float appends a float field in the shortest round-trippable form.
+// Float appends a float field in the shortest round-trippable form
+// (%g's).
 func (b *KeyBuilder) Float(name string, v float64) *KeyBuilder {
-	return b.Field(name, fmt.Sprintf("%g", v))
+	var buf [32]byte
+	return b.Field(name, string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)))
 }
 
 func (b *KeyBuilder) write(s string) {
@@ -112,12 +128,30 @@ type CacheStats struct {
 // report a miss (counted in Stats().Corrupt) — the caller recomputes and
 // overwrites, it never crashes. A nil *Cache is a valid no-op cache, so
 // call sites need no "-cache-dir set?" branches.
+//
+// In front of the backend sits a bounded in-process tier. A Get whose
+// envelope validates keeps the payload's raw JSON, under the key's hash
+// and full preimage, and later Gets of that key decode those bytes into
+// out with no backend read and no envelope decode. Put and StoreRaw drop
+// the key once the backend write succeeds, so the tier only ever holds
+// bytes a read validated, and it holds at most 4 MiB (memTierCap) of
+// payloads and preimages. It keeps bytes, not decoded values, so no two
+// Gets share a value. The one contract this adds: a Cache serves an
+// entry it has validated from memory, so an edit of the store behind it
+// is seen by the next Cache opened over that store (a resumed process),
+// not by this one. Callers validate what they read either way.
 type Cache struct {
 	dir string // "" unless backed by a directory
 	be  Backend
 
 	mu    sync.Mutex
 	stats CacheStats
+
+	// The in-process tier, under mu. memGen rises with every write, so a
+	// Get whose backend read raced a write keeps nothing.
+	mem      map[uint64]memEntry
+	memBytes int
+	memGen   uint64
 
 	// Telemetry mirrors of stats (nil until Metrics attaches them).
 	cHits    *telemetry.Counter
@@ -137,6 +171,18 @@ type cacheEntry struct {
 	Preimage string      `json:"preimage"`
 	Payload  interface{} `json:"payload"`
 }
+
+// memTierCap bounds the bytes the in-process tier holds: the preimages
+// and raw payloads of its entries.
+const memTierCap = 4 << 20
+
+// memEntry is one validated payload in the in-process tier.
+type memEntry struct {
+	pre     string          // the key's full preimage
+	payload json.RawMessage // never written once kept; nil if absent
+}
+
+func (e memEntry) size() int { return len(e.pre) + len(e.payload) }
 
 // OpenCache creates dir if needed and returns the cache over it.
 func OpenCache(dir string) (*Cache, error) {
@@ -171,31 +217,101 @@ func (c *Cache) Dir() string {
 // Get loads the entry for key into out (a JSON-decodable pointer),
 // reporting whether it hit. Every failure mode — missing file, torn
 // write, foreign JSON, schema bump, hash collision, payload mismatch,
-// an out that is not a non-nil pointer — is a miss, never an error. The
-// envelope and its payload are decoded in one pass, so on a miss out may
-// hold part or all of the rejected entry's payload, and an envelope with
-// no payload field (Put never writes one) hits and leaves out as it was,
-// as a null payload does.
+// an out that is not a non-nil pointer — is a miss, never an error. On a
+// miss out may hold part or all of the rejected entry's payload, and an
+// envelope with no payload field (Put never writes one) hits and leaves
+// out as it was, as a null payload does. A hit from the in-process tier
+// counts in Stats like one from the backend.
 func (c *Cache) Get(key Key, out interface{}) bool {
 	if c == nil {
 		return false
 	}
-	buf, err := c.be.Load(key.Hex())
+	// Decoding into a non-nil pointer fills the pointee; any other out
+	// would be replaced, not filled.
+	if v := reflect.ValueOf(out); v.Kind() != reflect.Pointer || v.IsNil() {
+		c.count(func(s *CacheStats) { s.Misses++; s.Corrupt++ })
+		return false
+	}
+	c.mu.Lock()
+	e, inMem := c.mem[key.sum]
+	gen := c.memGen
+	c.mu.Unlock()
+	if inMem && e.pre == key.pre {
+		if decodePayload(e.payload, out) != nil {
+			c.count(func(s *CacheStats) { s.Misses++; s.Corrupt++ })
+			return false
+		}
+		c.count(func(s *CacheStats) { s.Hits++ })
+		return true
+	}
+	hex := key.Hex()
+	buf, err := c.be.Load(hex)
 	if err != nil {
 		c.count(func(s *CacheStats) { s.Misses++ })
 		return false
 	}
-	// Decoding into an interface that holds a non-nil pointer fills the
-	// pointee; any other out would be replaced, not filled.
-	ent := cacheEntry{Payload: out}
-	if v := reflect.ValueOf(out); v.Kind() != reflect.Pointer || v.IsNil() ||
-		json.Unmarshal(buf, &ent) != nil ||
-		ent.Schema != CacheSchema || ent.Key != key.Hex() || ent.Preimage != key.Preimage() {
+	var raw json.RawMessage
+	ent := cacheEntry{Payload: &raw}
+	if json.Unmarshal(buf, &ent) != nil ||
+		ent.Schema != CacheSchema || ent.Key != hex || ent.Preimage != key.pre ||
+		decodePayload(raw, out) != nil {
 		c.count(func(s *CacheStats) { s.Misses++; s.Corrupt++ })
 		return false
 	}
+	c.keep(key, raw, gen)
 	c.count(func(s *CacheStats) { s.Hits++ })
 	return true
+}
+
+// decodePayload decodes a kept payload into out. An absent or null
+// payload leaves out as it was.
+func decodePayload(raw json.RawMessage, out interface{}) error {
+	if raw == nil {
+		return nil
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// keep puts a validated payload in the in-process tier unless a write
+// has landed since the backend read that returned it (gen), evicting
+// arbitrary entries until it fits under memTierCap.
+func (c *Cache) keep(key Key, raw json.RawMessage, gen uint64) {
+	e := memEntry{pre: key.pre, payload: raw}
+	if e.size() > memTierCap {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.memGen != gen {
+		return
+	}
+	if c.mem == nil {
+		c.mem = make(map[uint64]memEntry)
+	}
+	if old, ok := c.mem[key.sum]; ok {
+		delete(c.mem, key.sum)
+		c.memBytes -= old.size()
+	}
+	for c.memBytes+e.size() > memTierCap {
+		for sum, old := range c.mem { // map order: an arbitrary victim
+			delete(c.mem, sum)
+			c.memBytes -= old.size()
+			break
+		}
+	}
+	c.mem[key.sum] = e
+	c.memBytes += e.size()
+}
+
+// drop removes sum from the in-process tier after a backend write.
+func (c *Cache) drop(sum uint64) {
+	c.mu.Lock()
+	if old, ok := c.mem[sum]; ok {
+		delete(c.mem, sum)
+		c.memBytes -= old.size()
+	}
+	c.memGen++
+	c.mu.Unlock()
 }
 
 // Put stores v under key atomically. Unlike Get, write failures are real
@@ -214,6 +330,7 @@ func (c *Cache) Put(key Key, v interface{}) error {
 	if err := c.be.Store(key.Hex(), buf); err != nil {
 		return err
 	}
+	c.drop(key.sum)
 	c.count(func(s *CacheStats) { s.Puts++ })
 	return nil
 }
@@ -259,6 +376,8 @@ func (c *Cache) StoreRaw(hexKey string, data []byte) error {
 	if err := c.be.Store(hexKey, data); err != nil {
 		return err
 	}
+	sum, _ := strconv.ParseUint(hexKey, 16, 64) // ValidHexKey passed
+	c.drop(sum)
 	c.count(func(s *CacheStats) { s.Puts++ })
 	return nil
 }

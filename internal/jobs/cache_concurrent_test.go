@@ -87,4 +87,19 @@ func TestCacheCorruptConcurrentReaders(t *testing.T) {
 	if !c.Get(key, &got) || got != healed {
 		t.Fatalf("entry not healed after concurrent recompute: %+v", got)
 	}
+
+	// The healed entry is now in the in-process tier: concurrent readers
+	// decode their own copies of it.
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var got payload
+			if !c.Get(key, &got) || got != healed {
+				t.Errorf("reader %d: tier read %+v, want %+v", i, got, healed)
+			}
+			got.Name = "scribbled"
+		}(i)
+	}
+	wg.Wait()
 }

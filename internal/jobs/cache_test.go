@@ -2,9 +2,12 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,6 +49,33 @@ func TestKeyDeterminismAndSensitivity(t *testing.T) {
 	}
 	if !strings.Contains(base.Preimage(), "workload=sgemm") {
 		t.Errorf("preimage %q lost a field", base.Preimage())
+	}
+}
+
+// TestKeyFieldsMatchFmt: the integer and float fields and the hex key
+// (the cache file name) are byte-identical to their fmt forms (%d, %g,
+// %016x), so every preimage and file name stays what it was when they
+// were built with fmt.
+func TestKeyFieldsMatchFmt(t *testing.T) {
+	same := func(what string, got, want Key) {
+		t.Helper()
+		if got.Preimage() != want.Preimage() || got.Hex() != want.Hex() {
+			t.Errorf("%s: preimage %q key %s, want %q key %s", what, got.Preimage(), got.Hex(), want.Preimage(), want.Hex())
+		}
+	}
+	for _, v := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 42} {
+		same(fmt.Sprint("Int ", v), NewKey().Int("n", v).Sum(), NewKey().Field("n", fmt.Sprintf("%d", v)).Sum())
+	}
+	for _, v := range []uint64{0, 1, math.MaxUint64, 42} {
+		same(fmt.Sprint("Uint ", v), NewKey().Uint("n", v).Sum(), NewKey().Field("n", fmt.Sprintf("%d", v)).Sum())
+	}
+	for _, v := range []float64{0, 1, -1, 0.05, 0.02, 2e-11, 1e21, 1e-7, 1.5, 1e6, math.Inf(1), math.NaN()} {
+		same(fmt.Sprint("Float ", v), NewKey().Float("x", v).Sum(), NewKey().Field("x", fmt.Sprintf("%g", v)).Sum())
+	}
+	for _, v := range []uint64{0, 1, 0xf, 0x10, 0xdeadbeef, math.MaxUint64, testKey("v1").sum} {
+		if got, want := (Key{sum: v}).Hex(), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("Hex(%d) = %s, want %s", v, got, want)
+		}
 	}
 }
 
@@ -128,15 +158,10 @@ func TestCacheCorruptionTolerance(t *testing.T) {
 // out, so an envelope whose payload is null or missing hits and leaves
 // out as it was; every caller checks what it read and recomputes such an
 // entry. ValidateEnvelope, the fleet's integrity gate, still refuses a
-// missing payload.
+// missing payload. Each case reads through its own Cache, so neither is
+// answered from the other's in-process tier.
 func TestCacheEnvelopeWithoutPayload(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := testKey("v1")
-	path := filepath.Join(dir, key.Hex()+".json")
 	head := `{"schema": "pilotrf-jobcache/v1", "key": "` + key.Hex() + `", "preimage": ` + jsonString(key.Preimage())
 	for name, tc := range map[string]struct {
 		body  string
@@ -145,7 +170,12 @@ func TestCacheEnvelopeWithoutPayload(t *testing.T) {
 		"null payload":    {head + `, "payload": null}`, true},
 		"missing payload": {head + `}`, false},
 	} {
-		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+		dir := filepath.Join(t.TempDir(), "cache")
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key.Hex()+".json"), []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		want := payload{Name: "before"}
@@ -156,9 +186,9 @@ func TestCacheEnvelopeWithoutPayload(t *testing.T) {
 		if err := ValidateEnvelope(key.Hex(), []byte(tc.body)); (err == nil) != tc.valid {
 			t.Errorf("%s: ValidateEnvelope = %v, want valid %v", name, err, tc.valid)
 		}
-	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 || st.Corrupt != 0 {
-		t.Errorf("stats %+v, want 2 hits and no misses", st)
+		if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Corrupt != 0 {
+			t.Errorf("%s: stats %+v, want 1 hit and no misses", name, st)
+		}
 	}
 }
 
@@ -286,6 +316,198 @@ func TestOpenCacheCreatesDir(t *testing.T) {
 	}
 	if _, err := OpenCache(""); err == nil {
 		t.Error("empty cache dir accepted")
+	}
+}
+
+// mapBackend is an in-memory Backend. load, when set, runs inside every
+// Load after the bytes are read and before they are returned.
+type mapBackend struct {
+	mu   sync.Mutex
+	m    map[string][]byte
+	load func(hexKey string)
+}
+
+func (b *mapBackend) Load(hexKey string) ([]byte, error) {
+	b.mu.Lock()
+	buf, ok := b.m[hexKey]
+	hook := b.load
+	b.mu.Unlock()
+	if hook != nil {
+		hook(hexKey)
+	}
+	if !ok {
+		return nil, os.ErrNotExist
+	}
+	return buf, nil
+}
+
+func (b *mapBackend) Store(hexKey string, envelope []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.m == nil {
+		b.m = map[string][]byte{}
+	}
+	b.m[hexKey] = append([]byte(nil), envelope...)
+	return nil
+}
+
+// TestCacheMemoryTier pins the in-process tier's contract: a validated
+// entry is served from memory whatever later happens to the store
+// behind this Cache, while a fresh Cache over the store sees the store;
+// writes through the Cache are read back; tier hits count and still
+// need a pointer out; and the tier stays under its cap.
+func TestCacheMemoryTier(t *testing.T) {
+	if memTierCap > 4<<20 {
+		t.Fatalf("memTierCap %d, want at most 4 MiB", memTierCap)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("v1")
+	path := filepath.Join(dir, key.Hex()+".json")
+	first := payload{Name: "first", Cycles: 1}
+	if err := c.Put(key, first); err != nil {
+		t.Fatal(err)
+	}
+	var got payload
+	if !c.Get(key, &got) || got != first {
+		t.Fatalf("first read: %+v", got)
+	}
+
+	// Overwriting or deleting the file leaves this Cache's answer as it
+	// was; a fresh Cache over the directory sees the store.
+	other, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Put(key, payload{Name: "overwritten"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []string{"overwritten", "deleted"} {
+		if step == "deleted" {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got = payload{}
+		if !c.Get(key, &got) || got != first {
+			t.Errorf("%s file: this Cache read %+v, want %+v from memory", step, got, first)
+		}
+	}
+	fresh, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Get(key, &got) {
+		t.Errorf("fresh Cache hit a deleted entry: %+v", got)
+	}
+	if err := os.WriteFile(path, []byte(`{"schema": "pilotrf-jobcache/v1", "key": "`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Get(key, &got) {
+		t.Errorf("fresh Cache hit a torn entry: %+v", got)
+	}
+	if st := fresh.Stats(); st.Misses != 2 || st.Corrupt != 1 {
+		t.Errorf("fresh Cache stats %+v, want 2 misses, 1 corrupt", st)
+	}
+
+	// A Put or StoreRaw through this Cache is what its next Get reads.
+	second := payload{Name: "second", Cycles: 2}
+	if err := c.Put(key, second); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Get(key, &got) || got != second {
+		t.Errorf("after Put: read %+v, want %+v", got, second)
+	}
+	third := payload{Name: "third", Cycles: 3}
+	env, err := json.Marshal(cacheEntry{Schema: CacheSchema, Key: key.Hex(), Preimage: key.Preimage(), Payload: third})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreRaw(key.Hex(), env); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Get(key, &got) || got != third {
+		t.Errorf("after StoreRaw: read %+v, want %+v", got, third)
+	}
+
+	// The last Get came from the backend and kept the entry: the next
+	// one is a tier hit, counted as a hit. An out that is not a non-nil
+	// pointer still misses as corrupt.
+	if _, ok := c.mem[key.sum]; !ok {
+		t.Fatal("validated entry not kept in memory")
+	}
+	before := c.Stats()
+	if !c.Get(key, &got) || got != third {
+		t.Errorf("tier hit: read %+v", got)
+	}
+	if c.Get(key, got) || c.Get(key, (*payload)(nil)) {
+		t.Error("tier hit into a non-pointer out")
+	}
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses+2 || st.Corrupt != before.Corrupt+2 {
+		t.Errorf("stats %+v after %+v, want 1 more hit and 2 more corrupt misses", st, before)
+	}
+
+	// A key whose hash collides with a kept entry's is not served from
+	// memory: the backend's envelope holds the other preimage, so it is
+	// a corrupt miss.
+	collider := Key{sum: key.sum, pre: "some-other-job\x00"}
+	before = c.Stats()
+	if c.Get(collider, &got) {
+		t.Errorf("colliding key hit the kept entry: %+v", got)
+	}
+	if st := c.Stats(); st.Corrupt != before.Corrupt+1 {
+		t.Errorf("colliding key: stats %+v after %+v, want 1 more corrupt miss", st, before)
+	}
+
+	// A write that lands while a Get reads the backend keeps that Get's
+	// bytes out of memory, so the next Get reads the write.
+	be := &mapBackend{}
+	racy, err := NewCache(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := racy.Put(key, first); err != nil {
+		t.Fatal(err)
+	}
+	be.load = func(string) {
+		be.load = nil
+		if err := racy.Put(key, second); err != nil {
+			t.Error(err)
+		}
+	}
+	if !racy.Get(key, &got) || got != first {
+		t.Errorf("racing read: %+v, want the bytes it loaded", got)
+	}
+	if !racy.Get(key, &got) || got != second {
+		t.Errorf("read after the racing write: %+v, want %+v", got, second)
+	}
+
+	// A few thousand distinct ~1 KB entries overflow the cap; the tier
+	// evicts to stay under it and its byte count matches its entries.
+	capped, err := NewCache(&mapBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := payload{Name: strings.Repeat("x", 1000)}
+	for i := 0; i < 5000; i++ {
+		k := NewKey().Field("kind", "cap").Int("i", int64(i)).Sum()
+		big.Cycles = int64(i)
+		if err := capped.Put(k, big); err != nil {
+			t.Fatal(err)
+		}
+		if !capped.Get(k, &got) || got != big {
+			t.Fatalf("entry %d: read %+v", i, got)
+		}
+	}
+	held := 0
+	for _, e := range capped.mem {
+		held += e.size()
+	}
+	if held != capped.memBytes || held > memTierCap || len(capped.mem) == 0 {
+		t.Errorf("tier holds %d bytes in %d entries (counted %d), cap %d", held, len(capped.mem), capped.memBytes, memTierCap)
 	}
 }
 

@@ -140,6 +140,37 @@ func TestMissingExitRejected(t *testing.T) {
 	}
 }
 
+// TestFallThroughPastEndRejected: lanes that skip a guarded last
+// instruction, or run any last instruction but EXIT or BRA, would step
+// to pc = len, so only an unguarded EXIT or BRA may end a program.
+func TestFallThroughPastEndRejected(t *testing.T) {
+	for name, tc := range map[string]struct {
+		last func(b *Builder, top Label)
+		ok   bool
+	}{
+		"EXIT":         {func(b *Builder, _ Label) { b.EXIT() }, true},
+		"BRA":          {func(b *Builder, top Label) { b.Bra(top) }, true},
+		"guarded EXIT": {func(b *Builder, _ Label) { b.Guarded(isa.P(0), false, b.EXIT) }, false},
+		"negated EXIT": {func(b *Builder, _ Label) { b.Guarded(isa.P(0), true, b.EXIT) }, false},
+		"guarded BRA":  {func(b *Builder, top Label) { b.BraIf(isa.P(1), false, top) }, false},
+		"MOVI":         {func(b *Builder, _ Label) { b.MOVI(isa.R(1), 1) }, false},
+	} {
+		b := NewBuilder("tail", 4)
+		top := b.NewLabel()
+		b.Bind(top)
+		b.S2R(isa.R(0), isa.SRTid)
+		b.EXIT()
+		tc.last(b, top)
+		_, err := b.Build()
+		if (err == nil) != tc.ok {
+			t.Errorf("last instruction %s: Build error %v, want ok %v", name, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "past the end") {
+			t.Errorf("last instruction %s: error %q does not say why", name, err)
+		}
+	}
+}
+
 func TestStaticRegCounts(t *testing.T) {
 	b := NewBuilder("census", 8)
 	b.MOVI(isa.R(0), 1)                  // R0 x1

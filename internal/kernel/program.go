@@ -57,8 +57,10 @@ func (p *Program) Disassemble() string {
 }
 
 // Validate re-checks every instruction against the program bounds and the
-// register budget. Build already guarantees this; Validate exists for
-// programs constructed or mutated by hand.
+// register budget, and that no lane can run past the last instruction:
+// branch targets lie inside the program, so the last instruction must be
+// an unguarded EXIT or BRA. Build already guarantees the bounds and the
+// budget; Validate exists for programs constructed or mutated by hand.
 func (p *Program) Validate() error {
 	if p.NumRegs <= 0 || p.NumRegs > isa.MaxRegs {
 		return fmt.Errorf("kernel %s: %d registers/thread outside (0,%d]", p.Name, p.NumRegs, isa.MaxRegs)
@@ -88,6 +90,10 @@ func (p *Program) Validate() error {
 	}
 	if !hasExit {
 		return fmt.Errorf("kernel %s: program has no EXIT", p.Name)
+	}
+	if last := &p.Instrs[len(p.Instrs)-1]; last.Guard != isa.GuardAlways || last.Op != isa.OpEXIT && last.Op != isa.OpBRA {
+		return fmt.Errorf("kernel %s pc %d: last instruction %s can fall through past the end; end with an unguarded EXIT or BRA",
+			p.Name, len(p.Instrs)-1, last.String())
 	}
 	return nil
 }

@@ -129,6 +129,36 @@ func TestSELWithPTSelectsRa(t *testing.T) {
 	}
 }
 
+// TestFallOffTheEndRejected: a program whose last instruction is
+// guarded lets the lanes that skip it run past the end. Both engines
+// once indexed pc = len and panicked in Program.At; both must refuse the
+// kernel with an error instead. The assembler rejects the program, so
+// it is built by dropping an assembled variant's closing EXIT.
+func TestFallOffTheEndRejected(t *testing.T) {
+	prog, err := asm.Assemble(`
+		.kernel t
+		.regs 10
+		S2R R0, SR_TID
+		IMAD R2, R0, R0, R0
+		@P0 EXIT
+		EXIT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Instrs = prog.Instrs[:3]
+	k := &kernel.Kernel{Prog: prog, ThreadsPerCTA: 64, NumCTAs: 2}
+	if _, err := Run(k, 1); err == nil {
+		t.Error("ref ran a program that falls off its end")
+	}
+	g, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RunKernel(k); err == nil {
+		t.Error("sim ran a program that falls off its end")
+	}
+}
+
 // The central differential test: the cycle-level simulator and the
 // reference interpreter must agree exactly on every functional count for
 // every bundled workload — warp instructions, active-lane counts,
