@@ -24,6 +24,7 @@
 //	              [-trials n] [-rate f] [-seed n] [-scale f] [-sms n]
 //	              [-parallel n] [-cache-dir dir] [-coordinator url]
 //	              [-trace-spans spans.ndjson] [-trace-perfetto trace.json]
+//	              [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	              [-out report.json] [-v]
 //
 // -coordinator runs the campaign on a pilotserve coordinator's worker
@@ -54,6 +55,10 @@
 // ride in clearly separated nondeterministic sections. -trace-perfetto
 // additionally converts the same recording to Chrome/Perfetto
 // trace_event JSON for ui.perfetto.dev.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the campaign (read them with go tool pprof); the report and stdout
+// are the same bytes with or without them.
 package main
 
 import (
@@ -63,6 +68,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"pilotrf/internal/campaign"
@@ -96,7 +103,7 @@ func splitCSV(s string) []string {
 	return out
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("faultcampaign", flag.ContinueOnError)
 	var (
 		benchName = fs.String("bench", "", "comma-separated benchmark names (empty = all)")
@@ -114,6 +121,8 @@ func run(args []string, stdout io.Writer) error {
 		spansPath = fs.String("trace-spans", "", "write the campaign span tree here as pilotrf-spans/v1 NDJSON")
 		perfPath  = fs.String("trace-perfetto", "", "write the campaign span tree here as Perfetto trace_event JSON")
 		verbose   = fs.Bool("v", false, "print a per-cell summary table and a cache summary line")
+		cpuPath   = fs.String("cpuprofile", "", "write a CPU profile of the campaign here")
+		memPath   = fs.String("memprofile", "", "write a heap profile here after the campaign")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -143,6 +152,16 @@ func run(args []string, stdout io.Writer) error {
 	if err := spec.Validate(); err != nil {
 		return usageError{err}
 	}
+
+	stopProfiles, err := startProfiles(*cpuPath, *memPath)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	var rep campaign.Report
 	var cache *jobs.Cache
@@ -255,4 +274,41 @@ func run(args []string, stdout io.Writer) error {
 			cache.Dir(), st.Hits, st.Misses, st.Corrupt, st.Puts)
 	}
 	return nil
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the
+// function that stops it and then writes a heap profile into memPath.
+// An empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile shows the heap as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

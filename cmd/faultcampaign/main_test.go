@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -246,5 +248,43 @@ func TestCampaignCacheDir(t *testing.T) {
 	}
 	if !bytes.Equal(coldB, healedB) {
 		t.Error("recomputed-after-corruption report differs")
+	}
+}
+
+// TestCampaignProfileFlags runs a tiny campaign with -cpuprofile and
+// -memprofile. Both files must be non-empty gzip, the encoding of a
+// pprof profile, and the report and the -v table must be the bytes of
+// the same campaign run without the flags.
+func TestCampaignProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-bench", "sgemm", "-designs", "part-adaptive", "-protect", "none",
+		"-trials", "2", "-sms", "1", "-v"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("profiling changed stdout:\n--- plain\n%s--- profiled\n%s", plain.String(), profiled.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s is not gzip: %v", filepath.Base(p), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(p), err)
+		}
+		if len(body) == 0 {
+			t.Errorf("%s is empty", filepath.Base(p))
+		}
 	}
 }

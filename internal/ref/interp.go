@@ -376,11 +376,15 @@ func execLane(w *warp, in *isa.Instruction, lane int, seed uint64) {
 	case isa.OpSETPI:
 		setp(in.Cmp.Eval(int32(rd(in.SrcA)), in.Imm))
 	case isa.OpFADD:
-		wrf(rdf(in.SrcA) + rdf(in.SrcB))
+		wr(floatResult(rdf(in.SrcA)+rdf(in.SrcB), rd(in.SrcA), rd(in.SrcB)))
 	case isa.OpFMUL:
-		wrf(rdf(in.SrcA) * rdf(in.SrcB))
+		wr(floatResult(rdf(in.SrcA)*rdf(in.SrcB), rd(in.SrcA), rd(in.SrcB)))
 	case isa.OpFFMA:
-		wrf(rdf(in.SrcA)*rdf(in.SrcB) + rdf(in.SrcC))
+		// The conversion rounds the product, so it is never fused with
+		// the sum. A NaN product takes b's payload before a's, and a NaN
+		// sum the product's before c's.
+		p := float32(rdf(in.SrcA) * rdf(in.SrcB))
+		wr(floatResult(p+rdf(in.SrcC), floatResult(p, rd(in.SrcB), rd(in.SrcA)), rd(in.SrcC)))
 	case isa.OpFRCP:
 		wrf(1 / rdf(in.SrcA))
 	case isa.OpFSQRT:
@@ -394,6 +398,23 @@ func execLane(w *warp, in *isa.Instruction, lane int, seed uint64) {
 	default:
 		panic(fmt.Sprintf("ref: unexpected opcode %v", in.Op))
 	}
+}
+
+// floatResult encodes a float result. A NaN takes the payload of the
+// first NaN among x and y with its quiet bit set, or the default NaN
+// 0xFFC00000 when neither is one (an invalid operation such as
+// Inf-Inf), so the bits depend neither on the host nor on the operand
+// order a compiler picks.
+func floatResult(v float32, x, y uint32) uint32 {
+	if !math.IsNaN(float64(v)) {
+		return math.Float32bits(v)
+	}
+	for _, op := range [2]uint32{x, y} {
+		if math.IsNaN(float64(math.Float32frombits(op))) {
+			return op | 1<<22
+		}
+	}
+	return 0xFFC00000
 }
 
 func specialValue(w *warp, sp isa.Special, lane int) uint32 {

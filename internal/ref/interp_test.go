@@ -1,6 +1,7 @@
 package ref
 
 import (
+	"fmt"
 	"testing"
 
 	"pilotrf/internal/asm"
@@ -126,6 +127,65 @@ func TestSELWithPTSelectsRa(t *testing.T) {
 	}
 	if simKS.ThreadInstrs != want {
 		t.Errorf("sim: %d thread instructions, want %d", simKS.ThreadInstrs, want)
+	}
+}
+
+// TestFloatResultsMatchSimulator runs FADD, FMUL and FFMA on two NaN
+// operands, and one FFMA whose fused result (2^-24) differs from its
+// rounded one (0), on both engines. Each kernel checks itself: a lane
+// whose result differs from the expected bits exits before the store,
+// and the thread-instruction counts show it. The NaN results take the
+// first NaN operand's payload, quieted (FFMA's product reads b before
+// a); the FFMA rounds its product before the sum.
+func TestFloatResultsMatchSimulator(t *testing.T) {
+	for _, c := range []struct {
+		op      string
+		a, b, c uint32
+		want    uint32
+	}{
+		{"FADD R3, R1, R2", 0x7F800001, 0x7F800002, 0, 0x7FC00001},
+		{"FMUL R3, R1, R2", 0x7F800001, 0x7F800002, 0, 0x7FC00001},
+		{"FFMA R3, R1, R2, R4", 0x7F800001, 0x7F800002, 0, 0x7FC00002},
+		{"FFMA R3, R1, R2, R4", 0x3F800800, 0x3F800800, 0xBF801000, 0},
+	} {
+		prog, err := asm.Assemble(fmt.Sprintf(`
+			.kernel float-result
+			.regs 6
+			S2R R0, SR_TID
+			MOVI R1, %#x
+			MOVI R2, %#x
+			MOVI R4, %#x
+			%s
+			MOVI R5, %#x
+			SETP.NE P0, R3, R5
+			@P0 EXIT
+			STG [R0+0], R3
+			EXIT`, c.a, c.b, c.c, c.op, c.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := &kernel.Kernel{Prog: prog, ThreadsPerCTA: 64, NumCTAs: 2}
+		const want = 10 * 64 * 2 // every thread runs all ten instructions
+		refRes, err := Run(k, 1)
+		if err != nil {
+			t.Fatalf("ref: %v", err)
+		}
+		if refRes.ThreadInstrs != want {
+			t.Errorf("ref: %s on %#x, %#x, %#x is not %#x", c.op, c.a, c.b, c.c, c.want)
+		}
+		cfg := sim.DefaultConfig()
+		cfg.NumSMs = 1
+		g, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simKS, err := g.RunKernel(k)
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		if simKS.ThreadInstrs != want {
+			t.Errorf("sim: %s on %#x, %#x, %#x is not %#x", c.op, c.a, c.b, c.c, c.want)
+		}
 	}
 }
 

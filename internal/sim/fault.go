@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pilotrf/internal/fault"
 	"pilotrf/internal/isa"
@@ -307,7 +308,9 @@ func readsReg(reads []isa.Reg, reg isa.Reg) bool {
 // on SM id, warp slot, or cycle, and the fold is wrapping addition. Two
 // runs therefore produce equal digests exactly when their instructions
 // consumed the same values, even if retry stalls shifted timing or
-// moved CTAs onto different SMs. Callers hold s.rec != nil.
+// moved CTAs onto different SMs. Addition is order-free, so the lanes
+// are summed in a local and the SM's digest is updated once per
+// instruction. Callers hold s.rec != nil.
 func (s *sm) foldReadDigest(w *warpCtx, in *isa.Instruction, execMask uint32) {
 	w.execSeq++
 	var srcs [3]isa.Reg
@@ -316,16 +319,23 @@ func (s *sm) foldReadDigest(w *warpCtx, in *isa.Instruction, execMask uint32) {
 		return
 	}
 	base := mix64(uint64(uint32(w.cta.id))<<32|uint64(uint32(w.inCTA))) ^ w.execSeq
+	var sum uint64
 	for _, r := range reads {
-		for lane := 0; lane < 32; lane++ {
-			if execMask&(1<<uint(lane)) == 0 {
-				continue
+		key := base ^ uint64(r)<<40
+		row := &w.regs[r]
+		if execMask == fullMask {
+			for lane, v := range row {
+				sum += mix64(key ^ uint64(lane)<<32 ^ uint64(v))
 			}
-			h := mix64(base ^ uint64(r)<<40 ^ uint64(uint32(lane))<<32 ^ uint64(w.regs[r][lane]))
-			s.readHash += h
-			s.readCount++
+			continue
+		}
+		for m := execMask; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m) & 31
+			sum += mix64(key ^ uint64(lane)<<32 ^ uint64(row[lane]))
 		}
 	}
+	s.readHash += sum
+	s.readCount += uint64(len(reads) * bits.OnesCount32(execMask))
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mixer whose

@@ -16,7 +16,9 @@ type observerCase struct {
 }
 
 // observerCases lists the sub-benchmarks of BenchmarkObserverTax: no
-// observer, each observer alone, then all of them together.
+// observer, each observer alone, all of them together, then the SDC
+// digest probe that a campaign's goldens and trials attach. "all" keeps
+// the counting sink, which reads every event, in place of the probe.
 func observerCases() []observerCase {
 	cases := []observerCase{
 		{"none", func(*Config) {}},
@@ -39,7 +41,7 @@ func observerCases() []observerCase {
 		for _, o := range cases {
 			o.attach(c)
 		}
-	}})
+	}}, observerCase{"digest", func(c *Config) { c.Record = fault.NewDigestProbe() }})
 }
 
 // BenchmarkObserverTax prices each observer: every iteration builds the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pilotrf/internal/design"
 	"pilotrf/internal/fault"
@@ -60,9 +61,13 @@ type sm struct {
 
 	// Flight recorder sink (nil unless Config.Record is set); recEvery
 	// is the checksum interval and recCycles the countdown within it.
+	// recEvents is false for a sink that drops the per-instruction
+	// KindIssue and KindRoute events (a fault.DigestProbe), which are
+	// then never built.
 	rec       flightrec.Sink
 	recEvery  int64
 	recCycles int64
+	recEvents bool
 
 	// detail is scratch space for building hot tracer details.
 	detail []byte
@@ -147,6 +152,8 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 		if s.recEvery <= 0 {
 			s.recEvery = flightrec.DefaultChecksumEvery
 		}
+		_, probe := cfg.Record.(*fault.DigestProbe)
+		s.recEvents = !probe
 	}
 	if cfg.Stalls || cfg.Metrics != nil {
 		s.tel = newSMTelemetry(cfg.Metrics, cfg.RF.Design)
@@ -437,11 +444,11 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	activeMask := w.activeMask()
 	s.issuedEpoch++
 	w.lastIssue = s.now
-	s.run.stats.ThreadInstrs += uint64(popcount(activeMask))
+	s.run.stats.ThreadInstrs += uint64(bits.OnesCount32(activeMask))
 	if s.cfg.Tracer != nil {
-		s.trace(TraceIssue, w.slot, w.pc(), s.issueDetail(w.pc(), popcount(activeMask)))
+		s.trace(TraceIssue, w.slot, w.pc(), s.issueDetail(w.pc(), bits.OnesCount32(activeMask)))
 	}
-	if s.rec != nil {
+	if s.recEvents {
 		s.record(flightrec.KindIssue, w.slot, w.pc(), uint64(in.Op), uint64(activeMask), in.Op.String())
 	}
 
@@ -681,7 +688,7 @@ func (s *sm) countAccesses(w *warpCtx, in *isa.Instruction) {
 // ledger's conservation against KernelStats.PartAccesses exact.
 func (s *sm) countPartAccess(p regfile.Partition, warp int, arch isa.Reg) {
 	s.run.stats.PartAccesses[p]++
-	if s.rec != nil {
+	if s.recEvents {
 		s.record(flightrec.KindRoute, warp, -1, uint64(p), uint64(arch), "")
 	}
 	if s.tel != nil {
@@ -796,13 +803,4 @@ func (s *sm) completeInstr(w *warpCtx) {
 	if w.finished() && !w.done && w.inFlight == 0 {
 		s.retireWarp(w)
 	}
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
