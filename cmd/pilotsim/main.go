@@ -28,9 +28,9 @@
 // -stalls prints a stall-cycle attribution table per benchmark, and
 // -http serves expvar/pprof plus a /metrics page while runs execute.
 // -perf-out profiles the simulator itself: per-benchmark wall-clock
-// phase timings plus the deterministic skip-headroom census, written as
-// a pilotrf-perfscope/v1 JSON report (see internal/perfscope and
-// cmd/perfscope for the census-only reproducible sweep).
+// phase timings plus the deterministic census of skippable cycles,
+// written as a pilotrf-perfscope/v2 JSON report (see
+// internal/perfscope).
 //
 // Energy attribution: -energy-out attaches the energy ledger and writes
 // the per-SM per-epoch charge stream as CSV; -heatmap-out writes the
@@ -265,7 +265,7 @@ func run(args []string, stdout io.Writer) error {
 		faultSeed   = fs.Uint64("fault-seed", 1, "fault-injection seed")
 		protect     = fs.String("protect", "none", "RF protection scheme: none | parity | secded | paper")
 		parallel    = fs.Int("parallel", 1, "run benchmarks concurrently on N pool workers (same bytes as 1; incompatible with shared-observer outputs)")
-		perfOut     = fs.String("perf-out", "", "write the simulator's wall-clock & skip-headroom profile as pilotrf-perfscope/v1 JSON")
+		perfOut     = fs.String("perf-out", "", "write the simulator's wall-clock phases & skippable-cycle census as pilotrf-perfscope/v2 JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -281,7 +281,7 @@ func run(args []string, stdout io.Writer) error {
 		if *traceN > 0 || *traceOut != "" || *eventsOut != "" || *metricsCSV != "" ||
 			*energyOut != "" || *heatmapOut != "" || *auditOut != "" ||
 			*recordOut != "" || *replayCheck != "" || *httpAddr != "" || *perfOut != "" {
-			return usageError{fmt.Errorf("-parallel %d is incompatible with shared-observer outputs (-trace, -trace-out, -events-out, -metrics-out, -energy-out, -heatmap-out, -audit-out, -record-out, -replay-check, -http, -perf-out); rerun with -parallel 1 (or use cmd/perfscope for parallel census sweeps)", *parallel)}
+			return usageError{fmt.Errorf("-parallel %d is incompatible with shared-observer outputs (-trace, -trace-out, -events-out, -metrics-out, -energy-out, -heatmap-out, -audit-out, -record-out, -replay-check, -http, -perf-out); rerun with -parallel 1", *parallel)}
 		}
 	}
 
@@ -505,7 +505,7 @@ func run(args []string, stdout io.Writer) error {
 			w = w.Scale(*scale)
 			if *perfOut != "" {
 				// One profiler per benchmark so the report attributes
-				// wall time and skip headroom per workload row.
+				// wall time and the census per workload row.
 				cfg.Perf = perfscope.New(true)
 			}
 			g, err := sim.New(cfg)

@@ -236,7 +236,7 @@ func TestParallelRejectsSharedObservers(t *testing.T) {
 	}
 }
 
-// TestPerfOut: -perf-out writes a valid pilotrf-perfscope/v1 report
+// TestPerfOut: -perf-out writes a valid pilotrf-perfscope/v2 report
 // with one entry per benchmark, and -parallel rejects it like the other
 // shared observers.
 func TestPerfOut(t *testing.T) {

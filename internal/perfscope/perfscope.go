@@ -1,6 +1,6 @@
 // Package perfscope measures the simulator itself: where wall-clock
-// time goes inside the SM tick, and how many SM cycles an event-driven
-// skip-ahead loop could avoid simulating at all.
+// time goes inside the SM tick, and what share of SM cycles only wait
+// for a scheduled event.
 //
 // It has two instruments, both hooked into the sim package behind one
 // nil-checked Config.Perf pointer (zero perturbation and zero allocation
@@ -12,28 +12,21 @@
 //     ledger, flight recorder). Sampling-free — each enabled tick is
 //     timed, so short phases are not aliased away.
 //
-//   - A deterministic skip-headroom census: every SM cycle is classified
-//     as busy (issued at least one instruction), active-no-issue (no
-//     issue, but a bank served a transaction, a collector dispatched, or
-//     a scheduled event fired — an event-driven loop must still simulate
-//     it), skippable (nothing happened and the next state change is a
-//     scheduled event at a known cycle — an event-driven loop would jump
-//     straight there), or stalled-unknown (nothing happened and no event
-//     is pending; the release depends on another SM or is not locally
-//     computable). The census depends only on architectural state, so
-//     reports are byte-reproducible, and Skippable/SMCycles is an
-//     Amdahl-style upper bound on the speedup an event-driven refactor
-//     of the cycle loop can deliver.
+//   - A deterministic census: SM cycles, and of them the skippable ones,
+//     where nothing issued, no event fired, no bank served a
+//     transaction, no collector dispatched, and a scheduled event is
+//     pending. The census depends only on architectural state, so
+//     reports are byte-reproducible.
 //
-// The versioned JSON report (pilotrf-perfscope/v1) is emitted by
-// cmd/perfscope (the 17-workload x 4-design sweep driver) and pilotsim
-// -perf-out, and read back by Read/ReadFile.
+// The versioned JSON report (pilotrf-perfscope/v2) is written by
+// pilotsim -perf-out and read back by Read/ReadFile.
 package perfscope
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -87,64 +80,35 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-// Census is the deterministic cycle classification. The four classes
-// partition SMCycles exactly; SkipRuns counts maximal blocks of
-// consecutive skippable cycles (each block is one jump for an
-// event-driven loop, so Skippable/SkipRuns is the mean jump length).
+// Census counts SM cycles and, of them, the skippable ones: cycles in
+// which nothing issued, fired, was served or dispatched, while a
+// scheduled event was pending.
 type Census struct {
-	SMCycles       uint64 `json:"sm_cycles"`
-	Busy           uint64 `json:"busy"`
-	ActiveNoIssue  uint64 `json:"active_no_issue"`
-	Skippable      uint64 `json:"skippable"`
-	StalledUnknown uint64 `json:"stalled_unknown"`
-	SkipRuns       uint64 `json:"skip_runs"`
+	SMCycles  uint64 `json:"sm_cycles"`
+	Skippable uint64 `json:"skippable"`
 }
 
 // Add folds another census into c.
 func (c *Census) Add(o Census) {
 	c.SMCycles += o.SMCycles
-	c.Busy += o.Busy
-	c.ActiveNoIssue += o.ActiveNoIssue
 	c.Skippable += o.Skippable
-	c.StalledUnknown += o.StalledUnknown
-	c.SkipRuns += o.SkipRuns
 }
 
-// check validates the partition invariant.
+// check validates that the skippable cycles are a share of SMCycles.
 func (c Census) check() error {
-	if c.Busy+c.ActiveNoIssue+c.Skippable+c.StalledUnknown != c.SMCycles {
-		return fmt.Errorf("perfscope: census classes sum to %d, not sm_cycles %d",
-			c.Busy+c.ActiveNoIssue+c.Skippable+c.StalledUnknown, c.SMCycles)
-	}
-	if c.SkipRuns > c.Skippable {
-		return fmt.Errorf("perfscope: %d skip runs exceed %d skippable cycles",
-			c.SkipRuns, c.Skippable)
+	if c.Skippable > c.SMCycles {
+		return fmt.Errorf("perfscope: %d skippable cycles exceed sm_cycles %d",
+			c.Skippable, c.SMCycles)
 	}
 	return nil
 }
 
-// SkippableFrac is the fraction of SM cycles an event-driven loop could
-// jump over.
+// SkippableFrac is the fraction of SM cycles that were skippable.
 func (c Census) SkippableFrac() float64 {
 	if c.SMCycles == 0 {
 		return 0
 	}
 	return float64(c.Skippable) / float64(c.SMCycles)
-}
-
-// ProjectedSpeedup is the Amdahl-style bound on cycle-loop speedup from
-// skipping every skippable cycle at zero cost: SMCycles over the cycles
-// that still must be simulated. Fully-skippable (degenerate) censuses
-// cap at SMCycles so the value stays finite and JSON-encodable.
-func (c Census) ProjectedSpeedup() float64 {
-	if c.SMCycles == 0 {
-		return 1
-	}
-	rest := c.SMCycles - c.Skippable
-	if rest == 0 {
-		return float64(c.SMCycles)
-	}
-	return float64(c.SMCycles) / float64(rest)
 }
 
 // epoch anchors the monotonic clock used by Now.
@@ -202,7 +166,7 @@ func (p *Profiler) PhaseNS() [NumPhases]int64 {
 }
 
 // Schema is the versioned report format tag.
-const Schema = "pilotrf-perfscope/v1"
+const Schema = "pilotrf-perfscope/v2"
 
 // Wall is the optional (non-reproducible) wall-clock section of an
 // entry: total timed nanoseconds and the per-phase split. Map keys are
@@ -215,25 +179,23 @@ type Wall struct {
 
 // Entry is one workload x design row of a report.
 type Entry struct {
-	Workload         string  `json:"workload"`
-	Design           string  `json:"design"`
-	Census           Census  `json:"census"`
-	SkippableFrac    float64 `json:"skippable_frac"`
-	ProjectedSpeedup float64 `json:"projected_speedup"`
-	Wall             *Wall   `json:"wall,omitempty"`
+	Workload      string  `json:"workload"`
+	Design        string  `json:"design"`
+	Census        Census  `json:"census"`
+	SkippableFrac float64 `json:"skippable_frac"`
+	Wall          *Wall   `json:"wall,omitempty"`
 }
 
 // NewEntry renders a profiler into a report entry, computing the
-// derived ratios and attaching the wall-clock section only when the
+// skippable fraction and attaching the wall-clock section only when the
 // profiler timed phases.
 func NewEntry(workload, design string, p *Profiler) Entry {
 	c := p.Census()
 	e := Entry{
-		Workload:         workload,
-		Design:           design,
-		Census:           c,
-		SkippableFrac:    c.SkippableFrac(),
-		ProjectedSpeedup: c.ProjectedSpeedup(),
+		Workload:      workload,
+		Design:        design,
+		Census:        c,
+		SkippableFrac: c.SkippableFrac(),
 	}
 	if p.wall {
 		ns := p.PhaseNS()
@@ -247,8 +209,8 @@ func NewEntry(workload, design string, p *Profiler) Entry {
 	return e
 }
 
-// Report is a full perfscope sweep: one entry per workload x design in
-// canonical (workload, then design) order, plus the folded total.
+// Report is one entry per workload x design in canonical (workload,
+// then design) order, plus the folded total.
 type Report struct {
 	Schema  string  `json:"schema"`
 	Entries []Entry `json:"entries"`
@@ -273,11 +235,10 @@ func NewReport(entries []Entry) *Report {
 		Schema:  Schema,
 		Entries: es,
 		Total: Entry{
-			Workload:         "total",
-			Design:           "all",
-			Census:           total,
-			SkippableFrac:    total.SkippableFrac(),
-			ProjectedSpeedup: total.ProjectedSpeedup(),
+			Workload:      "total",
+			Design:        "all",
+			Census:        total,
+			SkippableFrac: total.SkippableFrac(),
 		},
 	}
 }
@@ -289,9 +250,11 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Read parses and validates a pilotrf-perfscope/v1 report: the schema
-// tag must match and every census (entries and total) must satisfy the
-// partition invariant. It never panics on malformed input.
+// Read parses and validates a pilotrf-perfscope/v2 report: the schema
+// tag must match, every census must be valid, and the total's census
+// must equal the sum of the entries' without overflow, so an accepted
+// report rewrites through NewReport to one Read accepts again. It never
+// panics on malformed input.
 func Read(rd io.Reader) (*Report, error) {
 	dec := json.NewDecoder(rd)
 	var r Report
@@ -301,6 +264,7 @@ func Read(rd io.Reader) (*Report, error) {
 	if r.Schema != Schema {
 		return nil, fmt.Errorf("perfscope: schema %q, want %q", r.Schema, Schema)
 	}
+	var sum Census
 	for i, e := range r.Entries {
 		if e.Workload == "" || e.Design == "" {
 			return nil, fmt.Errorf("perfscope: entry %d missing workload or design", i)
@@ -308,9 +272,15 @@ func Read(rd io.Reader) (*Report, error) {
 		if err := e.Census.check(); err != nil {
 			return nil, fmt.Errorf("entry %d (%s/%s): %w", i, e.Workload, e.Design, err)
 		}
+		var c1, c2 uint64
+		sum.SMCycles, c1 = bits.Add64(sum.SMCycles, e.Census.SMCycles, 0)
+		sum.Skippable, c2 = bits.Add64(sum.Skippable, e.Census.Skippable, 0)
+		if c1|c2 != 0 {
+			return nil, fmt.Errorf("perfscope: entry %d (%s/%s): census sum overflows uint64", i, e.Workload, e.Design)
+		}
 	}
-	if err := r.Total.Census.check(); err != nil {
-		return nil, fmt.Errorf("total: %w", err)
+	if r.Total.Census != sum {
+		return nil, fmt.Errorf("perfscope: total census %+v, entries sum to %+v", r.Total.Census, sum)
 	}
 	return &r, nil
 }

@@ -31,49 +31,28 @@ func TestCensusMath(t *testing.T) {
 	if f := zero.SkippableFrac(); f != 0 {
 		t.Errorf("empty SkippableFrac = %v, want 0", f)
 	}
-	if s := zero.ProjectedSpeedup(); s != 1 {
-		t.Errorf("empty ProjectedSpeedup = %v, want 1", s)
-	}
 
-	c := Census{SMCycles: 100, Busy: 40, ActiveNoIssue: 10, Skippable: 50, SkipRuns: 5}
+	c := Census{SMCycles: 100, Skippable: 50}
 	if err := c.check(); err != nil {
 		t.Fatalf("valid census rejected: %v", err)
 	}
 	if f := c.SkippableFrac(); f != 0.5 {
 		t.Errorf("SkippableFrac = %v, want 0.5", f)
 	}
-	if s := c.ProjectedSpeedup(); s != 2 {
-		t.Errorf("ProjectedSpeedup = %v, want 2", s)
-	}
-
-	// Fully skippable: speedup caps at SMCycles instead of +Inf so the
-	// value survives a trip through encoding/json.
-	full := Census{SMCycles: 64, Skippable: 64, SkipRuns: 1}
-	if s := full.ProjectedSpeedup(); s != 64 {
-		t.Errorf("fully-skippable ProjectedSpeedup = %v, want 64", s)
-	}
 
 	var sum Census
 	sum.Add(c)
-	sum.Add(full)
-	want := Census{SMCycles: 164, Busy: 40, ActiveNoIssue: 10, Skippable: 114, SkipRuns: 6}
+	sum.Add(Census{SMCycles: 64, Skippable: 64})
+	want := Census{SMCycles: 164, Skippable: 114}
 	if sum != want {
 		t.Errorf("Add = %+v, want %+v", sum, want)
 	}
 }
 
 func TestCensusCheckRejects(t *testing.T) {
-	bad := []struct {
-		name string
-		c    Census
-	}{
-		{"classes exceed cycles", Census{SMCycles: 10, Busy: 8, Skippable: 8}},
-		{"classes short of cycles", Census{SMCycles: 10, Busy: 2}},
-		{"skip runs exceed skippable", Census{SMCycles: 4, Skippable: 2, StalledUnknown: 2, SkipRuns: 3}},
-	}
-	for _, tc := range bad {
-		if err := tc.c.check(); err == nil {
-			t.Errorf("%s: check accepted %+v", tc.name, tc.c)
+	for _, c := range []Census{{SMCycles: 10, Skippable: 11}, {Skippable: 1}} {
+		if err := c.check(); err == nil {
+			t.Errorf("check accepted %+v: more skippable cycles than SM cycles", c)
 		}
 	}
 }
@@ -83,12 +62,10 @@ func TestProfilerFold(t *testing.T) {
 	if p.WallClock() {
 		t.Fatal("census-only profiler reports wall-clock")
 	}
-	c1 := Census{SMCycles: 10, Busy: 10}
-	c2 := Census{SMCycles: 6, Skippable: 4, StalledUnknown: 2, SkipRuns: 1}
-	p.Fold(c1, [NumPhases]int64{PhaseIssue: 100})
-	p.Fold(c2, [NumPhases]int64{PhaseIssue: 50, PhaseBanks: 7})
+	p.Fold(Census{SMCycles: 10}, [NumPhases]int64{PhaseIssue: 100})
+	p.Fold(Census{SMCycles: 6, Skippable: 4}, [NumPhases]int64{PhaseIssue: 50, PhaseBanks: 7})
 	got := p.Census()
-	want := Census{SMCycles: 16, Busy: 10, Skippable: 4, StalledUnknown: 2, SkipRuns: 1}
+	want := Census{SMCycles: 16, Skippable: 4}
 	if got != want {
 		t.Errorf("folded census = %+v, want %+v", got, want)
 	}
@@ -100,9 +77,9 @@ func TestProfilerFold(t *testing.T) {
 
 func testEntries() []Entry {
 	pB := New(false)
-	pB.Fold(Census{SMCycles: 200, Busy: 120, ActiveNoIssue: 30, Skippable: 40, StalledUnknown: 10, SkipRuns: 4}, [NumPhases]int64{})
+	pB.Fold(Census{SMCycles: 200, Skippable: 40}, [NumPhases]int64{})
 	pA := New(true)
-	pA.Fold(Census{SMCycles: 100, Busy: 90, Skippable: 10, SkipRuns: 2}, [NumPhases]int64{PhaseIssue: 5})
+	pA.Fold(Census{SMCycles: 100, Skippable: 10}, [NumPhases]int64{PhaseIssue: 5})
 	return []Entry{
 		NewEntry("wlB", "partitioned", pB),
 		NewEntry("wlA", "mono-stv", pA),
@@ -158,6 +135,14 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// overflowReport's entries are each valid, but their sm_cycles sum
+// past 2^64; summed with wraparound, its total would read 0 cycles with
+// 1 skippable, which Read must not accept either.
+const overflowReport = `{"schema":"pilotrf-perfscope/v2","entries":[` +
+	`{"workload":"a","design":"d","census":{"sm_cycles":18446744073709551615,"skippable":1}},` +
+	`{"workload":"b","design":"d","census":{"sm_cycles":1,"skippable":0}}],` +
+	`"total":{"workload":"total","design":"all","census":{"sm_cycles":0,"skippable":1}}}`
+
 func TestReadRejects(t *testing.T) {
 	var good bytes.Buffer
 	if err := NewReport(testEntries()).WriteJSON(&good); err != nil {
@@ -170,8 +155,9 @@ func TestReadRejects(t *testing.T) {
 		{"not json", "{"},
 		{"wrong schema", strings.Replace(good.String(), Schema, "pilotrf-perfscope/v999", 1)},
 		{"missing workload", strings.Replace(good.String(), `"wlA"`, `""`, 1)},
-		{"broken partition", strings.Replace(good.String(), `"busy": 90`, `"busy": 91`, 1)},
-		{"skip runs exceed skippable", strings.Replace(good.String(), `"skip_runs": 2`, `"skip_runs": 11`, 1)},
+		{"skippable exceeds cycles", strings.Replace(good.String(), `"skippable": 10`, `"skippable": 101`, 1)},
+		{"total differs from entries", strings.Replace(good.String(), `"sm_cycles": 300`, `"sm_cycles": 301`, 1)},
+		{"entries overflow", overflowReport},
 	}
 	for _, tc := range cases {
 		if _, err := Read(strings.NewReader(tc.doc)); err == nil {

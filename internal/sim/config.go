@@ -172,11 +172,10 @@ type Config struct {
 	Record flightrec.Sink
 
 	// Perf, when set, attaches the perfscope profiler: a deterministic
-	// skip-headroom census of every SM cycle (busy / active-no-issue /
-	// skippable / stalled-unknown) and, when the profiler was built with
-	// wall-clock enabled, per-phase tick timing. Purely observational —
-	// the simulation is bit-identical either way — and nil disables it
-	// with no overhead beyond one nil check per hook.
+	// census of SM cycles and skippable ones and, when the profiler was
+	// built with wall-clock enabled, per-phase tick timing. Purely
+	// observational — the simulation is bit-identical either way — and
+	// nil disables it with no overhead beyond one nil check per hook.
 	Perf *perfscope.Profiler
 
 	// Fault, when set, enables deterministic soft-error injection: each

@@ -17,15 +17,10 @@ type smPerf struct {
 
 	// Per-cycle activity marks, reset by censusCycle: counts of events
 	// fired, bank transactions served, and collectors dispatched this
-	// cycle. Any of them nonzero makes a zero-issue cycle
-	// active-no-issue rather than skippable.
+	// cycle. Any of them nonzero makes the cycle unskippable.
 	fired      uint32
 	bankOps    uint32
 	dispatched uint32
-	// inSkipRun tracks whether the previous cycle was skippable, so the
-	// census counts maximal skip blocks (jump opportunities), not just
-	// skippable cycles.
-	inSkipRun bool
 }
 
 // newSMPerf builds the perfscope state for one SM.
@@ -52,33 +47,15 @@ func (pf *smPerf) lap(ph perfscope.Phase, t0 int64) int64 {
 	return t
 }
 
-// censusCycle classifies the cycle that just ended. Priority order:
-// issue wins; any serviced work (event fired, bank transaction, or
-// collector dispatch) makes the cycle active; otherwise a pending
-// scheduled event means the next state change is at a known cycle —
-// exactly the jump an event-driven loop would take — and an empty event
-// queue means the release is not locally computable (another SM's
-// barrier partner, or a genuinely idle tail).
+// censusCycle counts the cycle that just ended, as skippable when
+// nothing issued, fired, was served or dispatched and a scheduled event
+// is pending: the next state change is then at a known cycle.
 func (s *sm) censusCycle() {
 	pf := s.pf
-	c := &pf.census
-	c.SMCycles++
-	skip := false
-	switch {
-	case s.issuedEpoch > 0:
-		c.Busy++
-	case pf.fired > 0 || pf.bankOps > 0 || pf.dispatched > 0:
-		c.ActiveNoIssue++
-	case s.events.n > 0:
-		c.Skippable++
-		skip = true
-		if !pf.inSkipRun {
-			c.SkipRuns++
-		}
-	default:
-		c.StalledUnknown++
+	pf.census.SMCycles++
+	if s.issuedEpoch == 0 && pf.fired == 0 && pf.bankOps == 0 && pf.dispatched == 0 && s.events.n > 0 {
+		pf.census.Skippable++
 	}
-	pf.inSkipRun = skip
 	pf.fired, pf.bankOps, pf.dispatched = 0, 0, 0
 }
 

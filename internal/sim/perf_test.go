@@ -7,6 +7,7 @@ import (
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/perfscope"
 	"pilotrf/internal/stats"
+	"pilotrf/internal/workloads"
 )
 
 // perfRun executes k under cfg with a fresh profiler attached.
@@ -44,32 +45,71 @@ func TestPerfscopeDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
-// TestPerfscopeCensusPartitions asserts the census invariants on a real
-// run: the four classes partition SMCycles exactly, skip runs never
-// exceed skippable cycles, a busy kernel has busy cycles, and the
-// census agrees with the telemetry stall attribution's total.
+// TestPerfscopeCensusPartitions: on every scheme the census splits the
+// SM cycles telemetry counts, and its skippable share lies within
+// telemetry's stall cycles, since a skippable cycle issues nothing.
 func TestPerfscopeCensusPartitions(t *testing.T) {
 	k := seedKernel(t)
-	cfg := schemeConfig(t, "part-adaptive")
-	cfg.Stalls = true
-	ks, p := perfRun(t, cfg, k, false)
-	c := p.Census()
-	if got := c.Busy + c.ActiveNoIssue + c.Skippable + c.StalledUnknown; got != c.SMCycles {
-		t.Errorf("census classes sum to %d, want SMCycles %d", got, c.SMCycles)
+	for _, sch := range design.All() {
+		cfg, err := testConfig().WithScheme(sch, sch.DefaultKnobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Stalls = true
+		ks, p := perfRun(t, cfg, k, false)
+		c := p.Census()
+		if c.SMCycles != ks.SMCycles {
+			t.Errorf("%s: census SMCycles %d != telemetry SMCycles %d", sch.Name(), c.SMCycles, ks.SMCycles)
+		}
+		if stalled := ks.StallBreakdown.Total(); c.Skippable > stalled {
+			t.Errorf("%s: %d skippable cycles exceed %d stall cycles", sch.Name(), c.Skippable, stalled)
+		}
 	}
-	if c.SkipRuns > c.Skippable {
-		t.Errorf("skip runs %d exceed skippable cycles %d", c.SkipRuns, c.Skippable)
+}
+
+// TestPerfscopeCensusPinned pins the census behind pilotbench's
+// sim.skippable_frac: (SMCycles, Skippable) of sgemm and nw on every
+// scheme at its default knobs, 1 SM, scale 0.05.
+func TestPerfscopeCensusPinned(t *testing.T) {
+	want := map[string][2]uint64{
+		"mrf-stv/sgemm":       {5460, 3229},
+		"mrf-stv/nw":          {6008, 3264},
+		"mrf-ntv/sgemm":       {5759, 3515},
+		"mrf-ntv/nw":          {6725, 3795},
+		"part/sgemm":          {5592, 3566},
+		"part/nw":             {6165, 3443},
+		"part-adaptive/sgemm": {5642, 3667},
+		"part-adaptive/nw":    {6309, 3477},
+		"greener/sgemm":       {5460, 3229},
+		"greener/nw":          {6008, 3264},
+		"rfc/sgemm":           {5442, 2272},
+		"rfc/nw":              {5937, 4549},
+		"rfc-hints/sgemm":     {5575, 2503},
+		"rfc-hints/nw":        {5945, 4482},
 	}
-	if c.Busy == 0 {
-		t.Error("census saw no busy cycles on a real kernel")
-	}
-	if c.SMCycles != ks.SMCycles {
-		t.Errorf("census SMCycles %d != telemetry SMCycles %d", c.SMCycles, ks.SMCycles)
-	}
-	// Busy in the census means "issued this cycle" — the same predicate
-	// telemetry's BusyCycles counts.
-	if c.Busy != ks.BusyCycles {
-		t.Errorf("census busy %d != telemetry busy %d", c.Busy, ks.BusyCycles)
+	for _, sch := range design.All() {
+		for _, name := range []string{"sgemm", "nw"} {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = w.Scale(0.05)
+			cfg := schemeConfig(t, sch.Name())
+			p := perfscope.New(false)
+			cfg.Perf = p
+			g, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.RunKernels(w.Name, w.Kernels); err != nil {
+				t.Fatal(err)
+			}
+			key := sch.Name() + "/" + name
+			c := p.Census()
+			if got := [2]uint64{c.SMCycles, c.Skippable}; got != want[key] {
+				t.Errorf("%s: census (SMCycles, Skippable) = %v, want %v", key, got, want[key])
+			}
+		}
 	}
 }
 

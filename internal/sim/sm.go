@@ -278,7 +278,7 @@ func (s *sm) busy() bool {
 
 // tick advances the SM by one cycle. The perfscope hooks (s.pf) are
 // purely observational: phase laps read the monotonic clock between
-// stages and the end-of-tick census classifies the cycle; disabled,
+// stages and the end-of-tick census counts the cycle; disabled,
 // each hook is one nil check.
 func (s *sm) tick() {
 	pf := s.pf

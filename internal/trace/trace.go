@@ -3,18 +3,18 @@
 // campaign cells, pool tasks, and individual simulated trials it fans
 // out into.
 //
-// The design constraint — inherited from every observer before it
-// (telemetry, flightrec, perfscope) and load-bearing for the planned
-// multi-node campaign fabric — is that the span *tree* is
-// deterministic: span and trace IDs derive from content (the jobs
+// The design constraint — inherited from the observers before it
+// (telemetry, flightrec, perfscope's census) and load-bearing for
+// fleet campaigns spread over worker nodes — is that the span *tree*
+// is deterministic: span and trace IDs derive from content (the jobs
 // cache-key preimages, submission indices, spec fingerprints), never
 // from wall clock or randomness, so the same campaign produces an
 // identical tree of IDs, parentage, and annotations whether the pool
-// runs one worker or sixty-four, on this machine or a future remote
-// worker node. Everything nondeterministic — timestamps, queue waits,
-// which worker ran a task — lives in a clearly-marked optional Wall
-// section, exactly like perfscope's wall split, and is excluded from the
-// reproducibility contract.
+// runs one worker or sixty-four, on this machine or a remote worker
+// node. Everything nondeterministic — timestamps, queue waits, which
+// worker ran a task — lives in a clearly-marked optional Wall section,
+// like the wall section of a perfscope report entry, and is excluded
+// from the reproducibility contract.
 //
 // Spans are exported three ways:
 //

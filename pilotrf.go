@@ -351,35 +351,36 @@ func (s *Simulator) EnableMetrics(epochCycles int) *MetricsRecorder {
 }
 
 // Perfscope types, re-exported for profiling the simulator itself:
-// wall-clock phase timings and the deterministic skip-headroom census.
+// wall-clock phase timings and the deterministic census of skippable
+// cycles.
 type (
 	// PerfProfiler aggregates per-SM censuses (and, when enabled, tick
 	// phase timings) folded in at kernel boundaries.
 	PerfProfiler = perfscope.Profiler
-	// PerfCensus classifies every SM cycle as busy, active-no-issue,
-	// skippable, or stalled-unknown; Skippable/SMCycles bounds the
-	// speedup an event-driven cycle loop could deliver.
+	// PerfCensus counts SM cycles and the skippable ones: cycles where
+	// nothing issued, fired, was served or dispatched while a scheduled
+	// event was pending.
 	PerfCensus = perfscope.Census
-	// PerfReport is the versioned (pilotrf-perfscope/v1) JSON report
-	// emitted by cmd/perfscope and pilotsim -perf-out.
+	// PerfReport is the versioned (pilotrf-perfscope/v2) JSON report
+	// written by pilotsim -perf-out.
 	PerfReport = perfscope.Report
 	// PerfEntry is one workload x design row of a PerfReport.
 	PerfEntry = perfscope.Entry
 )
 
 // EnablePerfscope makes subsequent runs profile the simulator itself
-// into the returned profiler: the deterministic skip-headroom census
-// always, and per-phase wall-clock timings when wallClock is set (wall
-// time is non-deterministic; leave it off for reproducible reports).
-// Render the profiler into a report row with perfscope.NewEntry. The
-// hooks are bit-identical to an unprofiled run either way.
+// into the returned profiler: the deterministic census always, and
+// per-phase wall-clock timings when wallClock is set (wall time is
+// non-deterministic). Read them back with the profiler's Census and
+// PhaseNS methods. The hooks are bit-identical to an unprofiled run
+// either way.
 func (s *Simulator) EnablePerfscope(wallClock bool) *PerfProfiler {
 	p := perfscope.New(wallClock)
 	s.cfg.Perf = p
 	return p
 }
 
-// ReadPerfReport loads and validates a pilotrf-perfscope/v1 JSON report.
+// ReadPerfReport loads and validates a pilotrf-perfscope/v2 JSON report.
 func ReadPerfReport(path string) (*PerfReport, error) { return perfscope.ReadFile(path) }
 
 // Flight recorder types, re-exported for deterministic run capture,
