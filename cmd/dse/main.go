@@ -7,12 +7,17 @@
 //
 //	dse [-schemes a,b,...] [-bench w1,w2,...] [-scale f] [-sms n]
 //	    [-parallel n] [-out report.json] [-csv points.csv] [-replay=false]
+//	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Every grid point runs with the energy ledger attached and its
 // conservation check enforced; default-knob points additionally replay
 // their first workload against a flight recording. The JSON report
 // ("pilotrf-dse/v1") and the CSV are canonical: the bytes do not depend
 // on -parallel, which the CI smoke job verifies by diffing two runs.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the sweep (read them with go tool pprof); the report, CSV and
+// stdout are the same bytes with or without them.
 //
 // Exit codes: 0 success, 1 sweep or I/O failure, 2 usage error (the
 // valid scheme names are listed).
@@ -29,6 +34,7 @@ import (
 	"pilotrf/internal/design"
 	"pilotrf/internal/dse"
 	"pilotrf/internal/jobs"
+	"pilotrf/internal/telemetry"
 )
 
 func main() {
@@ -37,7 +43,7 @@ func main() {
 
 // run executes the sweep; factored from main so the tests drive the
 // whole flag-to-report path in process.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dse", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -49,6 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out      = fs.String("out", "", "write the pilotrf-dse/v1 JSON report to this file (empty = stdout table only)")
 		csvPath  = fs.String("csv", "", "write every point as CSV (with a pareto column) to this file")
 		replay   = fs.Bool("replay", true, "replay each default-knob point's first workload against its flight recording")
+		cpuPath  = fs.String("cpuprofile", "", "write a CPU profile of the sweep here")
+		memPath  = fs.String("memprofile", "", "write a heap profile here after the sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -62,6 +70,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+
+	stopProfiles, err := telemetry.StartProfiles(*cpuPath, *memPath)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == 0 {
+			fmt.Fprintln(stderr, err)
+			code = 1
+		}
+	}()
 
 	rep, err := dse.Sweep(context.Background(), dse.Options{
 		Schemes:   names,

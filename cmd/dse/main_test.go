@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +59,43 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	}
 	if c1 != c8 {
 		t.Errorf("CSVs differ between -parallel 1 and -parallel 8:\n%s\nvs\n%s", c1, c8)
+	}
+}
+
+// TestRunProfileFlags: -cpuprofile and -memprofile write gzipped pprof
+// profiles, and the report, CSV and stdout are the same bytes with or
+// without them.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, csvPath := filepath.Join(dir, "report.json"), filepath.Join(dir, "points.csv")
+	render := func(extra ...string) string {
+		code, out, errb := runDSE(t, smokeArgs(append([]string{"-out", jsonPath, "-csv", csvPath}, extra...)...)...)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, errb)
+		}
+		j, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out + string(j) + string(c)
+	}
+	plain := render()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if profiled := render("-cpuprofile", cpu, "-memprofile", mem); profiled != plain {
+		t.Errorf("profiling changed stdout, report or CSV:\n--- plain\n%s--- profiled\n%s", plain, profiled)
+	}
+	for _, p := range []string{cpu, mem} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gzip.NewReader(bytes.NewReader(b)); err != nil {
+			t.Errorf("%s is not a gzipped profile: %v", filepath.Base(p), err)
+		}
 	}
 }
 

@@ -68,13 +68,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/design"
 	"pilotrf/internal/jobs"
+	"pilotrf/internal/telemetry"
 	"pilotrf/internal/trace"
 )
 
@@ -153,7 +152,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return usageError{err}
 	}
 
-	stopProfiles, err := startProfiles(*cpuPath, *memPath)
+	stopProfiles, err := telemetry.StartProfiles(*cpuPath, *memPath)
 	if err != nil {
 		return err
 	}
@@ -274,41 +273,4 @@ func run(args []string, stdout io.Writer) (err error) {
 			cache.Dir(), st.Hits, st.Misses, st.Corrupt, st.Puts)
 	}
 	return nil
-}
-
-// startProfiles starts a CPU profile into cpuPath and returns the
-// function that stops it and then writes a heap profile into memPath.
-// An empty path skips that profile.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // the profile shows the heap as of the last collection
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
 }

@@ -42,7 +42,9 @@
 //	GET  /v1/jobs/{id}   — stream NDJSON progress lines
 //	                       {"id","state","done","total"} until the
 //	                       terminal line carries the report ("done") or
-//	                       the error ("failed").
+//	                       the error ("failed"). Finished jobs are kept
+//	                       while their units add up to at most
+//	                       -queue-units; older ones answer 404.
 //	GET  /healthz        — JSON {"status","uptime_seconds","go_version",
 //	                       "version"}: 200 with status "ok" while
 //	                       serving, 503 with status "draining" while
@@ -53,7 +55,8 @@
 //	                       cells, trials, and pool tasks, as
 //	                       pilotrf-spans/v1 NDJSON (?format=perfetto for
 //	                       Chrome/Perfetto trace_event JSON). 409 while
-//	                       the job is still queued or running.
+//	                       the job is still queued or running, 404 once
+//	                       newer finished jobs fill -queue-units.
 //	GET  /metrics        — serving + pool + cache metrics in Prometheus
 //	                       text exposition (?format=json for a flat JSON
 //	                       map, ?format=text for the legacy dump);
@@ -103,7 +106,7 @@ func run(args []string) int {
 		addr       = fs.String("addr", ":8091", "listen address")
 		parallel   = fs.Int("parallel", jobs.DefaultWorkers(), "simulation pool worker count")
 		cacheDir   = fs.String("cache-dir", "", "persist golden runs and cells here across jobs and restarts")
-		queueUnits = fs.Int("queue-units", defaultQueueUnits, "max admitted simulation jobs (golden runs + trials) in flight")
+		queueUnits = fs.Int("queue-units", defaultQueueUnits, "max admitted simulation jobs (golden runs + trials) in flight; finished jobs are kept up to as many units, then answer 404")
 		perClient  = fs.Int("per-client", 8, "max in-flight batch jobs per client")
 		role       = fs.String("role", "standalone", "standalone | coordinator | worker")
 		coordURL   = fs.String("coordinator", "", "coordinator base URL (required for -role worker)")

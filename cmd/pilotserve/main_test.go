@@ -17,6 +17,7 @@ import (
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/jobs"
 	"pilotrf/internal/telemetry"
+	"pilotrf/internal/trace"
 )
 
 // testSpecJSON is a one-cell, one-trial campaign: cheap, but it still
@@ -340,6 +341,105 @@ func TestCacheSharedAcrossJobs(t *testing.T) {
 	}
 	if n := reg.Map()["jobs_submitted"]; n != 2 {
 		t.Errorf("pool ran %v simulations, want 2 (golden + trial, once)", n)
+	}
+}
+
+// TestFinishedJobsRetainedUpToCapacity: finished jobs stay served only
+// while their units add up to -queue-units. Jobs worth several times the
+// capacity run one after another; after each, the finished jobs still
+// held sum to at most the capacity, exactly the newest of them still
+// stream and serve their trace, the older ones answer 404 on both
+// endpoints, and a queued and a running job are never evicted.
+func TestFinishedJobsRetainedUpToCapacity(t *testing.T) {
+	const capacity = 8
+	s, ts := newTestServer(t, serverConfig{workers: 1, queueUnits: capacity, cacheDir: t.TempDir() + "/cache"})
+
+	// White-box: plant a queued and a running job, as admission leaves
+	// them before runJob ends them.
+	var pending []string
+	for _, state := range []string{"queued", "running"} {
+		id := "job-test-" + state
+		rec := trace.NewRecorder(true)
+		s.mu.Lock()
+		s.jobsByID[id] = &serveJob{
+			id: id, units: capacity, state: state, changed: make(chan struct{}),
+			rec: rec, root: rec.Root("job", trace.TraceID("t"), id),
+		}
+		s.mu.Unlock()
+		pending = append(pending, id)
+	}
+
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// testSpecJSON prices 2 units; with two trials the spec prices 3.
+	specs := []string{testSpecJSON, strings.Replace(testSpecJSON, `"trials":1`, `"trials":2`, 1)}
+	var ids []string
+	var units []int
+	for i := 0; i < 12; i++ {
+		resp := submit(t, ts, `{"jobs":[`+specs[i%2]+`]}`)
+		var sr submitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		id := sr.Jobs[0].ID
+		ids = append(ids, id)
+		units = append(units, sr.Jobs[0].Units)
+		if final := streamJob(t, ts, id); final.State != "done" || final.Report == nil {
+			t.Fatalf("%s ended %+v", id, final)
+		}
+		if code := status("/v1/jobs/" + id + "/trace"); code != http.StatusOK {
+			t.Fatalf("%s/trace: status %d right after its terminal line", id, code)
+		}
+		s.waitIdle() // runJob has retired the job
+
+		s.mu.Lock()
+		var held int
+		for _, j := range s.jobsByID {
+			if st, _ := j.snapshot(); st.State == "done" || st.State == "failed" {
+				held += j.units
+			}
+		}
+		s.mu.Unlock()
+		if held > capacity {
+			t.Fatalf("after %s: finished jobs hold %d units, capacity %d", id, held, capacity)
+		}
+		// The newest jobs whose units fit the capacity stay; the rest go.
+		kept := len(ids)
+		for sum := 0; kept > 0 && sum+units[kept-1] <= capacity; kept-- {
+			sum += units[kept-1]
+		}
+		for k, old := range ids {
+			want := http.StatusOK
+			if k < kept {
+				want = http.StatusNotFound
+			}
+			if code := status("/v1/jobs/" + old); code != want {
+				t.Errorf("after %s: GET %s status %d, want %d", id, old, code, want)
+			}
+			if code := status("/v1/jobs/" + old + "/trace"); code != want {
+				t.Errorf("after %s: GET %s/trace status %d, want %d", id, old, code, want)
+			}
+		}
+		for _, p := range pending {
+			if code := status("/v1/jobs/" + p + "/trace"); code != http.StatusConflict {
+				t.Errorf("after %s: %s/trace status %d, want 409", id, p, code)
+			}
+		}
+	}
+	if units[0] != 2 || units[1] != 3 {
+		t.Fatalf("spec prices %v, want 2 and 3 units", units[:2])
+	}
+	if final := streamJob(t, ts, ids[len(ids)-1]); final.State != "done" || final.Report == nil {
+		t.Fatalf("newest job %s streams %+v", ids[len(ids)-1], final)
 	}
 }
 

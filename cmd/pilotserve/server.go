@@ -52,7 +52,8 @@ type serverConfig struct {
 	workers int
 	// queueUnits bounds the total admitted work, priced in simulation
 	// jobs (Spec.NumJobs): golden runs plus trials. Submissions that
-	// would exceed it get 429 + Retry-After.
+	// would exceed it get 429 + Retry-After. It also bounds the finished
+	// jobs kept for GET /v1/jobs/{id} and its /trace, by the same price.
 	queueUnits int
 	// perClient bounds in-flight batch jobs per client (X-Client-ID
 	// header, else the remote host).
@@ -155,6 +156,10 @@ type server struct {
 	perClient map[string]int
 	draining  bool
 	active    sync.WaitGroup
+	// finished holds the terminal jobs still in jobsByID, oldest first,
+	// and finishedUnits their summed units, at most cfg.queueUnits.
+	finished      []*serveJob
+	finishedUnits int
 
 	mAccepted       *telemetry.Counter
 	mCompleted      *telemetry.Counter
@@ -594,6 +599,7 @@ func (s *server) runJob(j *serveJob) {
 		if s.perClient[j.client] == 0 {
 			delete(s.perClient, j.client)
 		}
+		s.retain(j)
 		s.mu.Unlock()
 		s.gQueuedUnits.Add(-int64(j.units))
 		s.gActive.Add(-1)
@@ -645,6 +651,23 @@ func (s *server) runJob(j *serveJob) {
 	j.root.SetAttr("state", "done")
 	j.root.End()
 	j.update(func() { j.state = "done"; j.report = &rep })
+}
+
+// retain keeps the terminal job j served and forgets the oldest
+// finished jobs while their units exceed the admission capacity, so a
+// long-running server holds a bounded set of reports and span trees.
+// Admission prices no job above the capacity, so j itself stays;
+// queued and running jobs are never in the FIFO. Call with s.mu held.
+func (s *server) retain(j *serveJob) {
+	s.finished = append(s.finished, j)
+	s.finishedUnits += j.units
+	for s.finishedUnits > s.cfg.queueUnits {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		s.finishedUnits -= old.units
+		delete(s.jobsByID, old.id)
+	}
 }
 
 // handleJob streams a job's progress as NDJSON: one status line per

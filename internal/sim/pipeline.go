@@ -107,9 +107,12 @@ const (
 	doneRelease                   // the destination's scoreboard bit clears, then the instruction completes
 )
 
-// bankReq is one register file bank transaction.
+// bankReq is one register file bank transaction. It names its warp by
+// slot: a background write may outlive the warp's retirement, while a
+// write that releases or completes an instruction keeps the warp's
+// inFlight above zero, so its slot still holds the issuing warp.
 type bankReq struct {
-	warp    *warpCtx
+	slot    int
 	arch    isa.Reg // architected register (for routing stats)
 	phys    isa.Reg // physical register (fixes the bank)
 	isWrite bool
@@ -186,9 +189,9 @@ func (s *sm) tickBanks() {
 		if s.pf != nil {
 			s.pf.bankOps++
 		}
-		s.countPartAccess(part, req.warp.slot, req.arch)
+		s.countPartAccess(part, req.slot, req.arch)
 		if s.cfg.Tracer != nil {
-			s.trace(TraceBankAccess, req.warp.slot, -1, s.bankDetail(b, req.isWrite, req.arch, part, lat))
+			s.trace(TraceBankAccess, req.slot, -1, s.bankDetail(b, req.isWrite, req.arch, part, lat))
 		}
 		s.schedule(lat, event{kind: evBankDone, req: req})
 	}
@@ -203,31 +206,33 @@ func (s *sm) completeBankReq(req bankReq) {
 	}
 	switch req.done {
 	case doneRelease:
-		req.warp.pendingRegs &^= 1 << uint(req.arch)
-		s.unpark(req.warp)
-		s.completeInstr(req.warp)
+		w := s.warps[req.slot]
+		w.pendingRegs &^= 1 << uint(req.arch)
+		s.unpark(w)
+		s.completeInstr(w)
 	case doneComplete:
-		s.completeInstr(req.warp)
+		s.completeInstr(s.warps[req.slot])
 	}
 }
 
 // enqueueBankRead queues a source-operand read for a collector.
 func (s *sm) enqueueBankRead(col *collectorUnit, arch isa.Reg) {
 	phys := s.rf.PhysicalReg(arch)
-	s.enqueueBank(bankReq{warp: col.warp, arch: arch, phys: phys, col: col})
+	s.enqueueBank(bankReq{slot: col.warp.slot, arch: arch, phys: phys, col: col})
 }
 
-// enqueueBankWrite queues a destination write; done says what its
-// retirement does (scoreboard release, instruction completion).
-func (s *sm) enqueueBankWrite(w *warpCtx, arch isa.Reg, done writeDone) {
+// enqueueBankWrite queues a destination write for the warp in slot;
+// done says what its retirement does (scoreboard release, instruction
+// completion).
+func (s *sm) enqueueBankWrite(slot int, arch isa.Reg, done writeDone) {
 	phys := s.rf.PhysicalReg(arch)
-	s.enqueueBank(bankReq{warp: w, arch: arch, phys: phys, isWrite: true, done: done})
+	s.enqueueBank(bankReq{slot: slot, arch: arch, phys: phys, isWrite: true, done: done})
 }
 
 // enqueueBank appends req to the queue of the bank its warp slot and
 // physical register map to.
 func (s *sm) enqueueBank(req bankReq) {
-	b := s.rf.BankOf(req.warp.slot, req.phys)
+	b := s.rf.BankOf(req.slot, req.phys)
 	s.banks[b].queue = append(s.banks[b].queue, req)
 	s.busyBanks |= 1 << uint(b)
 	s.queued++

@@ -161,10 +161,9 @@ func (sc *schedState) demote(sm *sm, slot int) {
 			sc.active = append(sc.active[:i], sc.active[i+1:]...)
 			sc.pending = append(sc.pending, slot)
 			if sm.rfcCache != nil {
-				w := sm.warps[slot]
 				sm.flushBuf = sm.rfcCache.FlushWarp(slot, sm.flushBuf[:0])
 				for _, r := range sm.flushBuf {
-					sm.enqueueBankWrite(w, r, doneNone)
+					sm.enqueueBankWrite(slot, r, doneNone)
 				}
 			}
 			sc.promote(sm)

@@ -7,6 +7,7 @@ import (
 	"pilotrf/internal/isa"
 	"pilotrf/internal/kernel"
 	"pilotrf/internal/profile"
+	"pilotrf/internal/ref"
 	"pilotrf/internal/regfile"
 )
 
@@ -369,6 +370,40 @@ func TestRFCHitsAndMRFTraffic(t *testing.T) {
 	// the banks.
 	if ks.PartAccesses[regfile.PartMRF] == 0 {
 		t.Error("no MRF traffic behind the RFC")
+	}
+}
+
+// TestTwoLevelRetireFlushesDirtyRFC: under the two-level scheduler a
+// retiring warp is demoted after its CTA has freed its slots, and the
+// demotion flushes the warp's dirty RFC entry to the banks. That write
+// once dereferenced the freed slot's nil warp. The kernel must run
+// under both RFC schemes, at pilotasm's default geometry and at 64
+// threads x 2 CTAs, with the reference interpreter's counts.
+func TestTwoLevelRetireFlushesDirtyRFC(t *testing.T) {
+	b := kernel.NewBuilder("t", 1)
+	b.S2R(isa.R(0), isa.SRTid)
+	b.EXIT()
+	prog := b.MustBuild()
+	for _, name := range []string{"rfc", "rfc-hints"} {
+		sch := design.MustLookup(name)
+		cfg, err := DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, geo := range [][2]int{{256, 32}, {64, 2}} {
+			k := &kernel.Kernel{Prog: prog, ThreadsPerCTA: geo[0], NumCTAs: geo[1]}
+			ks := mustRun(t, cfg, k)
+			want, err := ref.Run(k, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ks.WarpInstrs != want.WarpInstrs || ks.ThreadInstrs != want.ThreadInstrs ||
+				ks.RegReads != want.RegReads || ks.RegWrites != want.RegWrites {
+				t.Errorf("%s %dx%d: sim %d/%d/%d/%d, ref %d/%d/%d/%d", name, geo[0], geo[1],
+					ks.WarpInstrs, ks.ThreadInstrs, ks.RegReads, ks.RegWrites,
+					want.WarpInstrs, want.ThreadInstrs, want.RegReads, want.RegWrites)
+			}
+		}
 	}
 }
 

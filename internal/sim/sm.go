@@ -774,13 +774,13 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// Only active-pool warps own RFC storage; a demoted warp's
 		// late results bypass the cache straight to the MRF.
 		if s.cfg.Policy == PolicyTL && !s.schedulers[w.slot%s.cfg.Schedulers].inActive(w.slot) {
-			s.enqueueBankWrite(w, d, doneRelease)
+			s.enqueueBankWrite(w.slot, d, doneRelease)
 			return
 		}
 		// Results write into the RFC; dirty evictions emit MRF bank
 		// writes that retire in the background.
 		if victim, wb := s.rfcCache.Write(w.slot, d); wb {
-			s.enqueueBankWrite(w, victim, doneNone)
+			s.enqueueBankWrite(w.slot, victim, doneNone)
 		}
 		w.pendingRegs &^= 1 << uint(d)
 		s.unpark(w)
@@ -792,10 +792,10 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// retires in the background (energy + occupancy only).
 		w.pendingRegs &^= 1 << uint(d)
 		s.unpark(w)
-		s.enqueueBankWrite(w, d, doneComplete)
+		s.enqueueBankWrite(w.slot, d, doneComplete)
 		return
 	}
-	s.enqueueBankWrite(w, d, doneRelease)
+	s.enqueueBankWrite(w.slot, d, doneRelease)
 }
 
 func (s *sm) completeInstr(w *warpCtx) {
