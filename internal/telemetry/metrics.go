@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's observation layer: a lightweight
 // metrics registry (atomic counters and gauges, allocation-free on the
 // hot path), epoch-resolution time series with CSV export, the
-// stall-cycle attribution taxonomy, and an optional expvar/pprof live
-// endpoint for long sweeps.
+// stall-cycle attribution taxonomy, an optional expvar/pprof live
+// endpoint for long sweeps, and the CPU and heap profile files behind
+// the commands' -cpuprofile and -memprofile flags.
 //
 // The package is deliberately free of simulator dependencies — the sim
 // package imports telemetry, never the reverse — so the same primitives
