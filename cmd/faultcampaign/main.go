@@ -168,24 +168,25 @@ func run(args []string, stdout io.Writer) (err error) {
 		// Remote mode: the campaign runs on a pilotserve coordinator's
 		// fleet; -parallel and -cache-dir govern local execution only and
 		// are ignored here (the coordinator owns both).
+		coordinator := strings.TrimRight(*coordURL, "/")
 		var progress io.Writer
 		if *verbose {
 			progress = os.Stderr
 		}
 		var jobID string
 		var err error
-		rep, jobID, err = runRemote(*coordURL, spec, progress)
+		rep, jobID, err = runRemote(coordinator, spec, progress)
 		if err != nil {
 			return err
 		}
 		if *spansPath != "" {
-			if err := fetchRemoteTrace(*coordURL, jobID, "", *spansPath); err != nil {
+			if err := fetchRemoteTrace(coordinator, jobID, "", *spansPath); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote remote spans to %s\n", *spansPath)
 		}
 		if *perfPath != "" {
-			if err := fetchRemoteTrace(*coordURL, jobID, "perfetto", *perfPath); err != nil {
+			if err := fetchRemoteTrace(coordinator, jobID, "perfetto", *perfPath); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote remote Perfetto trace to %s\n", *perfPath)

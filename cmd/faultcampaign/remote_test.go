@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/jobs"
@@ -35,6 +37,10 @@ type fakeCoordinator struct {
 func (f *fakeCoordinator) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
 		f.mu.Lock()
 		f.submits++
 		n := f.submits
@@ -116,6 +122,36 @@ func TestRemoteModeByteIdenticalOutput(t *testing.T) {
 	}
 	if !bytes.Equal(lb, rb) {
 		t.Fatalf("remote report differs from local:\n%s\n---\n%s", rb, lb)
+	}
+}
+
+// TestRemoteModeTrailingSlash: -coordinator with a trailing slash
+// submits once to the coordinator's /v1/jobs, not to a path the server
+// redirects as a GET.
+func TestRemoteModeTrailingSlash(t *testing.T) {
+	fake := &fakeCoordinator{report: smallReport(t)}
+	ts := httptest.NewServer(fake.handler())
+	defer ts.Close()
+
+	out := filepath.Join(t.TempDir(), "remote.json")
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-bench", "sgemm", "-designs", "part-adaptive", "-protect", "none",
+			"-trials", "3", "-seed", "42", "-sms", "1", "-coordinator", ts.URL + "/", "-out", out}, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no report after 10s: the client is retrying its submit")
+	}
+	fake.mu.Lock()
+	submits := fake.submits
+	fake.mu.Unlock()
+	if submits != 1 {
+		t.Fatalf("submits = %d, want 1", submits)
 	}
 }
 

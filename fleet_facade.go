@@ -5,7 +5,6 @@ import (
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/fleet"
-	"pilotrf/internal/jobs"
 )
 
 // The distributed-campaign layer: a coordinator that shards
@@ -54,14 +53,6 @@ func NewFleetCoordinator(cfg FleetConfig) *FleetCoordinator { return fleet.NewCo
 // until ctx is cancelled.
 func RunFleetWorker(ctx context.Context, cfg FleetWorkerConfig) error {
 	return fleet.RunWorker(ctx, cfg)
-}
-
-// NewRemoteResultCache returns a ResultCache backed by a coordinator's
-// shared envelope store instead of a local directory; reads re-verify
-// envelope integrity (corrupt entries degrade to misses) and writes are
-// best-effort.
-func NewRemoteResultCache(cfg fleet.RemoteCacheConfig) (*jobs.Cache, error) {
-	return fleet.NewRemoteCache(cfg)
 }
 
 // NewCampaignPlan compiles a spec into its canonical cell enumeration —

@@ -1,7 +1,10 @@
 // Package fleet is the distributed campaign fabric: a coordinator that
 // shards fault-campaign cells across registered workers under expiring
 // leases, and the worker loop that pulls cells, executes them through
-// internal/campaign, and streams results back.
+// internal/campaign, and streams results back. Every request a worker
+// sends, its remote cache's included, goes through one link to the
+// coordinator, which retries transport errors and 5xx answers under
+// the worker's Policy.
 //
 // The failure model is explicit and small:
 //

@@ -71,7 +71,6 @@ func (c Config) withDefaults() Config {
 type workerState struct {
 	id       string
 	fp       Fingerprint
-	capacity int
 	lastSeen time.Time
 	lost     bool
 }
@@ -80,12 +79,10 @@ type workerState struct {
 type cellState struct {
 	state    int // cellPending | cellLeased | cellDone
 	result   campaign.Cell
-	resumed  bool
 	leaseID  string
 	worker   string
 	deadline time.Time
 	attempt  int
-	requeues int
 	// failures tallies errors + expiries per worker (exclusion);
 	// errWorkers records distinct workers' error messages (poison).
 	failures   map[string]int
@@ -254,7 +251,6 @@ func (c *Coordinator) failLocked(r *run, i int, worker, errMsg string) {
 	cell.state = cellPending
 	cell.leaseID = ""
 	cell.worker = ""
-	cell.requeues++
 	c.gLeasesActive.Add(-1)
 	c.cRequeued.Inc()
 	if cell.failures == nil {
@@ -325,7 +321,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec campaign.Spec, opt R
 	for i := 0; i < pl.NumCells(); i++ {
 		var cell campaign.Cell
 		if c.cfg.Cache.Get(pl.CellKey(i), &cell) && pl.ValidCell(i, cell) {
-			r.cells[i] = cellState{state: cellDone, result: cell, resumed: true}
+			r.cells[i] = cellState{state: cellDone, result: cell}
 			r.left--
 			resumed++
 			sp := r.campSC.Start("fleet.cell", strconv.Itoa(i))
@@ -514,7 +510,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ws := &workerState{
 		id:       fmt.Sprintf("w-%d", c.seqWorker),
 		fp:       req.Fingerprint,
-		capacity: req.Capacity,
 		lastSeen: time.Now(),
 	}
 	c.workers[ws.id] = ws

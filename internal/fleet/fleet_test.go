@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/jobs"
+	"pilotrf/internal/telemetry"
 	"pilotrf/internal/trace"
 )
+
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // fleetSpec is the shared test campaign: 8 cells across two workloads,
 // two designs, two schemes.
@@ -151,6 +158,170 @@ func TestFleetByteIdentical(t *testing.T) {
 	}
 	if _, err := trace.BuildTree(spans); err != nil {
 		t.Fatalf("fleet trace does not build: %v", err)
+	}
+}
+
+// TestFleetWorkerTrailingSlash: a worker given the coordinator's URL
+// with a trailing slash registers, pulls leases and uses the remote
+// cache, and the report is the standalone one.
+func TestFleetWorkerTrailingSlash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	want := standalone(t)
+	co, ts, _ := newFleet(t, Config{PollInterval: 20 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	exited := make(chan error, 1)
+	go func() {
+		exited <- RunWorker(ctx, WorkerConfig{Coordinator: ts.URL + "/", Parallel: 2})
+		cancel() // a worker that gives up ends the campaign too
+	}()
+	got, err := co.RunCampaign(ctx, fleetSpec(), RunOptions{})
+	cancel()
+	if werr := <-exited; werr != nil {
+		t.Fatalf("worker exited with %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := reportBytes(t, got), reportBytes(t, want); !bytes.Equal(a, b) {
+		t.Fatalf("fleet report differs from standalone:\n%s\n---\n%s", a, b)
+	}
+	if co.cCachePuts.Value() == 0 {
+		t.Fatal("the worker wrote nothing to the remote cache")
+	}
+}
+
+// TestLinkAnswers runs the link and the remote cache against a scripted
+// coordinator: what each answer returns, how many requests it costs,
+// and what the worker- and cache-side counters read after it.
+func TestLinkAnswers(t *testing.T) {
+	key := jobs.NewKey().Field("kind", "link-test").Sum()
+	type payload struct {
+		V int `json:"v"`
+	}
+	post := func(ctx context.Context, l link, _ *telemetry.Registry) (string, error) {
+		buf, code, err := l.do(ctx, http.MethodPost, "/v1/fleet/lease", []byte("{}"))
+		return fmt.Sprintf("HTTP %d %q", code, buf), err
+	}
+	load := func(_ context.Context, l link, reg *telemetry.Registry) (string, error) {
+		remote, err := newRemoteCache(l, reg, discardLog)
+		if err != nil {
+			return "", err
+		}
+		var v payload
+		return fmt.Sprintf("hit %v", remote.Get(key, &v)), nil
+	}
+	store := func(_ context.Context, l link, reg *telemetry.Registry) (string, error) {
+		remote, err := newRemoteCache(l, reg, discardLog)
+		if err != nil {
+			return "", err
+		}
+		return "", remote.Put(key, payload{V: 1})
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	cases := []struct {
+		name     string
+		answers  []answer // served in order; the last one repeats
+		run      func(context.Context, link, *telemetry.Registry) (string, error)
+		want     string
+		errHas   []string // nil wants no error
+		errIs    error
+		requests int // 0: more than one
+		counters map[string]uint64
+	}{
+		{
+			name:    "5xx twice then 2xx",
+			answers: []answer{{503, "busy"}, {503, "busy"}, {200, "lease"}},
+			run:     post, want: `HTTP 200 "lease"`, requests: 3,
+			counters: map[string]uint64{"fleet_worker_retries": 2},
+		},
+		{
+			name:    "4xx",
+			answers: []answer{{400, "bad body: no schema\nsecond line"}},
+			run:     post, want: `HTTP 400 ""`, requests: 1,
+			errHas:   []string{"/v1/fleet/lease: HTTP 400: bad body: no schema"},
+			counters: map[string]uint64{"fleet_worker_retries": 0},
+		},
+		{
+			name:    "5xx forever",
+			answers: []answer{{503, "busy"}},
+			run:     post, want: `HTTP 503 ""`,
+			errHas: []string{"retry budget 20ms exhausted", "/v1/fleet/lease: HTTP 503"},
+		},
+		{
+			name:    "cancelled in the backoff",
+			answers: []answer{{503, "busy"}},
+			run: func(ctx context.Context, l link, reg *telemetry.Registry) (string, error) {
+				l.retry = Policy{Base: time.Minute, Budget: time.Minute} // the cancel lands in the first sleep
+				ctx, cancel := context.WithCancel(ctx)
+				time.AfterFunc(200*time.Millisecond, cancel)
+				return post(ctx, l, reg)
+			},
+			want: `HTTP 503 ""`, errIs: context.Canceled, requests: 1,
+			counters: map[string]uint64{"fleet_worker_retries": 0},
+		},
+		{
+			name:    "cache load 404",
+			answers: []answer{{404, "miss"}},
+			run:     load, want: "hit false", requests: 1,
+			counters: map[string]uint64{"fleet_cache_gets": 1, "fleet_cache_hits": 0, "fleet_cache_retries": 0},
+		},
+		{
+			name:    "cache store 5xx forever",
+			answers: []answer{{503, "busy"}},
+			run:     store, want: "",
+			counters: map[string]uint64{"fleet_cache_put_dropped": 1, "fleet_cache_puts": 0, "fleet_worker_retries": 0},
+		},
+		{
+			name: "cache load of a corrupt envelope",
+			answers: []answer{{200, `{"schema":"` + jobs.CacheSchema + `","key":"` + key.Hex() +
+				`","preimage":"wrong","payload":{"v":1}}`}},
+			run: load, want: "hit false", requests: 1,
+			counters: map[string]uint64{"fleet_cache_corrupt": 1, "fleet_cache_hits": 0},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n := int(requests.Add(1))
+				a := tc.answers[min(n, len(tc.answers))-1]
+				w.WriteHeader(a.code)
+				io.WriteString(w, a.body)
+			}))
+			defer ts.Close()
+			reg := telemetry.NewRegistry()
+			l := link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 20 * time.Millisecond},
+				retries: reg.Counter("fleet_worker_retries")}
+			got, err := tc.run(context.Background(), l, reg)
+			if got != tc.want {
+				t.Errorf("result %s, want %s", got, tc.want)
+			}
+			switch {
+			case tc.errHas == nil && tc.errIs == nil && err != nil:
+				t.Errorf("unexpected error %v", err)
+			case tc.errIs != nil && !errors.Is(err, tc.errIs):
+				t.Errorf("error %v is not %v", err, tc.errIs)
+			}
+			for _, s := range tc.errHas {
+				if err == nil || !strings.Contains(err.Error(), s) {
+					t.Errorf("error %v does not contain %q", err, s)
+				}
+			}
+			if n := int(requests.Load()); tc.requests > 0 && n != tc.requests || tc.requests == 0 && n < 2 {
+				t.Errorf("%d requests, want %d (0: more than one)", n, tc.requests)
+			}
+			for name, want := range tc.counters {
+				if got := reg.Counter(name).Value(); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -366,10 +537,8 @@ func TestFleetRemoteCacheIntegrity(t *testing.T) {
 	_, ts, dir := newFleet(t, Config{})
 	newRemote := func() *jobs.Cache {
 		t.Helper()
-		remote, err := NewRemoteCache(RemoteCacheConfig{
-			Coordinator: ts.URL,
-			Retry:       Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond},
-		})
+		remote, err := newRemoteCache(link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond}},
+			telemetry.NewRegistry(), discardLog)
 		if err != nil {
 			t.Fatal(err)
 		}

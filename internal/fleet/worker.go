@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"pilotrf/internal/campaign"
@@ -22,8 +23,6 @@ import (
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
-	// Client issues the wire requests; nil selects http.DefaultClient.
-	Client *http.Client
 	// Parallel is the local pool's worker count (the capacity announced
 	// at registration). Zero selects jobs.DefaultWorkers().
 	Parallel int
@@ -44,18 +43,17 @@ type WorkerConfig struct {
 // leased cells, executes them through internal/campaign against the
 // shared remote cache, and submits results, heartbeating throughout.
 type Worker struct {
-	cfg    WorkerConfig
-	id     string
-	ttl    time.Duration
-	poll   time.Duration
-	pool   *jobs.Pool
-	cache  *jobs.Cache
-	client *http.Client
+	cfg   WorkerConfig
+	link  link
+	id    string
+	ttl   time.Duration
+	poll  time.Duration
+	pool  *jobs.Pool
+	cache *jobs.Cache
 
 	cLeases   *telemetry.Counter
 	cCellsOK  *telemetry.Counter
 	cCellsErr *telemetry.Counter
-	cRetries  *telemetry.Counter
 	cLost     *telemetry.Counter
 }
 
@@ -65,9 +63,6 @@ type Worker struct {
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Coordinator == "" {
 		return fmt.Errorf("fleet: worker without coordinator URL")
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
 	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = jobs.DefaultWorkers()
@@ -79,12 +74,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Log = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
 	w := &Worker{
-		cfg:       cfg,
-		client:    cfg.Client,
+		cfg: cfg,
+		link: link{
+			base:    strings.TrimRight(cfg.Coordinator, "/"),
+			retry:   cfg.Retry,
+			retries: cfg.Reg.Counter("fleet_worker_retries"),
+		},
 		cLeases:   cfg.Reg.Counter("fleet_worker_leases"),
 		cCellsOK:  cfg.Reg.Counter("fleet_worker_cells_ok"),
 		cCellsErr: cfg.Reg.Counter("fleet_worker_cells_err"),
-		cRetries:  cfg.Reg.Counter("fleet_worker_retries"),
 		cLost:     cfg.Reg.Counter("fleet_worker_leases_lost"),
 	}
 	if cfg.runCell == nil {
@@ -94,13 +92,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 		defer pool.Close()
 		w.pool = pool
-		cache, err := NewRemoteCache(RemoteCacheConfig{
-			Coordinator: cfg.Coordinator,
-			Client:      cfg.Client,
-			Retry:       cfg.Retry,
-			Reg:         cfg.Reg,
-			Log:         cfg.Log,
-		})
+		cache, err := newRemoteCache(w.link, cfg.Reg, cfg.Log)
 		if err != nil {
 			return err
 		}
@@ -125,56 +117,61 @@ func fingerprint() Fingerprint {
 	}
 }
 
-// post sends one JSON wire message, retrying transport errors and 5xx
-// under the policy. The response body is returned for 200s; a non-2xx
-// terminal status comes back as *statusError.
+// link is a worker's connection to its coordinator: the worker's wire
+// messages and its remote cache's reads and writes all go through do.
+type link struct {
+	base    string // coordinator base URL, trailing slashes trimmed
+	retry   Policy
+	retries *telemetry.Counter
+}
+
+// do sends one request and returns the body and status of a 2xx
+// answer. Transport errors, unreadable bodies and 5xx answers retry
+// under the policy; any other status returns at once with its code and
+// the body's first line in the error.
+func (l link) do(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
+	bo := l.retry.Start()
+	for {
+		req, err := http.NewRequestWithContext(ctx, method, l.base+path, bytes.NewReader(body))
+		if err != nil {
+			return nil, 0, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		code := 0
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			code = resp.StatusCode
+			var buf []byte
+			buf, err = io.ReadAll(io.LimitReader(resp.Body, maxWireBytes+1))
+			resp.Body.Close()
+			switch {
+			case err != nil:
+				err = fmt.Errorf("fleet: %s: reading response: %w", path, err)
+			case code >= 200 && code < 300:
+				return buf, code, nil
+			case code < 500:
+				return nil, code, fmt.Errorf("fleet: %s: HTTP %d: %s", path, code, firstLine(buf))
+			default:
+				err = fmt.Errorf("fleet: %s: HTTP %d", path, code)
+			}
+		}
+		if ctx.Err() != nil {
+			return nil, 0, ctx.Err()
+		}
+		if serr := bo.Sleep(ctx); serr != nil {
+			return nil, code, fmt.Errorf("%w: %w", serr, err)
+		}
+		l.retries.Inc()
+	}
+}
+
+// post sends one JSON wire message through the link.
 func (w *Worker) post(ctx context.Context, path string, msg interface{}) ([]byte, int, error) {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return nil, 0, fmt.Errorf("fleet: encoding %s: %w", path, err)
 	}
-	bo := w.cfg.Retry.Start()
-	for {
-		buf, code, retryable, err := w.postOnce(ctx, path, body)
-		if err == nil {
-			return buf, code, nil
-		}
-		if ctx.Err() != nil {
-			return nil, 0, ctx.Err()
-		}
-		if !retryable {
-			return buf, code, err
-		}
-		if serr := bo.Sleep(ctx); serr != nil {
-			return nil, code, fmt.Errorf("%w: %w", serr, err)
-		}
-		w.cRetries.Inc()
-	}
-}
-
-func (w *Worker) postOnce(ctx context.Context, path string, body []byte) (buf []byte, code int, retryable bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, 0, true, err
-	}
-	defer resp.Body.Close()
-	buf, rerr := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes+1))
-	if rerr != nil {
-		return nil, resp.StatusCode, true, fmt.Errorf("fleet: %s: reading response: %w", path, rerr)
-	}
-	switch {
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		return buf, resp.StatusCode, false, nil
-	case resp.StatusCode >= 500:
-		return nil, resp.StatusCode, true, fmt.Errorf("fleet: %s: HTTP %d", path, resp.StatusCode)
-	default:
-		return buf, resp.StatusCode, false, fmt.Errorf("fleet: %s: HTTP %d: %s", path, resp.StatusCode, firstLine(buf))
-	}
+	return w.link.do(ctx, http.MethodPost, path, body)
 }
 
 func firstLine(b []byte) string {
