@@ -31,10 +31,16 @@
 // fleet instead of the local pool: the spec is submitted as a job, the
 // NDJSON progress is streamed, and the resulting report is
 // byte-identical to a local run of the same flags (the fleet merges
-// remotely computed cells in the same canonical order). The client
-// rides out coordinator restarts by resubmitting — cells completed
-// before a crash replay from the coordinator's cache. -trace-spans and
-// -trace-perfetto fetch the job's span tree from the coordinator.
+// remotely computed cells in the same canonical order). Every request
+// goes through internal/fleet's Link: refused connections, 429 and 5xx
+// answers retry with backoff for up to 2 minutes, and any other 4xx
+// (a rejected spec) fails at once with the server's message. The client
+// rides out coordinator restarts by resubmitting after a broken stream
+// or a 404 for its job — cells completed before a crash replay from the
+// coordinator's cache. With -trace-spans or -trace-perfetto the job's
+// span tree is fetched once, as NDJSON, and both files are written
+// locally, so they equal the coordinator's GET /v1/jobs/{id}/trace and
+// its ?format=perfetto.
 //
 // The golden runs and every cell's trials are independent simulations;
 // -parallel runs them on a worker pool (internal/jobs) with one worker
@@ -162,38 +168,25 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 
-	var rep campaign.Report
-	var cache *jobs.Cache
+	var (
+		rep   campaign.Report
+		spans []trace.Span
+		cache *jobs.Cache
+	)
+	tracing := *spansPath != "" || *perfPath != ""
 	if *coordURL != "" {
 		// Remote mode: the campaign runs on a pilotserve coordinator's
 		// fleet; -parallel and -cache-dir govern local execution only and
 		// are ignored here (the coordinator owns both).
-		coordinator := strings.TrimRight(*coordURL, "/")
 		var progress io.Writer
 		if *verbose {
 			progress = os.Stderr
 		}
-		var jobID string
-		var err error
-		rep, jobID, err = runRemote(coordinator, spec, progress)
-		if err != nil {
+		if rep, spans, err = runRemote(*coordURL, spec, tracing, progress); err != nil {
 			return err
-		}
-		if *spansPath != "" {
-			if err := fetchRemoteTrace(coordinator, jobID, "", *spansPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote remote spans to %s\n", *spansPath)
-		}
-		if *perfPath != "" {
-			if err := fetchRemoteTrace(coordinator, jobID, "perfetto", *perfPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote remote Perfetto trace to %s\n", *perfPath)
 		}
 	} else {
 		if *cacheDir != "" {
-			var err error
 			if cache, err = jobs.OpenCache(*cacheDir); err != nil {
 				return err
 			}
@@ -203,44 +196,38 @@ func run(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		defer pool.Close()
-
 		opt := campaign.Options{Pool: pool, Cache: cache}
-		var rec *trace.Recorder
-		if *spansPath != "" || *perfPath != "" {
+		if tracing {
 			// Wall-clock sections on: the CLI recording is for humans
 			// reading waterfalls, and the deterministic projection is still
 			// recoverable via trace.StripWall.
-			rec = trace.NewRecorder(true)
-			opt.Trace = rec
+			opt.Trace = trace.NewRecorder(true)
 		}
-		rep, err = campaign.Run(context.Background(), spec, opt)
+		if rep, err = campaign.Run(context.Background(), spec, opt); err != nil {
+			return err
+		}
+		spans = opt.Trace.Spans()
+	}
+
+	if *spansPath != "" {
+		if err := trace.WriteSpansFile(*spansPath, spans); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", len(spans), *spansPath)
+	}
+	if *perfPath != "" {
+		f, err := os.Create(*perfPath)
 		if err != nil {
 			return err
 		}
-
-		if rec != nil {
-			spans := rec.Spans()
-			if *spansPath != "" {
-				if err := trace.WriteSpansFile(*spansPath, spans); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", len(spans), *spansPath)
-			}
-			if *perfPath != "" {
-				f, err := os.Create(*perfPath)
-				if err != nil {
-					return err
-				}
-				if err := trace.WritePerfetto(f, spans); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote Perfetto trace to %s\n", *perfPath)
-			}
+		if err := trace.WritePerfetto(f, spans); err != nil {
+			f.Close()
+			return err
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote Perfetto trace to %s\n", *perfPath)
 	}
 
 	if *verbose {

@@ -2,17 +2,16 @@ package main
 
 import (
 	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/fleet"
+	"pilotrf/internal/trace"
 )
 
 // remoteStatus mirrors pilotserve's NDJSON progress line (the subset
@@ -26,168 +25,99 @@ type remoteStatus struct {
 	Error  string           `json:"error,omitempty"`
 }
 
-// remoteSubmitResponse mirrors pilotserve's POST /v1/jobs response.
-type remoteSubmitResponse struct {
-	Jobs []struct {
-		ID    string `json:"id"`
-		Units int    `json:"units"`
-	} `json:"jobs"`
-}
-
 // runRemote executes the campaign on a pilotserve coordinator instead
 // of the local pool: submit the spec as a one-job batch, stream its
 // NDJSON progress to completion, and return the report — which is
 // byte-identical to a local run of the same spec, that being the
-// fleet's core guarantee.
+// fleet's core guarantee — and, when tracing, the job's span tree.
 //
-// The client survives a coordinator restart: a connection refused, a
-// broken stream, or a 404 for the in-flight job id (the restarted
-// process minted fresh ids) all resubmit the spec under the shared
-// retry/backoff policy. Cells finished before the crash replay from the
+// Every request goes through one fleet.Link: refused connections, 429
+// and 5xx answers retry under its policy, and any other 4xx fails at
+// once with the server's message. The client survives a coordinator
+// restart: a broken stream, or a 404 for the in-flight job id (the
+// restarted process minted fresh ids), resubmits the spec under a retry
+// budget of its own. Cells finished before the crash replay from the
 // coordinator's cache, so a resubmission redoes only the gap.
-func runRemote(coordinator string, spec campaign.Spec, progress io.Writer) (campaign.Report, string, error) {
+func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress io.Writer) (campaign.Report, []trace.Span, error) {
 	body, err := json.Marshal(struct {
 		Jobs []campaign.Spec `json:"jobs"`
 	}{Jobs: []campaign.Spec{spec}})
 	if err != nil {
-		return campaign.Report{}, "", err
+		return campaign.Report{}, nil, err
 	}
-	// One budget spans the whole conversation with the coordinator:
-	// submissions, stream re-attachments, and resubmissions after a
-	// restart all draw from it, so a dead coordinator fails the client
-	// in bounded time.
-	bo := fleet.Policy{Budget: 2 * time.Minute}.Start()
+	ctx := context.Background()
+	link := fleet.NewLink(coordinator, fleet.Policy{})
+	bo := fleet.Policy{}.Start()
 	for {
-		jobID, err := submitRemote(coordinator, body)
-		if err == nil {
-			var rep *campaign.Report
-			rep, err = streamRemote(coordinator, jobID, progress)
-			if err == nil {
-				return *rep, jobID, nil
-			}
-			var terminal *remoteJobError
-			if errors.As(err, &terminal) {
-				// The job itself failed — the campaign is broken (poison
-				// cell, bad spec), not the transport. Do not resubmit.
-				return campaign.Report{}, "", fmt.Errorf("remote campaign failed: %s", terminal.msg)
-			}
+		buf, _, err := link.Do(ctx, http.MethodPost, "/v1/jobs", body)
+		if err != nil {
+			return campaign.Report{}, nil, err
 		}
-		d, ok := bo.Next()
-		if !ok {
-			return campaign.Report{}, "", fmt.Errorf("coordinator %s unreachable: %w", coordinator, err)
+		var sub struct {
+			Jobs []struct {
+				ID string `json:"id"`
+			} `json:"jobs"`
 		}
-		fmt.Fprintf(os.Stderr, "coordinator hiccup (%v); retrying in %v\n", err, d)
-		time.Sleep(d)
+		if err := json.Unmarshal(buf, &sub); err != nil || len(sub.Jobs) != 1 || sub.Jobs[0].ID == "" {
+			return campaign.Report{}, nil, fmt.Errorf("submit: malformed response %.200q", buf)
+		}
+		id := sub.Jobs[0].ID
+		st, again, err := follow(ctx, link, id, progress)
+		switch {
+		case err == nil && st.State == "failed":
+			// The job itself failed — the campaign is broken (poison
+			// cell, bad spec), not the transport. Do not resubmit.
+			return campaign.Report{}, nil, fmt.Errorf("remote campaign failed: %s", st.Error)
+		case err == nil && st.Report == nil:
+			return campaign.Report{}, nil, fmt.Errorf("stream %s: done without report", id)
+		case err == nil && !tracing:
+			return *st.Report, nil, nil
+		case err == nil:
+			rc, _, err := link.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
+			if err != nil {
+				return campaign.Report{}, nil, err
+			}
+			defer rc.Close()
+			spans, err := trace.ReadSpans(rc)
+			return *st.Report, spans, err
+		case !again:
+			return campaign.Report{}, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "coordinator hiccup (%v); resubmitting\n", err)
+		if serr := bo.Sleep(ctx); serr != nil {
+			return campaign.Report{}, nil, fmt.Errorf("coordinator %s: %w: %w", coordinator, serr, err)
+		}
 	}
 }
 
-// remoteJobError marks a terminal job failure reported by the
-// coordinator — retrying would fail identically.
-type remoteJobError struct{ msg string }
-
-// Error returns the coordinator's failure message verbatim.
-func (e *remoteJobError) Error() string { return e.msg }
-
-// submitRemote posts the one-job batch and returns the job id.
-func submitRemote(coordinator string, body []byte) (string, error) {
-	resp, err := http.Post(coordinator+"/v1/jobs", "application/json", bytes.NewReader(body))
+// follow streams the job's NDJSON progress and returns its terminal
+// status line. again marks an error worth a resubmit: the job id is
+// unknown (the coordinator restarted and lost its job table), or the
+// stream broke before its terminal line.
+func follow(ctx context.Context, link fleet.Link, id string, progress io.Writer) (st remoteStatus, again bool, err error) {
+	rc, code, err := link.Open(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 	if err != nil {
-		return "", err
+		return st, code == http.StatusNotFound, err
 	}
-	defer resp.Body.Close()
-	buf, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, firstLine(buf))
-	}
-	var sub remoteSubmitResponse
-	if err := json.Unmarshal(buf, &sub); err != nil || len(sub.Jobs) != 1 || sub.Jobs[0].ID == "" {
-		return "", fmt.Errorf("submit: malformed response %q", firstLine(buf))
-	}
-	return sub.Jobs[0].ID, nil
-}
-
-// streamRemote follows the job's NDJSON progress to its terminal line.
-// A nil error means the report is complete; *remoteJobError means the
-// job failed for real; any other error is a transport problem worth a
-// resubmit.
-func streamRemote(coordinator, jobID string, progress io.Writer) (*campaign.Report, error) {
-	resp, err := http.Get(coordinator + "/v1/jobs/" + jobID)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		// The coordinator restarted and lost its in-memory job table;
-		// the caller resubmits (finished cells replay from its cache).
-		return nil, fmt.Errorf("job %s unknown after coordinator restart", jobID)
-	}
-	if resp.StatusCode != http.StatusOK {
-		buf, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("stream %s: HTTP %d: %s", jobID, resp.StatusCode, firstLine(buf))
-	}
-	sc := bufio.NewScanner(resp.Body)
+	defer rc.Close()
+	sc := bufio.NewScanner(rc)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	lastDone := -1
 	for sc.Scan() {
-		var st remoteStatus
+		st = remoteStatus{}
 		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
-			return nil, fmt.Errorf("stream %s: bad line %q: %w", jobID, sc.Text(), err)
+			return st, true, fmt.Errorf("stream %s: bad line %.200q: %w", id, sc.Text(), err)
 		}
 		if progress != nil && st.Total > 0 && st.Done != lastDone {
-			fmt.Fprintf(progress, "remote %s: %d/%d\n", jobID, st.Done, st.Total)
+			fmt.Fprintf(progress, "remote %s: %d/%d\n", id, st.Done, st.Total)
 			lastDone = st.Done
 		}
-		switch st.State {
-		case "done":
-			if st.Report == nil {
-				return nil, fmt.Errorf("stream %s: done without report", jobID)
-			}
-			return st.Report, nil
-		case "failed":
-			return nil, &remoteJobError{msg: st.Error}
+		if st.State == "done" || st.State == "failed" {
+			return st, false, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("stream %s interrupted: %w", jobID, err)
+		return st, true, fmt.Errorf("stream %s interrupted: %w", id, err)
 	}
-	return nil, fmt.Errorf("stream %s ended without a terminal state", jobID)
-}
-
-// fetchRemoteTrace downloads the finished job's span tree from the
-// coordinator in the requested format ("" for pilotrf-spans/v1 NDJSON,
-// "perfetto" for trace_event JSON) and writes it to path.
-func fetchRemoteTrace(coordinator, jobID, format, path string) error {
-	url := coordinator + "/v1/jobs/" + jobID + "/trace"
-	if format != "" {
-		url += "?format=" + format
-	}
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		buf, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("trace %s: HTTP %d: %s", jobID, resp.StatusCode, firstLine(buf))
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// firstLine trims a response body to its first line for error messages.
-func firstLine(b []byte) string {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		b = b[:i]
-	}
-	if len(b) > 200 {
-		b = b[:200]
-	}
-	return string(b)
+	return st, true, fmt.Errorf("stream %s ended without a terminal state", id)
 }

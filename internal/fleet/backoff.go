@@ -2,9 +2,10 @@
 // shards fault-campaign cells across registered workers under expiring
 // leases, and the worker loop that pulls cells, executes them through
 // internal/campaign, and streams results back. Every request a worker
-// sends, its remote cache's included, goes through one link to the
-// coordinator, which retries transport errors and 5xx answers under
-// the worker's Policy.
+// sends, its remote cache's included, goes through one Link to the
+// coordinator, which retries transport errors, 429 and 5xx answers
+// under the worker's Policy. faultcampaign -coordinator submits its job
+// and reads its progress and span tree through a Link too.
 //
 // The failure model is explicit and small:
 //

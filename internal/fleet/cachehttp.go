@@ -23,7 +23,7 @@ import (
 // results itself and a transient coordinator outage must not fail the
 // worker's cell.
 type httpBackend struct {
-	link link
+	link Link
 	log  *slog.Logger
 
 	cGets    *telemetry.Counter
@@ -36,7 +36,7 @@ type httpBackend struct {
 // newRemoteCache returns a jobs.Cache whose storage is the
 // coordinator's remote envelope store, reached over the worker's link;
 // its retries count in fleet_cache_retries.
-func newRemoteCache(l link, reg *telemetry.Registry, log *slog.Logger) (*jobs.Cache, error) {
+func newRemoteCache(l Link, reg *telemetry.Registry, log *slog.Logger) (*jobs.Cache, error) {
 	l.retries = reg.Counter("fleet_cache_retries")
 	return jobs.NewCache(&httpBackend{
 		link:     l,
@@ -58,7 +58,7 @@ func (b *httpBackend) Load(hexKey string) ([]byte, error) {
 		return nil, fmt.Errorf("fleet: bad cache key %q", hexKey)
 	}
 	b.cGets.Inc()
-	buf, _, err := b.link.do(context.TODO(), http.MethodGet, "/v1/fleet/cache/"+hexKey, nil)
+	buf, _, err := b.link.Do(context.TODO(), http.MethodGet, "/v1/fleet/cache/"+hexKey, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func (b *httpBackend) Store(hexKey string, envelope []byte) error {
 	if !jobs.ValidHexKey(hexKey) {
 		return fmt.Errorf("fleet: bad cache key %q", hexKey)
 	}
-	if _, _, err := b.link.do(context.TODO(), http.MethodPut, "/v1/fleet/cache/"+hexKey, envelope); err != nil {
+	if _, _, err := b.link.Do(context.TODO(), http.MethodPut, "/v1/fleet/cache/"+hexKey, envelope); err != nil {
 		b.cDropped.Inc()
 		b.log.Warn("remote cache put dropped", "key", hexKey, "error", err.Error())
 		return nil

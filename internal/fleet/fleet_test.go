@@ -201,11 +201,11 @@ func TestLinkAnswers(t *testing.T) {
 	type payload struct {
 		V int `json:"v"`
 	}
-	post := func(ctx context.Context, l link, _ *telemetry.Registry) (string, error) {
-		buf, code, err := l.do(ctx, http.MethodPost, "/v1/fleet/lease", []byte("{}"))
+	post := func(ctx context.Context, l Link, _ *telemetry.Registry) (string, error) {
+		buf, code, err := l.Do(ctx, http.MethodPost, "/v1/fleet/lease", []byte("{}"))
 		return fmt.Sprintf("HTTP %d %q", code, buf), err
 	}
-	load := func(_ context.Context, l link, reg *telemetry.Registry) (string, error) {
+	load := func(_ context.Context, l Link, reg *telemetry.Registry) (string, error) {
 		remote, err := newRemoteCache(l, reg, discardLog)
 		if err != nil {
 			return "", err
@@ -213,13 +213,28 @@ func TestLinkAnswers(t *testing.T) {
 		var v payload
 		return fmt.Sprintf("hit %v", remote.Get(key, &v)), nil
 	}
-	store := func(_ context.Context, l link, reg *telemetry.Registry) (string, error) {
+	store := func(_ context.Context, l Link, reg *telemetry.Registry) (string, error) {
 		remote, err := newRemoteCache(l, reg, discardLog)
 		if err != nil {
 			return "", err
 		}
 		return "", remote.Put(key, payload{V: 1})
 	}
+	// get and open count the body bytes Do and Open hand back.
+	get := func(ctx context.Context, l Link, _ *telemetry.Registry) (string, error) {
+		buf, code, err := l.Do(ctx, http.MethodGet, "/v1/jobs/job-1/trace", nil)
+		return fmt.Sprintf("HTTP %d, %d bytes", code, len(buf)), err
+	}
+	open := func(ctx context.Context, l Link, _ *telemetry.Registry) (string, error) {
+		rc, code, err := l.Open(ctx, http.MethodGet, "/v1/jobs/job-1/trace", nil)
+		if err != nil {
+			return fmt.Sprintf("HTTP %d", code), err
+		}
+		defer rc.Close()
+		n, err := io.Copy(io.Discard, rc)
+		return fmt.Sprintf("HTTP %d, %d bytes", code, n), err
+	}
+	big := strings.Repeat("x", maxWireBytes+10)
 	type answer struct {
 		code int
 		body string
@@ -227,7 +242,7 @@ func TestLinkAnswers(t *testing.T) {
 	cases := []struct {
 		name     string
 		answers  []answer // served in order; the last one repeats
-		run      func(context.Context, link, *telemetry.Registry) (string, error)
+		run      func(context.Context, Link, *telemetry.Registry) (string, error)
 		want     string
 		errHas   []string // nil wants no error
 		errIs    error
@@ -239,6 +254,22 @@ func TestLinkAnswers(t *testing.T) {
 			answers: []answer{{503, "busy"}, {503, "busy"}, {200, "lease"}},
 			run:     post, want: `HTTP 200 "lease"`, requests: 3,
 			counters: map[string]uint64{"fleet_worker_retries": 2},
+		},
+		{
+			name:    "429 then 2xx",
+			answers: []answer{{429, "queue full"}, {202, "accepted"}},
+			run:     post, want: `HTTP 202 "accepted"`, requests: 2,
+			counters: map[string]uint64{"fleet_worker_retries": 1},
+		},
+		{
+			name:    "Open streams a body past maxWireBytes",
+			answers: []answer{{200, big}},
+			run:     open, want: fmt.Sprintf("HTTP 200, %d bytes", len(big)), requests: 1,
+		},
+		{
+			name:    "Do stops one byte past maxWireBytes",
+			answers: []answer{{200, big}},
+			run:     get, want: fmt.Sprintf("HTTP 200, %d bytes", maxWireBytes+1), requests: 1,
 		},
 		{
 			name:    "4xx",
@@ -256,7 +287,7 @@ func TestLinkAnswers(t *testing.T) {
 		{
 			name:    "cancelled in the backoff",
 			answers: []answer{{503, "busy"}},
-			run: func(ctx context.Context, l link, reg *telemetry.Registry) (string, error) {
+			run: func(ctx context.Context, l Link, reg *telemetry.Registry) (string, error) {
 				l.retry = Policy{Base: time.Minute, Budget: time.Minute} // the cancel lands in the first sleep
 				ctx, cancel := context.WithCancel(ctx)
 				time.AfterFunc(200*time.Millisecond, cancel)
@@ -296,7 +327,7 @@ func TestLinkAnswers(t *testing.T) {
 			}))
 			defer ts.Close()
 			reg := telemetry.NewRegistry()
-			l := link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 20 * time.Millisecond},
+			l := Link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 20 * time.Millisecond},
 				retries: reg.Counter("fleet_worker_retries")}
 			got, err := tc.run(context.Background(), l, reg)
 			if got != tc.want {
@@ -537,7 +568,7 @@ func TestFleetRemoteCacheIntegrity(t *testing.T) {
 	_, ts, dir := newFleet(t, Config{})
 	newRemote := func() *jobs.Cache {
 		t.Helper()
-		remote, err := newRemoteCache(link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond}},
+		remote, err := newRemoteCache(Link{base: ts.URL, retry: Policy{Base: time.Millisecond, Budget: 50 * time.Millisecond}},
 			telemetry.NewRegistry(), discardLog)
 		if err != nil {
 			t.Fatal(err)
@@ -625,4 +656,50 @@ func postJSON(t *testing.T, url string, msg, out interface{}) {
 	if err := json.Unmarshal(body, out); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkLeaseRoundTrip times the fleet fabric without the simulator:
+// one iteration is a 17-cell campaign (every workload, one design, one
+// scheme, one trial) on a coordinator over httptest, served by one
+// worker whose runCell answers each lease at once with an all-masked
+// cell. Each cell costs a lease, a result and the coordinator's merge;
+// the benchmark reports ns per cell and fails on a short report.
+func BenchmarkLeaseRoundTrip(b *testing.B) {
+	co := NewCoordinator(Config{PollInterval: time.Millisecond})
+	defer co.Close()
+	mux := http.NewServeMux()
+	co.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan error, 1)
+	go func() {
+		exited <- RunWorker(ctx, WorkerConfig{Coordinator: ts.URL, Parallel: 1,
+			runCell: func(_ context.Context, l Lease) (campaign.Cell, []trace.Span, error) {
+				return campaign.Cell{Design: l.Design, Protection: l.Protect, Workload: l.Workload,
+					Outcomes: campaign.Outcomes{Masked: l.Spec.Trials}}, nil, nil
+			}})
+	}()
+	defer func() {
+		cancel()
+		if err := <-exited; err != nil {
+			b.Error(err)
+		}
+	}()
+	spec := campaign.Spec{Designs: []string{"part-adaptive"}, Protect: []string{"none"}, Trials: 1}
+	run := func() {
+		rep, err := co.RunCampaign(context.Background(), spec, RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Cells) != 17 {
+			b.Fatalf("report has %d cells, want 17", len(rep.Cells))
+		}
+	}
+	run() // the worker registers during the first, untimed run
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(17*b.N), "ns/cell")
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"pilotrf/internal/campaign"
@@ -44,7 +43,7 @@ type WorkerConfig struct {
 // shared remote cache, and submits results, heartbeating throughout.
 type Worker struct {
 	cfg   WorkerConfig
-	link  link
+	link  Link
 	id    string
 	ttl   time.Duration
 	poll  time.Duration
@@ -74,17 +73,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Log = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
 	w := &Worker{
-		cfg: cfg,
-		link: link{
-			base:    strings.TrimRight(cfg.Coordinator, "/"),
-			retry:   cfg.Retry,
-			retries: cfg.Reg.Counter("fleet_worker_retries"),
-		},
+		cfg:       cfg,
+		link:      NewLink(cfg.Coordinator, cfg.Retry),
 		cLeases:   cfg.Reg.Counter("fleet_worker_leases"),
 		cCellsOK:  cfg.Reg.Counter("fleet_worker_cells_ok"),
 		cCellsErr: cfg.Reg.Counter("fleet_worker_cells_err"),
 		cLost:     cfg.Reg.Counter("fleet_worker_leases_lost"),
 	}
+	w.link.retries = cfg.Reg.Counter("fleet_worker_retries")
 	if cfg.runCell == nil {
 		pool, err := jobs.New(jobs.Config{Workers: cfg.Parallel, Metrics: cfg.Reg})
 		if err != nil {
@@ -117,71 +113,13 @@ func fingerprint() Fingerprint {
 	}
 }
 
-// link is a worker's connection to its coordinator: the worker's wire
-// messages and its remote cache's reads and writes all go through do.
-type link struct {
-	base    string // coordinator base URL, trailing slashes trimmed
-	retry   Policy
-	retries *telemetry.Counter
-}
-
-// do sends one request and returns the body and status of a 2xx
-// answer. Transport errors, unreadable bodies and 5xx answers retry
-// under the policy; any other status returns at once with its code and
-// the body's first line in the error.
-func (l link) do(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
-	bo := l.retry.Start()
-	for {
-		req, err := http.NewRequestWithContext(ctx, method, l.base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		code := 0
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			code = resp.StatusCode
-			var buf []byte
-			buf, err = io.ReadAll(io.LimitReader(resp.Body, maxWireBytes+1))
-			resp.Body.Close()
-			switch {
-			case err != nil:
-				err = fmt.Errorf("fleet: %s: reading response: %w", path, err)
-			case code >= 200 && code < 300:
-				return buf, code, nil
-			case code < 500:
-				return nil, code, fmt.Errorf("fleet: %s: HTTP %d: %s", path, code, firstLine(buf))
-			default:
-				err = fmt.Errorf("fleet: %s: HTTP %d", path, code)
-			}
-		}
-		if ctx.Err() != nil {
-			return nil, 0, ctx.Err()
-		}
-		if serr := bo.Sleep(ctx); serr != nil {
-			return nil, code, fmt.Errorf("%w: %w", serr, err)
-		}
-		l.retries.Inc()
-	}
-}
-
 // post sends one JSON wire message through the link.
 func (w *Worker) post(ctx context.Context, path string, msg interface{}) ([]byte, int, error) {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return nil, 0, fmt.Errorf("fleet: encoding %s: %w", path, err)
 	}
-	return w.link.do(ctx, http.MethodPost, path, body)
-}
-
-func firstLine(b []byte) string {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		b = b[:i]
-	}
-	if len(b) > 200 {
-		b = b[:200]
-	}
-	return string(b)
+	return w.link.Do(ctx, http.MethodPost, path, body)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
