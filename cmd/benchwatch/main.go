@@ -213,14 +213,8 @@ func gate(w io.Writer, old, cur benchstore.Record, alpha, minEffect float64, ver
 	for _, b := range cur.Benchmarks {
 		curBy[b.Name] = b
 	}
-	names := make([]string, 0, len(oldBy))
-	for n := range oldBy {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
 	violations := 0
-	for _, name := range names {
+	for _, name := range sortedKeys(oldBy) {
 		ob := oldBy[name]
 		cb, ok := curBy[name]
 		if !ok {
@@ -240,12 +234,7 @@ func gate(w io.Writer, old, cur benchstore.Record, alpha, minEffect float64, ver
 		}
 
 		// Deterministic metrics: exact bit match, or it is a violation.
-		keys := make([]string, 0, len(ob.Metrics))
-		for k := range ob.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(ob.Metrics) {
 			ov := ob.Metrics[k]
 			cv, ok := cb.Metrics[k]
 			if !ok {
@@ -272,7 +261,7 @@ func gate(w io.Writer, old, cur benchstore.Record, alpha, minEffect float64, ver
 				fmt.Fprintf(w, "  metric %-30s %12.6g ok\n", k, ov)
 			}
 		}
-		for k := range cb.Metrics {
+		for _, k := range sortedKeys(cb.Metrics) {
 			if _, ok := ob.Metrics[k]; !ok && !benchstore.Informational(k) {
 				header()
 				fmt.Fprintf(w, "  metric %-30s NEW (absent from %s)\n", k, old.Label)
@@ -310,7 +299,7 @@ func gate(w io.Writer, old, cur benchstore.Record, alpha, minEffect float64, ver
 	}
 
 	fmt.Fprintf(w, "%d benchmarks compared, %d violations (alpha %g, min-effect %g)\n",
-		len(names), violations, alpha, minEffect)
+		len(oldBy), violations, alpha, minEffect)
 	if violations > 0 {
 		return 1
 	}
@@ -367,12 +356,18 @@ func benchNames(h benchstore.History) []string {
 			seen[b.Name] = true
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
+	return sortedKeys(seen)
+}
+
+// sortedKeys returns m's keys in increasing order, so output built by
+// ranging over them is the same on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(keys)
+	return keys
 }
 
 // fmtNS humanizes a ns/op value deterministically.
@@ -511,12 +506,7 @@ func metricChanges(h benchstore.History) []string {
 				lines = append(lines, fmt.Sprintf("`%s`: new benchmark", cb.Name))
 				continue
 			}
-			keys := make([]string, 0, len(pb.Metrics))
-			for k := range pb.Metrics {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
+			for _, k := range sortedKeys(pb.Metrics) {
 				if benchstore.Informational(k) {
 					continue
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -88,6 +89,39 @@ func TestGateDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("gate output not byte-identical:\n--- a\n%s\n--- b\n%s", a.String(), b.String())
+	}
+}
+
+// TestGateNewMetricsSorted: a benchmark that gains several metrics
+// prints their NEW lines in key order, so gate's output is the same
+// bytes on every run.
+func TestGateNewMetricsSorted(t *testing.T) {
+	hist := writeHistory(t,
+		record("old", 1, benchstore.BenchmarkSamples{Name: "BenchmarkA", NsPerOp: baseSamples,
+			Metrics: map[string]float64{"cycles": 500}}),
+		record("new", 2, benchstore.BenchmarkSamples{Name: "BenchmarkA", NsPerOp: baseSamples,
+			Metrics: map[string]float64{"cycles": 500, "frees/op": 3, "allocs/op": 1, "B/op": 2}}),
+	)
+	outs := map[string]bool{}
+	var out bytes.Buffer
+	for i := 0; i < 20; i++ {
+		out.Reset()
+		if code := run([]string{"gate", "-history", hist, "old", "new"}, &out); code != 1 {
+			t.Fatalf("exit = %d, want 1\n%s", code, out.String())
+		}
+		outs[out.String()] = true
+	}
+	if len(outs) != 1 {
+		t.Fatalf("%d distinct outputs in 20 runs of gate", len(outs))
+	}
+	var added []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "NEW (absent") {
+			added = append(added, strings.Fields(line)[1])
+		}
+	}
+	if len(added) != 3 || !sort.StringsAreSorted(added) {
+		t.Errorf("NEW metrics %q, want the three keys sorted:\n%s", added, out.String())
 	}
 }
 

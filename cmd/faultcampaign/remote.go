@@ -46,7 +46,7 @@ func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress io
 		return campaign.Report{}, nil, err
 	}
 	ctx := context.Background()
-	link := fleet.NewLink(coordinator, fleet.Policy{})
+	link := fleet.NewLink(coordinator)
 	bo := fleet.Policy{}.Start()
 	for {
 		buf, _, err := link.Do(ctx, http.MethodPost, "/v1/jobs", body)

@@ -69,20 +69,34 @@ func TestRetryAfterDeterministicJitter(t *testing.T) {
 // TestRetryAfterHeaderUsesClientJitter: the live 429 path carries the
 // client's deterministic jitter value, not a constant.
 func TestRetryAfterHeaderUsesClientJitter(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 1, queueUnits: 1})
-	// One unit of capacity; a 2-unit spec (golden + 1 trial) over-fills
-	// the queue and must be rejected with this client's pinned hint.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
-		strings.NewReader(`{"jobs":[`+testSpecJSON+`]}`))
-	if err != nil {
+	s, ts := newTestServer(t, serverConfig{workers: 1, perClient: 1})
+	// alice's first job stays in flight, so her second waits for room
+	// under the per-client limit and is rejected with her pinned hint.
+	release := holdPool(t, s)
+	post := func() *http.Response {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
+			strings.NewReader(`{"jobs":[`+testSpecJSON+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Client-ID", "alice")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first := post()
+	defer first.Body.Close()
+	if first.StatusCode != http.StatusAccepted {
+		t.Fatalf("first job: status %d, want 202", first.StatusCode)
+	}
+	var sr submitResponse
+	if err := json.NewDecoder(first.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client-ID", "alice")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := post()
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
@@ -91,6 +105,8 @@ func TestRetryAfterHeaderUsesClientJitter(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != want {
 		t.Errorf("Retry-After = %q, want %q for client alice", got, want)
 	}
+	release()
+	streamJob(t, ts, sr.Jobs[0].ID)
 }
 
 // TestCoordinatorRoleEndToEnd: a coordinator-role server with one fleet

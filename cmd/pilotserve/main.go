@@ -36,8 +36,9 @@
 //	                       seed, scale, sms; zero values select the
 //	                       campaign defaults). Returns 202 and
 //	                       {"jobs":[{"id":"job-1","units":n}, ...]}.
-//	                       Admission is atomic per batch; a full queue
-//	                       or a client over its in-flight limit gets
+//	                       Admission is atomic per batch; a batch
+//	                       priced above -queue-units gets 413, a full
+//	                       queue or a client over its in-flight limit
 //	                       429 with Retry-After.
 //	GET  /v1/jobs/{id}   — stream NDJSON progress lines
 //	                       {"id","state","done","total"} until the
@@ -59,9 +60,8 @@
 //	                       newer finished jobs fill -queue-units.
 //	GET  /metrics        — serving + pool + cache metrics in Prometheus
 //	                       text exposition (?format=json for a flat JSON
-//	                       map, ?format=text for the legacy dump);
-//	                       /debug/vars and /debug/pprof ride along via
-//	                       the telemetry mux.
+//	                       map); /debug/vars and /debug/pprof ride
+//	                       along via the telemetry mux.
 //
 // Every request carries an X-Request-ID (the caller's, or a generated
 // req-N), echoed on the response, stamped on each NDJSON progress line

@@ -173,21 +173,39 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure: a batch pricing past queue-units is rejected
-// atomically with 429 + Retry-After before anything runs.
+// holdPool occupies every worker of s's pool until release is called or
+// the test ends, so the jobs admitted meanwhile stay in flight.
+func holdPool(t *testing.T, s *server) (release func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	hold := make([]jobs.Task, s.cfg.workers)
+	for i := range hold {
+		hold[i] = func(context.Context) (interface{}, error) { <-ctx.Done(); return nil, nil }
+	}
+	if _, err := s.pool.Submit(context.Background(), hold); err != nil {
+		t.Fatal(err)
+	}
+	return cancel
+}
+
+// TestQueueBackpressure: a batch priced above queue-units can never be
+// admitted and gets 413 at once, without Retry-After; a batch that fits
+// only once the work in flight finishes gets 429 + Retry-After. Neither
+// rejection admits anything.
 func TestQueueBackpressure(t *testing.T) {
-	// Each test job prices 2 units; two of them exceed capacity 3.
-	_, ts := newTestServer(t, serverConfig{workers: 1, queueUnits: 3})
-	resp := submit(t, ts, `{"jobs":[`+testSpecJSON+`,`+testSpecJSON+`]}`)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
+	// Each test job prices 2 units; capacity 3 holds one of them.
+	s, ts := newTestServer(t, serverConfig{workers: 1, queueUnits: 3})
+	big := submit(t, ts, `{"jobs":[`+testSpecJSON+`,`+testSpecJSON+`]}`)
+	big.Body.Close()
+	if big.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch above capacity: status %d, want 413", big.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if ra := big.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q", ra)
 	}
-	// A batch that fits is still accepted afterwards: rejection admitted
-	// nothing.
+
+	release := holdPool(t, s)
 	ok := submit(t, ts, `{"jobs":[`+testSpecJSON+`]}`)
 	defer ok.Body.Close()
 	if ok.StatusCode != http.StatusAccepted {
@@ -197,6 +215,15 @@ func TestQueueBackpressure(t *testing.T) {
 	if err := json.NewDecoder(ok.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
+	full := submit(t, ts, `{"jobs":[`+testSpecJSON+`]}`)
+	full.Body.Close()
+	if full.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch behind a job in flight: status %d, want 429", full.StatusCode)
+	}
+	if full.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	release()
 	streamJob(t, ts, sr.Jobs[0].ID)
 }
 

@@ -51,8 +51,9 @@ type serverConfig struct {
 	// workers is the simulation pool's worker count.
 	workers int
 	// queueUnits bounds the total admitted work, priced in simulation
-	// jobs (Spec.NumJobs): golden runs plus trials. Submissions that
-	// would exceed it get 429 + Retry-After. It also bounds the finished
+	// jobs (Spec.NumJobs): golden runs plus trials. A batch priced above
+	// it gets 413; one that would exceed it only with the work in
+	// flight gets 429 + Retry-After. It also bounds the finished
 	// jobs kept for GET /v1/jobs/{id} and its /trace, by the same price.
 	queueUnits int
 	// perClient bounds in-flight batch jobs per client (X-Client-ID
@@ -498,6 +499,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	client := clientID(r)
 	rid := reqIDFrom(r.Context())
 	ti := traceFrom(r.Context())
+	// A batch above the capacity never fits, so it gets a final status
+	// and no retry hint.
+	if total > s.cfg.queueUnits {
+		s.mRejectedQueue.Inc()
+		s.log.Warn("batch rejected", "request_id", rid, "client", client,
+			"reason", "above capacity", "batch_units", total, "capacity", s.cfg.queueUnits)
+		http.Error(w, fmt.Sprintf("batch needs %d units, above capacity %d", total, s.cfg.queueUnits), http.StatusRequestEntityTooLarge)
+		return
+	}
 
 	// Admission is atomic over the whole batch: either every job is
 	// accepted or none, so callers never chase partial batches.

@@ -1,7 +1,6 @@
 package pilotrf
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -162,34 +161,5 @@ func TestNewSimulatorRejectsUnknownEnums(t *testing.T) {
 		if _, err := NewSimulator(opts); err == nil {
 			t.Errorf("NewSimulator accepted %s 9", name)
 		}
-	}
-}
-
-// TestRunDSEFacade sweeps two schemes over one workload through the
-// facade and sanity-checks the Pareto-marked report.
-func TestRunDSEFacade(t *testing.T) {
-	rep, err := RunDSE(context.Background(), DSEOptions{
-		Schemes:   []string{"mrf-stv", "mrf-ntv"},
-		Workloads: []string{"sgemm"},
-		Scale:     0.02,
-		SMs:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("%d points, want 2", len(rep.Points))
-	}
-	if rep.Baseline != "mrf-stv/default" {
-		t.Errorf("baseline = %q", rep.Baseline)
-	}
-	var frontier int
-	for _, p := range rep.Points {
-		if p.Pareto {
-			frontier++
-		}
-	}
-	if frontier == 0 {
-		t.Error("no frontier points marked")
 	}
 }

@@ -4,7 +4,7 @@
 // internal/campaign, and streams results back. Every request a worker
 // sends, its remote cache's included, goes through one Link to the
 // coordinator, which retries transport errors, 429 and 5xx answers
-// under the worker's Policy. faultcampaign -coordinator submits its job
+// under the default Policy. faultcampaign -coordinator submits its job
 // and reads its progress and span tree through a Link too.
 //
 // The failure model is explicit and small:
@@ -15,10 +15,11 @@
 //     Config.ExcludeAfter failures the worker is excluded from that
 //     cell ("worker is flaky"), never from the whole campaign.
 //   - Poison cell — when ExcludeAfter-independent *errors* arrive from
-//     Config.PoisonAfter distinct workers for the same cell, the cell
+//     Config.PoisonAfter distinct workers for the same cell, or a cell
+//     with an error has no live worker left that may take it, the cell
 //     is deterministic poison (a seeded simulation fails the same way
 //     everywhere) and the campaign fails with that cell's error instead
-//     of looping forever.
+//     of looping forever. Lease expiries alone never poison a cell.
 //   - Coordinator crash — every finished cell was persisted to the
 //     coordinator's content-addressed cache the moment it arrived, so a
 //     restarted coordinator replays completed cells from the cache and

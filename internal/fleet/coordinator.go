@@ -40,8 +40,9 @@ type Config struct {
 	ExcludeAfter int
 	// PoisonAfter is the number of distinct workers that must report an
 	// error for one cell before the cell is declared poison and the
-	// campaign fails. Zero selects 2; a single-worker fleet fails after
-	// ExcludeAfter tries by that worker instead.
+	// campaign fails. Zero selects 2. A cell that has failed with an
+	// error is also poison once no live worker can take it, so a
+	// single-worker fleet fails after ExcludeAfter tries by that worker.
 	PoisonAfter int
 }
 
@@ -243,9 +244,9 @@ func (c *Coordinator) expire() {
 }
 
 // failLocked records one failed attempt (errMsg == "" for a lease
-// expiry) and either re-queues the cell, or — when PoisonAfter distinct
-// workers have reported real errors — fails the whole campaign. Callers
-// hold c.mu.
+// expiry) and either re-queues the cell, or — when the cell has an error
+// and PoisonAfter distinct workers have reported errors or no live
+// worker can still take it — fails the whole campaign. Callers hold c.mu.
 func (c *Coordinator) failLocked(r *run, i int, worker, errMsg string) {
 	cell := &r.cells[i]
 	cell.state = cellPending
@@ -269,17 +270,28 @@ func (c *Coordinator) failLocked(r *run, i int, worker, errMsg string) {
 			cell.firstErr = errMsg
 		}
 		cell.errWorkers[worker] = errMsg
-		if len(cell.errWorkers) >= c.cfg.PoisonAfter && !r.failed {
-			ref := r.pl.Cell(i)
-			c.cPoisoned.Inc()
-			r.failed = true
-			r.failCell = i
-			r.failMsg = fmt.Sprintf("cell %d (%s/%s/%s) is poison: %d workers failed it, first error: %s",
-				i, ref.Design, ref.Protect, ref.Workload, len(cell.errWorkers), cell.firstErr)
-			c.cfg.Log.Error("campaign failed", "campaign", r.id, "cell", i, "error", r.failMsg)
-			close(r.done)
+	}
+	if cell.firstErr != "" && !r.failed && (len(cell.errWorkers) >= c.cfg.PoisonAfter || !c.takerLocked(cell)) {
+		ref := r.pl.Cell(i)
+		c.cPoisoned.Inc()
+		r.failed = true
+		r.failCell = i
+		r.failMsg = fmt.Sprintf("cell %d (%s/%s/%s) is poison: %d workers failed it, first error: %s",
+			i, ref.Design, ref.Protect, ref.Workload, len(cell.errWorkers), cell.firstErr)
+		c.cfg.Log.Error("campaign failed", "campaign", r.id, "cell", i, "error", r.failMsg)
+		close(r.done)
+	}
+}
+
+// takerLocked reports whether a live worker is not excluded from cell.
+// Callers hold c.mu.
+func (c *Coordinator) takerLocked(cell *cellState) bool {
+	for _, w := range c.workers {
+		if !w.lost && !cell.excluded[w.id] {
+			return true
 		}
 	}
+	return false
 }
 
 // RunCampaign shards one campaign across the fleet and blocks until it

@@ -359,12 +359,15 @@ func TestLinkAnswers(t *testing.T) {
 // TestFleetLeaseExpiryRequeue kills a worker mid-campaign (registers,
 // takes a lease, goes silent): the lease must expire, the cell re-queue
 // to a live worker, and the report stay byte-identical. The dead
-// worker's late submission must be rejected as stale.
+// worker's late submission must be rejected as stale. The expiry
+// excludes the dead worker, the only one registered, from its cell;
+// with no error the cell is not poison, so it waits for the live worker.
 func TestFleetLeaseExpiryRequeue(t *testing.T) {
 	want := standalone(t)
 	co, ts, _ := newFleet(t, Config{
 		LeaseTTL:     300 * time.Millisecond,
 		PollInterval: 20 * time.Millisecond,
+		ExcludeAfter: 1,
 	})
 
 	// The doomed worker: registered by hand so it can go silent.
@@ -400,8 +403,14 @@ func TestFleetLeaseExpiryRequeue(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Now the live worker joins and finishes everything, including the
-	// doomed cell once its lease expires.
+	// Once the lease has expired, the live worker joins and finishes
+	// everything, the doomed cell included.
+	for co.cLeasesExpired.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the doomed lease never expired")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	startWorker(t, WorkerConfig{Coordinator: ts.URL, runCell: tableRunCell(t), Parallel: 1})
 
 	var res result
@@ -495,7 +504,9 @@ func TestFleetCoordinatorResume(t *testing.T) {
 
 // TestFleetFlakyWorkerExcluded: a worker that keeps failing one cell is
 // excluded from that cell (not the campaign); a healthy worker finishes
-// it and the campaign succeeds.
+// it and the campaign succeeds. The flaky worker takes cell 0 twice
+// before the healthy one starts, and the healthy one is live before the
+// second failure, so that failure excludes without poisoning.
 func TestFleetFlakyWorkerExcluded(t *testing.T) {
 	want := standalone(t)
 	co, ts, _ := newFleet(t, Config{
@@ -504,25 +515,49 @@ func TestFleetFlakyWorkerExcluded(t *testing.T) {
 		PoisonAfter:  2,
 	})
 	table := tableRunCell(t)
+	var tries atomic.Int32
+	second := make(chan struct{})
 	// Flaky worker: always errors on cell 0, fine elsewhere.
 	startWorker(t, WorkerConfig{Coordinator: ts.URL, Parallel: 1,
 		runCell: func(ctx context.Context, l Lease) (campaign.Cell, []trace.Span, error) {
-			if l.Cell == 0 {
-				return campaign.Cell{}, nil, fmt.Errorf("flaky: transient host fault")
+			if l.Cell != 0 {
+				return table(ctx, l)
 			}
-			return table(ctx, l)
+			if tries.Add(1) == 2 {
+				close(second)
+				for co.Health().WorkersLive < 2 && ctx.Err() == nil {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			return campaign.Cell{}, nil, fmt.Errorf("flaky: transient host fault")
 		}})
-	// Healthy worker joins a beat later so the flaky one hits cell 0
-	// first at least once.
-	time.Sleep(150 * time.Millisecond)
-	startWorker(t, WorkerConfig{Coordinator: ts.URL, Parallel: 1, runCell: table})
 
-	got, err := co.RunCampaign(context.Background(), fleetSpec(), RunOptions{})
-	if err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var got campaign.Report
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = co.RunCampaign(ctx, fleetSpec(), RunOptions{})
+		errc <- err
+	}()
+	select {
+	case <-second:
+	case err := <-errc:
+		t.Fatalf("campaign ended before the second try on cell 0: %v", err)
+	}
+	startWorker(t, WorkerConfig{Coordinator: ts.URL, Parallel: 1, runCell: table})
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	if a, b := reportBytes(t, got), reportBytes(t, want); !bytes.Equal(a, b) {
 		t.Fatalf("report differs from standalone after flaky worker:\n%s\n---\n%s", a, b)
+	}
+	if n := tries.Load(); n != 2 {
+		t.Fatalf("flaky worker took cell 0 %d times, want 2 (excluded after ExcludeAfter)", n)
+	}
+	if n := co.cPoisoned.Value(); n != 0 {
+		t.Fatalf("%d cells poisoned, want 0", n)
 	}
 }
 
@@ -556,6 +591,38 @@ func TestFleetPoisonCell(t *testing.T) {
 	}
 	if co.cPoisoned.Value() == 0 {
 		t.Fatal("poisoned counter not incremented")
+	}
+}
+
+// TestFleetPoisonCellOneWorker: a lone worker that fails a cell is
+// excluded from it after ExcludeAfter tries; with no live worker left
+// to take the cell, the campaign fails with the cell's error instead of
+// waiting for a worker that never comes.
+func TestFleetPoisonCellOneWorker(t *testing.T) {
+	standalone(t)
+	co, ts, _ := newFleet(t, Config{PollInterval: 20 * time.Millisecond})
+	table := tableRunCell(t)
+	var tries atomic.Int32
+	startWorker(t, WorkerConfig{Coordinator: ts.URL, Parallel: 1,
+		runCell: func(ctx context.Context, l Lease) (campaign.Cell, []trace.Span, error) {
+			if l.Cell == 3 {
+				tries.Add(1)
+				return campaign.Cell{}, nil, fmt.Errorf("simulator assertion: bank conflict invariant violated")
+			}
+			return table(ctx, l)
+		}})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := co.RunCampaign(ctx, fleetSpec(), RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "poison") || !strings.Contains(err.Error(), "bank conflict") {
+		t.Fatalf("error = %v, want the poison cell's error", err)
+	}
+	if n := tries.Load(); n != 2 {
+		t.Fatalf("worker took the poison cell %d times, want ExcludeAfter = 2", n)
+	}
+	if n := co.cPoisoned.Value(); n != 1 {
+		t.Fatalf("%d cells poisoned, want 1", n)
 	}
 }
 

@@ -21,9 +21,9 @@ type Link struct {
 }
 
 // NewLink returns a link to the coordinator at baseURL, given with or
-// without a trailing slash, that retries under p.
-func NewLink(baseURL string, p Policy) Link {
-	return Link{base: strings.TrimRight(baseURL, "/"), retry: p, retries: new(telemetry.Counter)}
+// without a trailing slash, that retries under the default Policy.
+func NewLink(baseURL string) Link {
+	return Link{base: strings.TrimRight(baseURL, "/"), retries: new(telemetry.Counter)}
 }
 
 // Open sends one request and returns the unread body and the status of

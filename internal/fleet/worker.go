@@ -30,9 +30,6 @@ type WorkerConfig struct {
 	Reg *telemetry.Registry
 	// Log receives structured records; nil discards.
 	Log *slog.Logger
-	// Retry is the transport retry policy (the shared Backoff helper);
-	// zero-value selects the defaults.
-	Retry Policy
 	// runCell, when set, replaces the campaign execution — chaos tests
 	// inject hangs and failures here without simulating anything.
 	runCell func(ctx context.Context, l Lease) (campaign.Cell, []trace.Span, error)
@@ -74,7 +71,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	w := &Worker{
 		cfg:       cfg,
-		link:      NewLink(cfg.Coordinator, cfg.Retry),
+		link:      NewLink(cfg.Coordinator),
 		cLeases:   cfg.Reg.Counter("fleet_worker_leases"),
 		cCellsOK:  cfg.Reg.Counter("fleet_worker_cells_ok"),
 		cCellsErr: cfg.Reg.Counter("fleet_worker_cells_err"),

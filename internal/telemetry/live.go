@@ -19,8 +19,7 @@ var publishOnce sync.Once
 
 // LiveServer is a running diagnostics endpoint: expvar at /debug/vars,
 // pprof under /debug/pprof/, and the registry in Prometheus text
-// exposition at /metrics (JSON with ?format=json, plain "name value"
-// lines with ?format=text).
+// exposition at /metrics (JSON with ?format=json).
 type LiveServer struct {
 	// Addr is the bound listen address (useful with ":0").
 	Addr string
@@ -63,11 +62,6 @@ func NewMux(reg *Registry) *http.ServeMux {
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(r.Map())
-		case "text":
-			// The pre-Prometheus "name value" dump, kept for humans and
-			// old scrapers.
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = r.WriteText(w)
 		default:
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_ = r.WritePrometheus(w)

@@ -13,7 +13,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,7 +117,7 @@ type Point struct {
 // Snapshot returns every metric's current value, sorted by name.
 // Histograms expand into derived points — name_count, name_sum, and the
 // p50/p95/p99 quantile estimates — so scalar consumers (expvar, the JSON
-// metrics page, WriteText) see finite numbers, never bucket vectors.
+// metrics page) see finite numbers, never bucket vectors.
 func (r *Registry) Snapshot() []Point {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -148,14 +147,4 @@ func (r *Registry) Map() map[string]float64 {
 		out[p.Name] = p.Value
 	}
 	return out
-}
-
-// WriteText dumps the snapshot as "name value" lines, one per metric.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, p := range r.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s %g\n", p.Name, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -62,29 +62,3 @@ sim_issued 7
 		t.Error("two renders of the same registry differ")
 	}
 }
-
-// TestWriteTextGolden pins the plain-text dump, histogram points
-// included, so ?format=text consumers keep a stable shape.
-func TestWriteTextGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Gauge("a.gauge").Set(5)
-	h := r.Histogram("c.lat", []float64{1})
-	h.Observe(0.5)
-
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `a.gauge 5
-b.count 2
-c.lat_count 1
-c.lat_p50 0.5
-c.lat_p95 0.95
-c.lat_p99 0.99
-c.lat_sum 0.5
-`
-	if sb.String() != want {
-		t.Errorf("text dump mismatch:\n--- got\n%s--- want\n%s", sb.String(), want)
-	}
-}

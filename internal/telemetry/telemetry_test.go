@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -182,16 +181,6 @@ func TestLiveEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "# TYPE sim_issued counter") {
 		t.Errorf("/metrics = %q, want a # TYPE comment", sb.String())
-	}
-
-	text, err := http.Get("http://" + ls.Addr + "/metrics?format=text")
-	if err != nil {
-		t.Fatalf("GET /metrics?format=text: %v", err)
-	}
-	tb, _ := io.ReadAll(text.Body)
-	text.Body.Close()
-	if !strings.Contains(string(tb), "sim.issued 123") {
-		t.Errorf("/metrics?format=text = %q, want sim.issued 123", tb)
 	}
 
 	vars, err := http.Get("http://" + ls.Addr + "/debug/vars")

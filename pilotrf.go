@@ -20,12 +20,10 @@
 package pilotrf
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"pilotrf/internal/design"
-	"pilotrf/internal/dse"
 	"pilotrf/internal/energy"
 	"pilotrf/internal/fault"
 	"pilotrf/internal/flightrec"
@@ -95,24 +93,6 @@ func NewSchemeSimulator(scheme DesignScheme, knobs DesignKnobs, opts Options) (*
 		return nil, err
 	}
 	return &Simulator{opts: opts, cfg: cfg, scheme: scheme, knobs: knobs}, nil
-}
-
-// DSEOptions configures a design-space-exploration sweep (see RunDSE).
-type DSEOptions = dse.Options
-
-// DSEReport is a completed sweep: every scheme-by-knob grid point,
-// priced and Pareto-marked ("pilotrf-dse/v1" on disk).
-type DSEReport = dse.Report
-
-// DSEPoint is one evaluated grid cell of a DSEReport.
-type DSEPoint = dse.Point
-
-// RunDSE sweeps the registered design schemes across their knob grids
-// and the selected workloads, returning the energy-vs-IPC
-// Pareto-frontier report. The report is byte-identical at any worker
-// count.
-func RunDSE(ctx context.Context, opts DSEOptions) (*DSEReport, error) {
-	return dse.Sweep(ctx, opts)
 }
 
 // Technique selects how the FRF-resident registers are identified.
