@@ -27,10 +27,12 @@ type runState struct {
 	// energy charges (0 when the ledger is disabled).
 	enKernel int64
 
-	// disasm caches the disassembly of each pc that a tracer saw issue.
-	// It lives here, not on the kernel.Program that concurrent runs
-	// share.
-	disasm []string
+	// issueDetails and bankDetails hold every tracer detail rendered in
+	// this run, so each distinct one is allocated once. They live here,
+	// not on the kernel.Program that concurrent runs share: one run's
+	// SMs tick on one goroutine.
+	issueDetails map[issueKey]string
+	bankDetails  map[bankKey]string
 
 	// fatal, when set by a fault adjudication (retry exhaustion on an
 	// uncorrectable error), aborts the kernel at the next cycle boundary.
@@ -44,18 +46,6 @@ func (r *runState) nextWarpID() int {
 	id := r.warpCounter
 	r.warpCounter++
 	return id
-}
-
-// disassembly returns the disassembly of the instruction at pc,
-// rendering it on first use.
-func (r *runState) disassembly(pc int) string {
-	if r.disasm == nil {
-		r.disasm = make([]string, r.kern.Prog.Len())
-	}
-	if r.disasm[pc] == "" {
-		r.disasm[pc] = r.kern.Prog.At(pc).String()
-	}
-	return r.disasm[pc]
 }
 
 // registerWarpHist enables per-warp access collection for a warp.

@@ -49,15 +49,14 @@ func (s *countingSink) ChecksumEvery() int64 { return flightrec.DefaultChecksumE
 // extra instructions. The per-hook zero-allocation tests cannot see an
 // allocation made by a hook's caller; this one measures whole kernels.
 //
-// With a tracer that reads every detail and a flight-recorder sink
-// attached, the extra instructions may cost at most observedPerInstr
-// allocations each: the issue and bank-access details are the only
-// strings built per event.
+// A tracer that reads every detail and a flight-recorder sink, both
+// attached, are held to the same slack: each distinct issue and
+// bank-access detail is rendered once per kernel run, however many
+// events carry it.
 func TestWholeKernelAllocsIndependentOfLength(t *testing.T) {
 	const (
-		trips            = 32
-		slack            = 8 // allocations the longer run may add, whatever trips is
-		observedPerInstr = 3
+		trips = 32
+		slack = 8 // allocations the longer run may add, whatever trips is
 	)
 	short, long := ldgLoopKernel(trips), ldgLoopKernel(4*trips)
 	for _, sch := range design.All() {
@@ -84,9 +83,9 @@ func TestWholeKernelAllocsIndependentOfLength(t *testing.T) {
 		observed.Record = &countingSink{}
 		oShort, _ := allocs(observed, short)
 		oLong, _ := allocs(observed, long)
-		if per := (oLong - oShort) / float64(nLong-nShort); per > observedPerInstr {
-			t.Errorf("%s observed: %.1f allocations per extra warp-instruction (%.0f -> %.0f), want at most %d",
-				sch.Name(), per, oShort, oLong, observedPerInstr)
+		if oLong-oShort > slack {
+			t.Errorf("%s observed: %d more warp-instructions cost %.0f more allocations (%.0f -> %.0f), want at most %d",
+				sch.Name(), nLong-nShort, oLong-oShort, oShort, oLong, slack)
 		}
 	}
 }
