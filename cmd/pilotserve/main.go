@@ -37,9 +37,10 @@
 //	                       campaign defaults). Returns 202 and
 //	                       {"jobs":[{"id":"job-1","units":n}, ...]}.
 //	                       Admission is atomic per batch; a batch
-//	                       priced above -queue-units gets 413, a full
-//	                       queue or a client over its in-flight limit
-//	                       429 with Retry-After.
+//	                       priced above -queue-units or holding more
+//	                       jobs than -per-client gets 413, a full queue
+//	                       or a client over its in-flight limit 429
+//	                       with Retry-After.
 //	GET  /v1/jobs/{id}   — stream NDJSON progress lines
 //	                       {"id","state","done","total"} until the
 //	                       terminal line carries the report ("done") or

@@ -227,31 +227,65 @@ func TestQueueBackpressure(t *testing.T) {
 	streamJob(t, ts, sr.Jobs[0].ID)
 }
 
-// TestPerClientLimit: one client cannot hold more in-flight jobs than
-// its limit; a different client is unaffected.
+// TestPerClientLimit: a batch with more jobs than the per-client limit
+// can never be admitted and gets 413 at once, without Retry-After; a
+// batch that fits the limit but waits behind the client's job in
+// flight gets 429 + Retry-After; a different client is unaffected.
+// Both rejections count in serve_rejected_client_limit.
 func TestPerClientLimit(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 1, perClient: 1})
-	resp := submit(t, ts, `{"jobs":[`+testSpecJSON+`,`+testSpecJSON+`]}`)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
+	reg := telemetry.NewRegistry()
+	s, ts := newTestServer(t, serverConfig{workers: 1, perClient: 1, reg: reg})
+	post := func(client, body string) *http.Response {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+		req.Header.Set("X-Client-ID", client)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	big := post("alice", `{"jobs":[`+testSpecJSON+`,`+testSpecJSON+`]}`)
+	big.Body.Close()
+	if big.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch above the limit: status %d, want 413", big.StatusCode)
+	}
+	if ra := big.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q", ra)
 	}
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(`{"jobs":[`+testSpecJSON+`]}`))
-	req.Header.Set("X-Client-ID", "other-client")
-	other, err := http.DefaultClient.Do(req)
-	if err != nil {
+	release := holdPool(t, s)
+	first := post("alice", `{"jobs":[`+testSpecJSON+`]}`)
+	defer first.Body.Close()
+	if first.StatusCode != http.StatusAccepted {
+		t.Fatalf("fitting batch status %d, want 202", first.StatusCode)
+	}
+	var sr submitResponse
+	if err := json.NewDecoder(first.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
+	behind := post("alice", `{"jobs":[`+testSpecJSON+`]}`)
+	behind.Body.Close()
+	if behind.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch behind a job in flight: status %d, want 429", behind.StatusCode)
+	}
+	if behind.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	other := post("other-client", `{"jobs":[`+testSpecJSON+`]}`)
 	defer other.Body.Close()
 	if other.StatusCode != http.StatusAccepted {
 		t.Fatalf("other client status %d, want 202", other.StatusCode)
 	}
-	var sr submitResponse
-	if err := json.NewDecoder(other.Body).Decode(&sr); err != nil {
+	var so submitResponse
+	if err := json.NewDecoder(other.Body).Decode(&so); err != nil {
 		t.Fatal(err)
 	}
+	if got := reg.Counter("serve_rejected_client_limit").Value(); got != 2 {
+		t.Errorf("serve_rejected_client_limit = %d, want 2", got)
+	}
+	release()
 	streamJob(t, ts, sr.Jobs[0].ID)
+	streamJob(t, ts, so.Jobs[0].ID)
 }
 
 // TestBadRequests: invalid specs, empty batches, unknown ids, and wrong

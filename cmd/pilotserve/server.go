@@ -499,13 +499,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	client := clientID(r)
 	rid := reqIDFrom(r.Context())
 	ti := traceFrom(r.Context())
-	// A batch above the capacity never fits, so it gets a final status
-	// and no retry hint.
+	// A batch above the capacity or the per-client limit never fits, so
+	// it gets a final status and no retry hint.
 	if total > s.cfg.queueUnits {
 		s.mRejectedQueue.Inc()
 		s.log.Warn("batch rejected", "request_id", rid, "client", client,
 			"reason", "above capacity", "batch_units", total, "capacity", s.cfg.queueUnits)
 		http.Error(w, fmt.Sprintf("batch needs %d units, above capacity %d", total, s.cfg.queueUnits), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if len(req.Jobs) > s.cfg.perClient {
+		s.mRejectedClient.Inc()
+		s.log.Warn("batch rejected", "request_id", rid, "client", client,
+			"reason", "above client limit", "batch_jobs", len(req.Jobs), "limit", s.cfg.perClient)
+		http.Error(w, fmt.Sprintf("batch has %d jobs, above the per-client limit %d", len(req.Jobs), s.cfg.perClient), http.StatusRequestEntityTooLarge)
 		return
 	}
 
