@@ -327,12 +327,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 }
 
-// BenchmarkFlightRecorder prices the dearest observer end to end: one
-// sgemm run (scale 0.1, part-adaptive, 1 SM) with a flight recorder
-// attached (an engineering metric, not a paper artifact). The checksum
-// and event counts of a run are deterministic; Mwinstr/s, simulated
-// warp-instructions per second, is informational.
-func BenchmarkFlightRecorder(b *testing.B) {
+// observerBench runs one sgemm run (scale 0.1, part-adaptive, 1 SM) per
+// iteration, with the observers attach puts on the config before each
+// run, and reports Mwinstr/s, simulated warp-instructions per second,
+// which is informational.
+func observerBench(b *testing.B, attach func(cfg *sim.Config, workload string)) {
 	w, err := workloads.ByName("sgemm")
 	if err != nil {
 		b.Fatal(err)
@@ -345,11 +344,9 @@ func BenchmarkFlightRecorder(b *testing.B) {
 	}
 	cfg.NumSMs = 1
 	b.ResetTimer()
-	var rec *flightrec.Recorder
 	var winstrs uint64
 	for i := 0; i < b.N; i++ {
-		rec = sim.NewFlightRecorder(&cfg, w.Name, 0)
-		cfg.Record = rec
+		attach(&cfg, w.Name)
 		g, err := sim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -362,7 +359,40 @@ func BenchmarkFlightRecorder(b *testing.B) {
 			winstrs += k.WarpInstrs
 		}
 	}
+	b.ReportMetric(float64(winstrs)/b.Elapsed().Seconds()/1e6, "Mwinstr/s")
+}
+
+// BenchmarkFlightRecorder prices the dearest observer end to end, a
+// flight recorder on observerBench's run (an engineering metric, not a
+// paper artifact). The checksum and event counts of a run are
+// deterministic.
+func BenchmarkFlightRecorder(b *testing.B) {
+	var rec *flightrec.Recorder
+	observerBench(b, func(cfg *sim.Config, workload string) {
+		rec = sim.NewFlightRecorder(cfg, workload, 0)
+		cfg.Record = rec
+	})
 	b.ReportMetric(float64(rec.Log().CountKind(flightrec.KindChecksum)), "checksums")
 	b.ReportMetric(float64(rec.Len()), "events")
-	b.ReportMetric(float64(winstrs)/b.Elapsed().Seconds()/1e6, "Mwinstr/s")
+}
+
+// detailReader is a tracer that reads every event's detail, as an
+// exporter does.
+type detailReader struct{ events, bytes int }
+
+// Event implements sim.Tracer.
+func (t *detailReader) Event(e sim.TraceEvent) {
+	t.events++
+	t.bytes += len(e.Detail)
+}
+
+// BenchmarkTracer prices a tracer that reads every event's detail on
+// observerBench's run. A run's event count is deterministic.
+func BenchmarkTracer(b *testing.B) {
+	var tr *detailReader
+	observerBench(b, func(cfg *sim.Config, _ string) {
+		tr = &detailReader{}
+		cfg.Tracer = tr
+	})
+	b.ReportMetric(float64(tr.events), "events")
 }
