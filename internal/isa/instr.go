@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -151,21 +152,21 @@ func (in *Instruction) String() string {
 	switch in.Op {
 	case OpNOP, OpEXIT, OpBAR:
 	case OpMOVI:
-		fmt.Fprintf(&b, " %s, %d", in.Dst, in.Imm)
+		b.WriteString(" " + in.Dst.String() + ", " + strconv.Itoa(int(in.Imm)))
 	case OpS2R:
-		fmt.Fprintf(&b, " %s, %s", in.Dst, in.Special)
+		b.WriteString(" " + in.Dst.String() + ", " + in.Special.String())
 	case OpSETP:
-		fmt.Fprintf(&b, ".%s %s, %s, %s", in.Cmp, in.PDst, in.SrcA, in.SrcB)
+		b.WriteString("." + in.Cmp.String() + " " + in.PDst.String() + ", " + in.SrcA.String() + ", " + in.SrcB.String())
 	case OpSETPI:
-		fmt.Fprintf(&b, ".%s %s, %s, %d", in.Cmp, in.PDst, in.SrcA, in.Imm)
+		b.WriteString("." + in.Cmp.String() + " " + in.PDst.String() + ", " + in.SrcA.String() + ", " + strconv.Itoa(int(in.Imm)))
 	case OpSEL:
-		fmt.Fprintf(&b, " %s, %s, %s, %s", in.Dst, in.SrcA, in.SrcB, in.SrcPred)
+		b.WriteString(" " + in.Dst.String() + ", " + in.SrcA.String() + ", " + in.SrcB.String() + ", " + in.SrcPred.String())
 	case OpLDG, OpLDS:
-		fmt.Fprintf(&b, " %s, [%s+%d]", in.Dst, in.SrcA, in.Imm)
+		b.WriteString(" " + in.Dst.String() + ", [" + in.SrcA.String() + "+" + strconv.Itoa(int(in.Imm)) + "]")
 	case OpSTG, OpSTS:
-		fmt.Fprintf(&b, " [%s+%d], %s", in.SrcA, in.Imm, in.SrcB)
+		b.WriteString(" [" + in.SrcA.String() + "+" + strconv.Itoa(int(in.Imm)) + "], " + in.SrcB.String())
 	case OpBRA:
-		fmt.Fprintf(&b, " %d (reconv %d)", in.Target, in.Reconv)
+		b.WriteString(" " + strconv.Itoa(in.Target) + " (reconv " + strconv.Itoa(in.Reconv) + ")")
 	default:
 		// Generic register-operand form.
 		b.WriteByte(' ')
@@ -179,7 +180,7 @@ func (in *Instruction) String() string {
 			}
 		}
 		if in.Op == OpIADDI || in.Op == OpIMULI || in.Op == OpANDI || in.Op == OpSHLI || in.Op == OpSHRI {
-			ops = append(ops, fmt.Sprintf("%d", in.Imm))
+			ops = append(ops, strconv.Itoa(int(in.Imm)))
 		}
 		b.WriteString(strings.Join(ops, ", "))
 	}

@@ -11,7 +11,10 @@
 // behaviour.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg identifies a general-purpose architected register. Each thread can be
 // allocated at most MaxRegs registers (R0..R62), matching the simulated GPU
@@ -43,7 +46,7 @@ func (r Reg) String() string {
 	case RegNone:
 		return "-"
 	default:
-		return fmt.Sprintf("R%d", uint8(r))
+		return "R" + strconv.Itoa(int(r))
 	}
 }
 
@@ -81,7 +84,7 @@ func (p Pred) String() string {
 	case PredNone:
 		return "-"
 	default:
-		return fmt.Sprintf("P%d", uint8(p))
+		return "P" + strconv.Itoa(int(p))
 	}
 }
 
