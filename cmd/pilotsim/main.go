@@ -42,7 +42,7 @@
 // Flight recorder: -record-out captures the run's architectural
 // commitments (issue decisions, warp lifecycle, RF routing, swap
 // installs, mode flips, periodic state checksums every -record-every
-// cycles) as a pilotrf-flightrec/v2 NDJSON log; -replay-check re-runs
+// cycles) as a pilotrf-flightrec/v3 NDJSON log; -replay-check re-runs
 // the configuration against a prior recording and fails on the first
 // mismatching event. Diff two recordings with cmd/rfdiff.
 //

@@ -29,8 +29,10 @@ import (
 )
 
 // Schema is the versioned tag stamped into every recording header; a
-// reader rejects logs whose schema it does not understand.
-const Schema = "pilotrf-flightrec/v2"
+// reader rejects logs whose schema it does not understand. v3 changed
+// the register-file hash of checksum events, so a v2 log would diverge
+// at its first checksum.
+const Schema = "pilotrf-flightrec/v3"
 
 // DefaultChecksumEvery is the default interval, in SM cycles, between
 // periodic architectural-state checksums.

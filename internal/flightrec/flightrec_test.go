@@ -79,8 +79,10 @@ func TestReadNDJSONErrors(t *testing.T) {
 		{"empty", "", "empty recording"},
 		{"bad header json", "{not json\n", "bad header"},
 		{"wrong schema", `{"schema":"other/v9"}` + "\n", "schema"},
-		{"bad event json", `{"schema":"pilotrf-flightrec/v2","seed":1}` + "\n{broken\n", "line 2"},
-		{"unknown kind", `{"schema":"pilotrf-flightrec/v2","seed":1}` + "\n" + `{"c":1,"k":"bogus"}` + "\n", "unknown event kind"},
+		{"v2 schema", `{"schema":"pilotrf-flightrec/v2","seed":1}` + "\n",
+			`schema "pilotrf-flightrec/v2", want "pilotrf-flightrec/v3"`},
+		{"bad event json", `{"schema":"` + Schema + `","seed":1}` + "\n{broken\n", "line 2"},
+		{"unknown kind", `{"schema":"` + Schema + `","seed":1}` + "\n" + `{"c":1,"k":"bogus"}` + "\n", "unknown event kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

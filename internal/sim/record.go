@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"pilotrf/internal/flightrec"
 	"pilotrf/internal/isa"
 )
@@ -47,7 +49,10 @@ func (s *sm) recordTick() {
 // A = register-file contents over all resident warps, B = control state
 // (SIMT stacks, predicates, scoreboards, barrier/done flags, the swap
 // mapping, and the adaptive FRF power mode). Warps are visited in slot
-// order, so the hash is deterministic for a deterministic run.
+// order, so the hash is deterministic for a deterministic run. Each
+// register row's rowHash folds into A through mix64, a bijection, so a
+// change confined to one row that changes its rowHash changes A; B is
+// byte-wise FNV-1a.
 func (s *sm) recordChecksum() {
 	rf := uint64(fnvOffset)
 	ctl := uint64(fnvOffset)
@@ -75,7 +80,7 @@ func (s *sm) recordChecksum() {
 		}
 		ctl = fnvAdd(ctl, flags)
 		for r := range w.regs {
-			rf = fnvAddRow(rf, &w.regs[r])
+			rf = mix64(rf ^ rowHash(&w.regs[r]))
 		}
 	}
 	ctl = fnvAdd(ctl, s.mappingHash())
@@ -101,16 +106,12 @@ func (s *sm) mappingHash() uint64 {
 	return h
 }
 
-// FNV-1a 64-bit constants. fnvPrimeK is fnvPrime to the k-th power,
-// mod 2^64: the multiplies of k zero bytes in a row.
+// FNV-1a 64-bit constants. fnvPrime4 is fnvPrime to the 4th power,
+// mod 2^64: the multiplies of four zero bytes in a row.
 const (
-	fnvOffset   uint64 = 14695981039346656037
-	fnvPrime    uint64 = 1099511628211
-	fnvPrime4   uint64 = 0x9ffaac085635bc91
-	fnvPrime6   uint64 = 0xdc966432edf1c639
-	fnvPrime7   uint64 = 0xc5527b8a51d3d2db
-	fnvPrime8   uint64 = 0x1efac7090aef4a21
-	fnvPrime256 uint64 = 0xbeba0f98adb90401
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+	fnvPrime4 uint64 = 0x9ffaac085635bc91
 )
 
 // fnvAdd folds one 64-bit value into an FNV-1a hash, byte by byte.
@@ -135,39 +136,26 @@ func fnvAdd32(h uint64, v uint32) uint64 {
 	return h * fnvPrime4
 }
 
-// fnvAddRow folds one register row, its 32 lanes in order, into an
-// FNV-1a hash exactly as fnvAdd32 on each lane does. The OR of the
-// lanes bounds every lane's width, and a lane's zero high bytes xor in
-// nothing, so each lane takes only the byte steps of the row's widest
-// lane and one multiply for the rest: an all-zero row is a single
-// multiply by fnvPrime256.
-func fnvAddRow(h uint64, row *[32]uint32) uint64 {
-	var or uint32
-	for _, v := range row {
-		or |= v
+// rowPrime is the odd multiplier of rowHash's steps, 2^64 over the
+// golden ratio.
+const rowPrime uint64 = 0x9e3779b97f4a7c15
+
+// rowHash hashes one register row as sixteen 64-bit words, two lanes
+// each, in four independent multiply–xor accumulators, so a row's
+// multiplies overlap instead of waiting on one another. Every step is a
+// bijection of its accumulator and injective in its word, so a change
+// confined to one word, any single flipped bit included, changes the
+// hash. The rotation keeps a difference in bit 63, which a multiply
+// passes on unchanged, from cancelling the next word's: without it two
+// lanes of one accumulator that differ only in bit 31 would swap
+// unseen.
+func rowHash(row *[32]uint32) uint64 {
+	var h0, h1, h2, h3 uint64
+	for r := row[:]; len(r) >= 8; r = r[8:] {
+		h0 = bits.RotateLeft64((h0^(uint64(r[0])|uint64(r[1])<<32))*rowPrime, 31)
+		h1 = bits.RotateLeft64((h1^(uint64(r[2])|uint64(r[3])<<32))*rowPrime, 31)
+		h2 = bits.RotateLeft64((h2^(uint64(r[4])|uint64(r[5])<<32))*rowPrime, 31)
+		h3 = bits.RotateLeft64((h3^(uint64(r[6])|uint64(r[7])<<32))*rowPrime, 31)
 	}
-	switch {
-	case or == 0:
-		return h * fnvPrime256
-	case or < 1<<8:
-		for _, v := range row {
-			h = (h ^ uint64(v)) * fnvPrime8
-		}
-	case or < 1<<16:
-		for _, v := range row {
-			h = (h ^ uint64(v&0xff)) * fnvPrime
-			h = (h ^ uint64(v>>8)) * fnvPrime7
-		}
-	case or < 1<<24:
-		for _, v := range row {
-			h = (h ^ uint64(v&0xff)) * fnvPrime
-			h = (h ^ uint64(v>>8&0xff)) * fnvPrime
-			h = (h ^ uint64(v>>16)) * fnvPrime6
-		}
-	default:
-		for _, v := range row {
-			h = fnvAdd32(h, v)
-		}
-	}
-	return h
+	return h0 ^ bits.RotateLeft64(h1, 16) ^ bits.RotateLeft64(h2, 32) ^ bits.RotateLeft64(h3, 48)
 }

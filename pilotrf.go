@@ -371,7 +371,7 @@ type (
 	// periodic state checksums) into an in-memory event log.
 	FlightRecorder = flightrec.Recorder
 	// Recording is one captured run: header plus ordered event stream,
-	// serializable as pilotrf-flightrec/v2 NDJSON.
+	// serializable as pilotrf-flightrec/v3 NDJSON.
 	Recording = flightrec.Log
 	// FlightEvent is one recorded architectural commitment.
 	FlightEvent = flightrec.Event
@@ -408,7 +408,7 @@ func DiffRecordings(a, b *Recording, window int) *DiffReport {
 	return flightrec.Diff(a, b, window)
 }
 
-// ReadRecording loads a pilotrf-flightrec/v2 NDJSON recording.
+// ReadRecording loads a pilotrf-flightrec/v3 NDJSON recording.
 func ReadRecording(path string) (*Recording, error) { return flightrec.ReadFile(path) }
 
 // Resilience types, re-exported for soft-error injection campaigns,
