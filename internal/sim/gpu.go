@@ -31,8 +31,8 @@ type runState struct {
 	// this run, so each distinct one is allocated once. They live here,
 	// not on the kernel.Program that concurrent runs share: one run's
 	// SMs tick on one goroutine.
-	issueDetails map[issueKey]string
-	bankDetails  map[bankKey]string
+	issueDetails map[uint64]string
+	bankDetails  map[uint64]string
 
 	// fatal, when set by a fault adjudication (retry exhaustion on an
 	// uncorrectable error), aborts the kernel at the next cycle boundary.

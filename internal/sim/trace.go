@@ -190,17 +190,15 @@ var dispatchDetails = func() (d [isa.NumOps]string) {
 	return d
 }()
 
-// issueKey names an issue detail: the pc and its active-lane count.
-type issueKey struct{ pc, lanes int }
-
 // issueDetail returns an issue event's detail,
-// "<disassembly> [lanes N]", rendering it on the run's first use.
+// "<disassembly> [lanes N]", rendering it on the run's first use. Its
+// key packs the active-lane count, at most 32, below the pc.
 func (r *runState) issueDetail(pc, lanes int) string {
-	k := issueKey{pc, lanes}
+	k := uint64(pc)<<6 | uint64(lanes)
 	d, ok := r.issueDetails[k]
 	if !ok {
 		if r.issueDetails == nil {
-			r.issueDetails = make(map[issueKey]string)
+			r.issueDetails = make(map[uint64]string)
 		}
 		d = r.kern.Prog.At(pc).String() + " [lanes " + strconv.Itoa(lanes) + "]"
 		r.issueDetails[k] = d
@@ -208,25 +206,23 @@ func (r *runState) issueDetail(pc, lanes int) string {
 	return d
 }
 
-// bankKey names a bank-access detail. Bank requests only carry
-// allocatable registers, whose name is R and the number.
-type bankKey struct {
-	bank  int
-	write bool
-	arch  isa.Reg
-	part  regfile.Partition
-	lat   int
-}
-
 // bankDetail returns a bank-access event's detail,
 // "bank B read|write Rn -> PART (L cyc)", rendering it on the run's
-// first use.
+// first use. Its key packs the bank (below 64, Config.Validate), the
+// direction, the register (bank requests carry only allocatable ones,
+// below isa.MaxRegs) and the partition (one of four) into the low 15
+// bits and the latency above them. The latency is below 2^45: the SM's
+// event ring holds more 8-byte slots than its longest latency, and Go
+// allocates no more than 2^48 bytes at once on 64-bit platforms.
 func (r *runState) bankDetail(bank int, write bool, arch isa.Reg, part regfile.Partition, lat int) string {
-	k := bankKey{bank, write, arch, part, lat}
+	k := uint64(lat)<<15 | uint64(part)<<13 | uint64(arch)<<7 | uint64(bank)<<1
+	if write {
+		k |= 1
+	}
 	d, ok := r.bankDetails[k]
 	if !ok {
 		if r.bankDetails == nil {
-			r.bankDetails = make(map[bankKey]string)
+			r.bankDetails = make(map[uint64]string)
 		}
 		op := " read R"
 		if write {

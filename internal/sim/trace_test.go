@@ -173,6 +173,15 @@ func issueDetailRef(in *isa.Instruction, lanes int) string {
 	return string(append(b, ']'))
 }
 
+// bankKey holds bankDetail's arguments.
+type bankKey struct {
+	bank  int
+	write bool
+	arch  isa.Reg
+	part  regfile.Partition
+	lat   int
+}
+
 func bankDetailRef(k bankKey) string {
 	op := " read R"
 	if k.write {
