@@ -182,7 +182,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		if *verbose {
 			progress = os.Stderr
 		}
-		if rep, spans, err = runRemote(*coordURL, spec, tracing, progress); err != nil {
+		if rep, spans, err = runRemote(*coordURL, spec, tracing, progress, os.Stderr); err != nil {
 			return err
 		}
 	} else {

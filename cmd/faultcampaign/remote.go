@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
+	"time"
 
 	"pilotrf/internal/campaign"
 	"pilotrf/internal/fleet"
@@ -32,13 +32,14 @@ type remoteStatus struct {
 // fleet's core guarantee — and, when tracing, the job's span tree.
 //
 // Every request goes through one fleet.Link: refused connections, 429
-// and 5xx answers retry under its policy, and any other 4xx fails at
-// once with the server's message. The client survives a coordinator
-// restart: a broken stream, or a 404 for the in-flight job id (the
-// restarted process minted fresh ids), resubmits the spec under a retry
-// budget of its own. Cells finished before the crash replay from the
-// coordinator's cache, so a resubmission redoes only the gap.
-func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress io.Writer) (campaign.Report, []trace.Span, error) {
+// and 5xx answers retry under its policy, each retry reported on
+// stderr, and any other 4xx fails at once with the server's message.
+// The client survives a coordinator restart: a broken stream, or a 404
+// for the in-flight job id (the restarted process minted fresh ids),
+// resubmits the spec under a retry budget of its own. Cells finished
+// before the crash replay from the coordinator's cache, so a
+// resubmission redoes only the gap.
+func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress, stderr io.Writer) (campaign.Report, []trace.Span, error) {
 	body, err := json.Marshal(struct {
 		Jobs []campaign.Spec `json:"jobs"`
 	}{Jobs: []campaign.Spec{spec}})
@@ -47,6 +48,9 @@ func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress io
 	}
 	ctx := context.Background()
 	link := fleet.NewLink(coordinator)
+	link.OnRetry = func(err error, d time.Duration) {
+		fmt.Fprintf(stderr, "coordinator hiccup (%v); retrying in %v\n", err, d)
+	}
 	bo := fleet.Policy{}.Start()
 	for {
 		buf, _, err := link.Do(ctx, http.MethodPost, "/v1/jobs", body)
@@ -83,7 +87,7 @@ func runRemote(coordinator string, spec campaign.Spec, tracing bool, progress io
 		case !again:
 			return campaign.Report{}, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "coordinator hiccup (%v); resubmitting\n", err)
+		fmt.Fprintf(stderr, "coordinator hiccup (%v); resubmitting\n", err)
 		if serr := bo.Sleep(ctx); serr != nil {
 			return campaign.Report{}, nil, fmt.Errorf("coordinator %s: %w: %w", coordinator, serr, err)
 		}

@@ -263,7 +263,7 @@ func TestRemoteModeRetriesFullQueue(t *testing.T) {
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
-	rep, _, err := runRemote(ts.URL, oneCell, false, nil)
+	rep, _, err := runRemote(ts.URL, oneCell, false, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +275,29 @@ func TestRemoteModeRetriesFullQueue(t *testing.T) {
 	}
 }
 
+// TestRemoteModeReportsRetries: each retry of a request prints one
+// line on stderr, so a client whose coordinator is down or busy says
+// so; after a 503 to the first submit, the one line, then the report.
+func TestRemoteModeReportsRetries(t *testing.T) {
+	fake := newFake(t)
+	fake.refuse = []int{http.StatusServiceUnavailable}
+	ts := httptest.NewServer(fake.handler())
+	defer ts.Close()
+
+	var stderr bytes.Buffer
+	rep, _, err := runRemote(ts.URL, oneCell, false, nil, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, fake.report) {
+		t.Fatalf("report %+v, want %+v", rep, fake.report)
+	}
+	want := "coordinator hiccup (fleet: /v1/jobs: HTTP 503: spec refused with 503); retrying in 100ms\n"
+	if got := stderr.String(); got != want {
+		t.Fatalf("stderr %q, want %q", got, want)
+	}
+}
+
 // TestRemoteModeResubmitsAfterRestart: a 404'd job id (coordinator
 // restarted) triggers a resubmission, not a failure.
 func TestRemoteModeResubmitsAfterRestart(t *testing.T) {
@@ -283,7 +306,7 @@ func TestRemoteModeResubmitsAfterRestart(t *testing.T) {
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
-	rep, _, err := runRemote(ts.URL, oneCell, false, nil)
+	rep, _, err := runRemote(ts.URL, oneCell, false, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +325,7 @@ func TestRemoteModeTerminalFailureDoesNotRetry(t *testing.T) {
 	ts := httptest.NewServer(fake.handler())
 	defer ts.Close()
 
-	_, _, err := runRemote(ts.URL, oneCell, false, nil)
+	_, _, err := runRemote(ts.URL, oneCell, false, nil, io.Discard)
 	if err == nil {
 		t.Fatal("failed job reported success")
 	}

@@ -148,8 +148,18 @@ func (b *Backoff) Attempts() int { return b.attempts }
 func (b *Backoff) Sleep(ctx context.Context) error {
 	d, ok := b.Next()
 	if !ok {
-		return fmt.Errorf("fleet: retry budget %v exhausted after %d attempts", b.pol.Budget, b.attempts)
+		return b.spent()
 	}
+	return sleep(ctx, d)
+}
+
+// spent is the error that ends a sequence whose budget is exhausted.
+func (b *Backoff) spent() error {
+	return fmt.Errorf("fleet: retry budget %v exhausted after %d attempts", b.pol.Budget, b.attempts)
+}
+
+// sleep waits d, or until ctx is done.
+func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

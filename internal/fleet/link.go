@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"pilotrf/internal/telemetry"
 )
@@ -18,6 +19,9 @@ type Link struct {
 	base    string // coordinator base URL, trailing slashes trimmed
 	retry   Policy
 	retries *telemetry.Counter
+	// OnRetry, when set, is told of each retry before its delay: the
+	// error that failed the request and the delay about to be slept.
+	OnRetry func(err error, delay time.Duration)
 }
 
 // NewLink returns a link to the coordinator at baseURL, given with or
@@ -90,7 +94,14 @@ func (l Link) backoff(ctx context.Context, bo *Backoff, err error) error {
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	if serr := bo.Sleep(ctx); serr != nil {
+	d, ok := bo.Next()
+	if !ok {
+		return fmt.Errorf("%w: %w", bo.spent(), err)
+	}
+	if l.OnRetry != nil {
+		l.OnRetry(err, d)
+	}
+	if serr := sleep(ctx, d); serr != nil {
 		return fmt.Errorf("%w: %w", serr, err)
 	}
 	l.retries.Inc()
