@@ -3,150 +3,114 @@ package pilotrf
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"pilotrf/internal/design"
 	"pilotrf/internal/energy"
+	"pilotrf/internal/sim"
 )
 
-// TestSchemeRegistryFacade checks the design-scheme re-exports: the
-// registry is reachable, mrf-stv leads it (the baseline every report
-// normalizes against), and lookups round-trip.
+// TestSchemeRegistryFacade: SchemeNames lists the registry in
+// registration order, the paper's four designs and the rivals, with
+// mrf-stv (the baseline every report normalizes against) first.
 func TestSchemeRegistryFacade(t *testing.T) {
-	schemes := AllSchemes()
-	if len(schemes) < 6 {
-		t.Fatalf("%d registered schemes, want >= 6", len(schemes))
-	}
 	names := SchemeNames()
-	if len(names) != len(schemes) {
-		t.Fatalf("SchemeNames has %d entries, AllSchemes %d", len(names), len(schemes))
+	if len(names) < 7 {
+		t.Fatalf("%d registered schemes, want >= 7", len(names))
+	}
+	if !reflect.DeepEqual(names, design.Names()) {
+		t.Errorf("SchemeNames = %v, want the registry's %v", names, design.Names())
 	}
 	if names[0] != "mrf-stv" {
 		t.Errorf("first registered scheme = %q, want mrf-stv", names[0])
 	}
-	for i, n := range names {
-		sch, ok := LookupScheme(n)
-		if !ok {
-			t.Fatalf("LookupScheme(%q) missed a listed scheme", n)
-		}
-		if sch.Name() != n || schemes[i].Name() != n {
-			t.Errorf("scheme %d: lookup %q, all %q, want %q", i, sch.Name(), schemes[i].Name(), n)
-		}
-	}
-	if _, ok := LookupScheme("nonesuch"); ok {
-		t.Error("LookupScheme accepted an unknown name")
-	}
 }
 
-// TestNewSchemeSimulator runs a benchmark through a scheme-configured
-// facade simulator and checks the scheme's settings actually took.
-func TestNewSchemeSimulator(t *testing.T) {
-	sch, ok := LookupScheme("rfc")
-	if !ok {
-		t.Fatal("rfc scheme not registered")
-	}
-	s, err := NewSchemeSimulator(sch, sch.DefaultKnobs(), Options{SMs: 1, Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Config().RF.RFCEntries == 0 {
-		t.Error("rfc scheme simulator has no RFC")
-	}
-	res, err := s.RunBenchmark("sgemm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.TotalCycles() == 0 {
-		t.Error("scheme simulator ran zero cycles")
-	}
-
-	if _, err := NewSchemeSimulator(sch, DesignKnobs{Size: 99}, Options{}); err == nil {
-		t.Error("NewSchemeSimulator accepted an out-of-range knob")
-	}
-}
-
-// TestSchemeSimulatorPricesByScheme: a scheme-built simulator prices
-// every run with its scheme's own energy model, for every registered
-// scheme and whatever opts.Design says.
+// TestSchemeSimulatorPricesByScheme: NewSimulator runs every registered
+// scheme by name, at each point of its knob grid (the first is the
+// default). Its config is the default GPU with the options' SMs,
+// profiling and scheduler, then the scheme's settings at those knobs,
+// and it prices each run with the scheme's own energy model.
 func TestSchemeSimulatorPricesByScheme(t *testing.T) {
-	paper := PaperOptions()
-	paper.SMs, paper.Scale = 1, 0.02
-	for _, opts := range []Options{{SMs: 1, Scale: 0.02}, paper} {
-		for _, sch := range AllSchemes() {
-			k := sch.DefaultKnobs()
-			s, err := NewSchemeSimulator(sch, k, opts)
+	for _, name := range SchemeNames() {
+		sch := design.MustLookup(name)
+		for _, k := range sch.Grid() {
+			opts := PaperOptions()
+			opts.SMs, opts.Scale, opts.Scheme, opts.Knobs = 1, 0.02, name, k
+			s, err := NewSimulator(opts)
 			if err != nil {
+				t.Fatalf("%s at %s: %v", name, k, err)
+			}
+			want := sim.DefaultConfig()
+			want.NumSMs, want.Profiling, want.Policy = 1, opts.Profiling, opts.Scheduler
+			if want, err = want.WithScheme(sch, k); err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*s.Config(), want) {
+				t.Errorf("%s at %s: config %+v, want %+v", name, k, *s.Config(), want)
 			}
 			res, err := s.RunBenchmark("sgemm")
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := sch.Energy(k, res.Stats.DesignRun())
 			got := res.Energy
-			if got != want || got.Design != s.Config().RF.Design {
-				t.Errorf("%s (opts.Design %v): priced %+v, want %+v on %v",
-					sch.Name(), opts.Design, got, want, s.Config().RF.Design)
+			if wantE := sch.Energy(k, res.Stats.DesignRun()); got != wantE || got.Design != want.RF.Design {
+				t.Errorf("%s at %s: priced %+v, want %+v on %v", name, k, got, wantE, want.RF.Design)
 			}
 			// LeakageMW is the run's average: LeakagePJ spread over its time.
 			if pj := got.LeakageMW * float64(got.Cycles) / energy.ClockGHz; math.Abs(pj-got.LeakagePJ) > 1e-9*got.LeakagePJ {
-				t.Errorf("%s: LeakageMW %g implies %g pJ, want %g", sch.Name(), got.LeakageMW, pj, got.LeakagePJ)
+				t.Errorf("%s at %s: LeakageMW %g implies %g pJ, want %g", name, k, got.LeakageMW, pj, got.LeakagePJ)
 			}
 		}
 	}
 }
 
-// TestNewSimulatorRunsItsScheme: NewSimulator is the scheme path. Each
-// Design simulates and prices exactly as its registered scheme, with
-// FRFRegisters as a partitioned scheme's Size knob (so profiling
-// promotes as many registers as the FRF holds); monolithic designs
-// ignore FRFRegisters.
-func TestNewSimulatorRunsItsScheme(t *testing.T) {
-	run := func(s *Simulator, err error) Result {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.RunBenchmark("sgemm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+// TestNewSimulatorHonoursScheduler: the options' scheduler runs unless
+// the scheme mandates its own; the RFC schemes run two-level.
+func TestNewSimulatorHonoursScheduler(t *testing.T) {
 	for _, c := range []struct {
-		d      Design
 		scheme string
+		sched  Scheduler
+		want   Scheduler
 	}{
-		{DesignMonolithicSTV, "mrf-stv"},
-		{DesignMonolithicNTV, "mrf-ntv"},
-		{DesignPartitioned, "part"},
-		{DesignPartitionedAdaptive, "part-adaptive"},
+		{"mrf-stv", SchedulerLRR, SchedulerLRR},
+		{"mrf-stv", SchedulerGTO, SchedulerGTO},
+		{"part-adaptive", SchedulerLRR, SchedulerLRR},
+		{"part-adaptive", SchedulerGTO, SchedulerGTO},
+		{"rfc", SchedulerLRR, SchedulerTL},
+		{"rfc", SchedulerGTO, SchedulerTL},
+		{"rfc-hints", SchedulerLRR, SchedulerTL},
+		{"rfc-hints", SchedulerGTO, SchedulerTL},
 	} {
-		sch, ok := LookupScheme(c.scheme)
-		if !ok {
-			t.Fatalf("%s not registered", c.scheme)
+		s, err := NewSimulator(Options{SMs: 1, Scheme: c.scheme, Scheduler: c.sched})
+		if err != nil {
+			t.Fatalf("%s: %v", c.scheme, err)
 		}
-		for _, n := range []int{2, 4, 6} {
-			opts := PaperOptions()
-			opts.SMs, opts.Scale, opts.Design, opts.FRFRegisters = 1, 0.02, c.d, n
-			var k DesignKnobs
-			if c.d.Partitioned() {
-				k.Size = n
-			}
-			got := run(NewSimulator(opts))
-			want := run(NewSchemeSimulator(sch, k, opts))
-			if !reflect.DeepEqual(got.Stats, want.Stats) || got.Energy != want.Energy {
-				t.Errorf("%v with %d FRF registers: %d cycles, %+v; %s at %s: %d cycles, %+v",
-					c.d, n, got.Cycles(), got.Energy, c.scheme, k, want.Cycles(), want.Energy)
-			}
+		if got := s.Config().Policy; got != c.want {
+			t.Errorf("%s asked for %v runs %v, want %v", c.scheme, c.sched, got, c.want)
 		}
 	}
 }
 
-// TestNewSimulatorRejectsUnknownDesign: a Design with no registered
-// scheme is an error at construction, not a panic when a run is priced.
+// TestNewSimulatorRejectsUnknownDesign: a scheme name the registry does
+// not hold is an error at construction that lists the valid names, and
+// so is a knob the scheme cannot take.
 func TestNewSimulatorRejectsUnknownDesign(t *testing.T) {
-	if s, err := NewSimulator(Options{Design: Design(9)}); err == nil || s != nil {
-		t.Fatalf("NewSimulator(Design 9) = %v, %v; want an error", s, err)
+	s, err := NewSimulator(Options{Scheme: "nonesuch"})
+	if err == nil || s != nil {
+		t.Fatalf("NewSimulator(nonesuch) = %v, %v; want an error", s, err)
+	}
+	if !strings.Contains(err.Error(), "part-adaptive") {
+		t.Errorf("unknown-scheme error %q does not list the valid names", err)
+	}
+	for _, opts := range []Options{
+		{Scheme: "part", Knobs: DesignKnobs{Size: 99}},
+		{Scheme: "mrf-stv", Knobs: DesignKnobs{Size: 4}},
+	} {
+		if _, err := NewSimulator(opts); err == nil {
+			t.Errorf("NewSimulator accepted %s at %s", opts.Scheme, opts.Knobs)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestEnergyLedgerFacade(t *testing.T) {
-	sim, err := NewSimulator(Options{SMs: 1, Design: DesignPartitionedAdaptive,
+	sim, err := NewSimulator(Options{SMs: 1, Scheme: "part-adaptive",
 		Profiling: ProfileHybrid, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)

@@ -27,15 +27,15 @@ func main() {
 
 	for _, d := range []struct {
 		name   string
-		design pilotrf.Design
+		scheme string
 		prof   pilotrf.Technique
 	}{
-		{"MRF @ STV", pilotrf.DesignMonolithicSTV, pilotrf.ProfileStaticFirstN},
-		{"MRF @ NTV", pilotrf.DesignMonolithicNTV, pilotrf.ProfileStaticFirstN},
-		{"Partitioned+Adaptive", pilotrf.DesignPartitionedAdaptive, pilotrf.ProfileHybrid},
+		{"MRF @ STV", "mrf-stv", pilotrf.ProfileStaticFirstN},
+		{"MRF @ NTV", "mrf-ntv", pilotrf.ProfileStaticFirstN},
+		{"Partitioned+Adaptive", "part-adaptive", pilotrf.ProfileHybrid},
 	} {
 		s, err := pilotrf.NewSimulator(pilotrf.Options{
-			SMs: 1, Design: d.design, Profiling: d.prof,
+			SMs: 1, Scheme: d.scheme, Profiling: d.prof,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -19,7 +19,7 @@ import (
 func dumpAttribution(bench string) {
 	sim, err := pilotrf.NewSimulator(pilotrf.Options{
 		SMs:       1,
-		Design:    pilotrf.DesignPartitionedAdaptive,
+		Scheme:    "part-adaptive",
 		Profiling: pilotrf.ProfileHybrid,
 		Scale:     0.5,
 	})
@@ -69,11 +69,11 @@ func main() {
 
 	for _, frfRegs := range []int{2, 3, 4, 5, 6, 8} {
 		sim, err := pilotrf.NewSimulator(pilotrf.Options{
-			SMs:          1,
-			Design:       pilotrf.DesignPartitionedAdaptive,
-			Profiling:    pilotrf.ProfileHybrid,
-			Scale:        0.5,
-			FRFRegisters: frfRegs,
+			SMs:       1,
+			Scheme:    "part-adaptive",
+			Knobs:     pilotrf.DesignKnobs{Size: frfRegs},
+			Profiling: pilotrf.ProfileHybrid,
+			Scale:     0.5,
 		})
 		if err != nil {
 			log.Fatal(err)

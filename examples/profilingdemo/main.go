@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("%-16s %10s %12s %14s\n", "technique", "cycles", "FRF share", "dyn. saving")
 	for _, tech := range techniques {
 		s, err := pilotrf.NewSimulator(pilotrf.Options{
-			SMs: 1, Design: pilotrf.DesignPartitionedAdaptive, Profiling: tech.t,
+			SMs: 1, Scheme: "part-adaptive", Profiling: tech.t,
 		})
 		if err != nil {
 			log.Fatal(err)

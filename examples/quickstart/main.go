@@ -27,19 +27,19 @@ func main() {
 
 	// The baselines run on the paper's GPU (SMs, scale, GTO scheduling),
 	// so the rows differ only in the register file and its management.
-	baseline := func(d pilotrf.Design) pilotrf.Options {
+	baseline := func(scheme string) pilotrf.Options {
 		opts := pilotrf.PaperOptions()
-		opts.Design, opts.Profiling = d, pilotrf.ProfileStaticFirstN
+		opts.Scheme, opts.Profiling = scheme, pilotrf.ProfileStaticFirstN
 		return opts
 	}
 
 	// The performance baseline: a monolithic 256 KB MRF at
 	// super-threshold voltage.
-	base := run(baseline(pilotrf.DesignMonolithicSTV))
+	base := run(baseline("mrf-stv"))
 
 	// The power-aggressive baseline: the same MRF at near-threshold
 	// voltage (3-cycle access).
-	ntv := run(baseline(pilotrf.DesignMonolithicNTV))
+	ntv := run(baseline("mrf-ntv"))
 
 	// The paper's proposal: FRF+SRF partition, adaptive FRF power mode,
 	// hybrid (compiler + pilot warp) profiling.

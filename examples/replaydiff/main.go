@@ -26,7 +26,7 @@ const bench = "sgemm"
 func newSim() *pilotrf.Simulator {
 	sim, err := pilotrf.NewSimulator(pilotrf.Options{
 		SMs:       1,
-		Design:    pilotrf.DesignPartitionedAdaptive,
+		Scheme:    "part-adaptive",
 		Profiling: pilotrf.ProfilePilot,
 		Scale:     0.25,
 	})

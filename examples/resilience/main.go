@@ -25,7 +25,7 @@ const (
 func newSim() *pilotrf.Simulator {
 	sim, err := pilotrf.NewSimulator(pilotrf.Options{
 		SMs:       1,
-		Design:    pilotrf.DesignPartitionedAdaptive,
+		Scheme:    "part-adaptive",
 		Profiling: pilotrf.ProfileHybrid,
 		Scale:     0.1,
 	})

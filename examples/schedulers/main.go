@@ -23,9 +23,9 @@ func main() {
 	}
 	benches := []string{"BFS", "hotspot", "sgemm", "LIB"}
 
-	run := func(design pilotrf.Design, prof pilotrf.Technique, pol pilotrf.Scheduler, bench string) pilotrf.Result {
+	run := func(scheme string, prof pilotrf.Technique, pol pilotrf.Scheduler, bench string) pilotrf.Result {
 		s, err := pilotrf.NewSimulator(pilotrf.Options{
-			SMs: 1, Design: design, Profiling: prof, Scheduler: pol, Scale: 0.5,
+			SMs: 1, Scheme: scheme, Profiling: prof, Scheduler: pol, Scale: 0.5,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -41,8 +41,8 @@ func main() {
 		fmt.Printf("=== %s scheduler ===\n", sc.name)
 		fmt.Printf("  %-10s %10s %10s %12s %10s\n", "bench", "base cyc", "part cyc", "overhead", "saving")
 		for _, b := range benches {
-			base := run(pilotrf.DesignMonolithicSTV, pilotrf.ProfileStaticFirstN, sc.pol, b)
-			part := run(pilotrf.DesignPartitionedAdaptive, pilotrf.ProfileHybrid, sc.pol, b)
+			base := run("mrf-stv", pilotrf.ProfileStaticFirstN, sc.pol, b)
+			part := run("part-adaptive", pilotrf.ProfileHybrid, sc.pol, b)
 			fmt.Printf("  %-10s %10d %10d %11.1f%% %9.1f%%\n",
 				b, base.Cycles(), part.Cycles(),
 				(float64(part.Cycles())/float64(base.Cycles())-1)*100,

@@ -20,7 +20,7 @@ import (
 func main() {
 	s, err := pilotrf.NewSimulator(pilotrf.Options{
 		SMs:       1,
-		Design:    pilotrf.DesignPartitionedAdaptive,
+		Scheme:    "part-adaptive",
 		Profiling: pilotrf.ProfileHybrid,
 		Scale:     0.05,
 	})

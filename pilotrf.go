@@ -6,10 +6,11 @@
 // models (7 nm FinFET devices, FinCACTI-style array analysis) behind the
 // paper's energy numbers.
 //
-// The package is a facade over the internal packages: it exposes the
-// simulator configuration, the seventeen Table I workloads, the kernel
-// builder for writing new workloads, and one function per paper table
-// and figure (via RunExperiments / the experiments accessors).
+// The package is a facade over the simulator: Options.Scheme names any
+// registered design scheme (SchemeNames: the paper's four designs and
+// the GREENER and RFC rivals), and a Simulator runs the seventeen
+// Table I workloads or kernels written with the kernel builder on it.
+// Experiments, campaigns and services are the commands under cmd/.
 //
 // Quick start:
 //
@@ -29,71 +30,19 @@ import (
 	"pilotrf/internal/flightrec"
 	"pilotrf/internal/perfscope"
 	"pilotrf/internal/profile"
-	"pilotrf/internal/regfile"
 	"pilotrf/internal/sim"
 	"pilotrf/internal/telemetry"
 	"pilotrf/internal/workloads"
 )
-
-// Design selects the register file organization.
-type Design = regfile.Design
-
-// Register file designs.
-const (
-	// DesignMonolithicSTV is the performance baseline: a 256 KB MRF at
-	// super-threshold voltage.
-	DesignMonolithicSTV = regfile.DesignMonolithicSTV
-	// DesignMonolithicNTV is the power-aggressive baseline: the MRF at
-	// near-threshold voltage (3-cycle access).
-	DesignMonolithicNTV = regfile.DesignMonolithicNTV
-	// DesignPartitioned is the FRF+SRF split without the adaptive FRF.
-	DesignPartitioned = regfile.DesignPartitioned
-	// DesignPartitionedAdaptive is the paper's full proposal.
-	DesignPartitionedAdaptive = regfile.DesignPartitionedAdaptive
-)
-
-// DesignScheme is a pluggable register-file design scheme from the
-// internal/design registry: the four paper designs plus the rival
-// schemes (GREENER-style liveness gating, the compiler-assisted
-// register file cache). Each scheme owns its knob grid, its simulator
-// configuration, and its energy pricing.
-type DesignScheme = design.Scheme
 
 // DesignKnobs selects one point of a scheme's tuning grid (a partition
 // size, RFC entry count, or gating granularity, plus a supply voltage).
 // The zero value is every scheme's default.
 type DesignKnobs = design.Knobs
 
-// AllSchemes returns every registered design scheme in registration
-// order — the canonical order sweep reports use.
-func AllSchemes() []DesignScheme { return design.All() }
-
-// LookupScheme finds a registered design scheme by name ("mrf-stv",
-// "part-adaptive", "greener", "rfc-hints", ...).
-func LookupScheme(name string) (DesignScheme, bool) { return design.Lookup(name) }
-
-// SchemeNames returns the registered scheme names in registration order.
+// SchemeNames returns the registered design scheme names in
+// registration order: the names Options.Scheme accepts.
 func SchemeNames() []string { return design.Names() }
-
-// NewSchemeSimulator builds a Simulator configured by a registered
-// design scheme at the given knobs: the scheme picks the register file
-// organization, scheduler, RFC, and gating settings and prices each
-// run's energy, while opts supplies the rest (SMs, profiling, scale).
-// opts.Design, opts.Scheduler, and opts.FRFRegisters are ignored — the
-// scheme owns them.
-func NewSchemeSimulator(scheme DesignScheme, knobs DesignKnobs, opts Options) (*Simulator, error) {
-	opts = opts.withDefaults()
-	cfg, err := sim.DefaultConfig().WithScheme(scheme, knobs)
-	if err != nil {
-		return nil, err
-	}
-	cfg.NumSMs = opts.SMs
-	cfg.Profiling = opts.Profiling
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Simulator{opts: opts, cfg: cfg, scheme: scheme, knobs: knobs}, nil
-}
 
 // Technique selects how the FRF-resident registers are identified.
 type Technique = profile.Technique
@@ -127,22 +76,22 @@ type Options struct {
 	// SMs is the number of streaming multiprocessors (default 2; the
 	// full GTX 780 chip is 15).
 	SMs int
-	// Design is the register file organization; the zero value is
-	// DesignMonolithicSTV. NewSimulator runs it as its registered
-	// scheme: mrf-stv, mrf-ntv, part or part-adaptive.
-	Design Design
+	// Scheme names the registered design scheme that organizes the
+	// register file and prices each run (SchemeNames lists them); ""
+	// means "mrf-stv".
+	Scheme string
+	// Knobs is the scheme's operating point; the zero value is the
+	// scheme's default, so a partitioned scheme's Size of 0 keeps the
+	// paper's 4 FRF registers per thread. Profiling promotes as many.
+	Knobs DesignKnobs
 	// Profiling is the FRF management technique; the zero value is
 	// ProfileStaticFirstN.
 	Profiling Technique
 	// Scheduler is the warp scheduler; the zero value is SchedulerLRR.
+	// The RFC schemes run their two-level scheduler whatever it says.
 	Scheduler Scheduler
 	// Scale multiplies workload CTA counts (default 1.0).
 	Scale float64
-	// FRFRegisters is the number of registers per thread kept in the
-	// fast partition, 1 to 16: the partitioned schemes' Size knob
-	// (default 4, the paper's choice: 32 KB of 256 KB). Profiling
-	// promotes as many. Monolithic designs ignore it.
-	FRFRegisters int
 }
 
 // PaperOptions returns the paper's preferred design point: partitioned +
@@ -150,12 +99,11 @@ type Options struct {
 // workloads.
 func PaperOptions() Options {
 	return Options{
-		SMs:          2,
-		Design:       DesignPartitionedAdaptive,
-		Profiling:    ProfileHybrid,
-		Scheduler:    SchedulerGTO,
-		Scale:        1,
-		FRFRegisters: 4,
+		SMs:       2,
+		Scheme:    "part-adaptive",
+		Profiling: ProfileHybrid,
+		Scheduler: SchedulerGTO,
+		Scale:     1,
 	}
 }
 
@@ -163,11 +111,11 @@ func (o Options) withDefaults() Options {
 	if o.SMs == 0 {
 		o.SMs = 2
 	}
+	if o.Scheme == "" {
+		o.Scheme = "mrf-stv"
+	}
 	if o.Scale == 0 {
 		o.Scale = 1
-	}
-	if o.FRFRegisters == 0 {
-		o.FRFRegisters = 4
 	}
 	return o
 }
@@ -177,41 +125,28 @@ func (o Options) withDefaults() Options {
 type Simulator struct {
 	opts   Options
 	cfg    sim.Config
-	scheme DesignScheme
-	knobs  DesignKnobs
-}
-
-// designSchemes names the registered scheme each Design runs as.
-var designSchemes = map[Design]string{
-	DesignMonolithicSTV:       "mrf-stv",
-	DesignMonolithicNTV:       "mrf-ntv",
-	DesignPartitioned:         "part",
-	DesignPartitionedAdaptive: "part-adaptive",
+	scheme design.Scheme
 }
 
 // NewSimulator validates the options and returns a simulator running
-// opts.Design as its registered scheme, with FRFRegisters as a
-// partitioned scheme's Size knob and opts.Scheduler as the warp
-// scheduler. An unknown Design is an error.
+// opts.Scheme at opts.Knobs; an unknown scheme is an error listing the
+// valid names. The scheme applies after the scheduler, so a scheme that
+// mandates its own (the RFC schemes run two-level, per the paper) wins.
 func NewSimulator(opts Options) (*Simulator, error) {
-	name, ok := designSchemes[opts.Design]
-	if !ok {
-		return nil, fmt.Errorf("pilotrf: unknown design %v", opts.Design)
-	}
 	opts = opts.withDefaults()
-	var knobs DesignKnobs
-	if opts.Design.Partitioned() {
-		knobs.Size = opts.FRFRegisters
-	}
-	s, err := NewSchemeSimulator(design.MustLookup(name), knobs, opts)
+	scheme, err := design.Resolve(opts.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.Policy = opts.Scheduler
-	if err := s.cfg.Validate(); err != nil {
+	cfg := sim.DefaultConfig()
+	cfg.NumSMs, cfg.Profiling, cfg.Policy = opts.SMs, opts.Profiling, opts.Scheduler
+	if cfg, err = cfg.WithScheme(scheme, opts.Knobs); err != nil {
 		return nil, err
 	}
-	return s, nil
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &Simulator{opts: opts, cfg: cfg, scheme: scheme}, nil
 }
 
 // Config exposes the full low-level simulator configuration for advanced
@@ -555,7 +490,7 @@ func (s *Simulator) runWorkload(w workloads.Workload) (Result, error) {
 func (s *Simulator) resultOf(rs sim.RunStats) Result {
 	return Result{
 		Stats:             rs,
-		Energy:            s.scheme.Energy(s.knobs, rs.DesignRun()),
+		Energy:            s.scheme.Energy(s.opts.Knobs, rs.DesignRun()),
 		BaselineDynamicPJ: energy.BaselineDynamicPJ(rs.TotalAccesses()),
 	}
 }

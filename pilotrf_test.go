@@ -2,11 +2,13 @@ package pilotrf
 
 import (
 	"testing"
+
+	"pilotrf/internal/regfile"
 )
 
 // quickOpts keeps facade tests fast: small grids, one SM.
-func quickOpts(d Design, p Technique) Options {
-	return Options{SMs: 1, Design: d, Profiling: p, Scale: 0.15}
+func quickOpts(scheme string, p Technique) Options {
+	return Options{SMs: 1, Scheme: scheme, Profiling: p, Scale: 0.15}
 }
 
 func TestPaperOptionsSelectPaperDesign(t *testing.T) {
@@ -14,11 +16,15 @@ func TestPaperOptionsSelectPaperDesign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
-	if s.opts.Design != DesignPartitionedAdaptive || s.opts.Profiling != ProfileHybrid {
-		t.Errorf("paper options = %v/%v, want paper design point", s.opts.Design, s.opts.Profiling)
+	if s.opts.Scheme != "part-adaptive" || s.opts.Profiling != ProfileHybrid {
+		t.Errorf("paper options = %v/%v, want paper design point", s.opts.Scheme, s.opts.Profiling)
 	}
-	if s.opts.SMs != 2 || s.opts.Scale != 1 || s.opts.FRFRegisters != 4 {
+	if s.opts.SMs != 2 || s.opts.Scale != 1 || s.opts.Knobs != (DesignKnobs{}) {
 		t.Errorf("paper options = %+v", s.opts)
+	}
+	if cfg := s.Config(); cfg.RF.Design != regfile.DesignPartitionedAdaptive || cfg.RF.FRFRegs != 4 || cfg.Policy != SchedulerGTO {
+		t.Errorf("paper options run %v with %d FRF registers under %v, want the adaptive FRF with 4 under GTO",
+			cfg.RF.Design, cfg.RF.FRFRegs, cfg.Policy)
 	}
 }
 
@@ -27,10 +33,10 @@ func TestZeroOptionsAreBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
-	if s.opts.Design != DesignMonolithicSTV || s.opts.Profiling != ProfileStaticFirstN {
-		t.Errorf("zero options = %v/%v, want the natural baseline", s.opts.Design, s.opts.Profiling)
+	if s.opts.Scheme != "mrf-stv" || s.opts.Profiling != ProfileStaticFirstN {
+		t.Errorf("zero options = %v/%v, want the natural baseline", s.opts.Scheme, s.opts.Profiling)
 	}
-	if cfg := s.Config(); cfg.RF.Design != DesignMonolithicSTV || cfg.Policy != SchedulerLRR {
+	if cfg := s.Config(); cfg.RF.Design != regfile.DesignMonolithicSTV || cfg.Policy != SchedulerLRR {
 		t.Errorf("zero options run %v under %v, want MRF@STV under LRR", cfg.RF.Design, cfg.Policy)
 	}
 }
@@ -50,7 +56,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestRunBenchmarkEndToEnd(t *testing.T) {
-	s, err := NewSimulator(quickOpts(DesignPartitionedAdaptive, ProfileHybrid))
+	s, err := NewSimulator(quickOpts("part-adaptive", ProfileHybrid))
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
@@ -73,14 +79,14 @@ func TestRunBenchmarkEndToEnd(t *testing.T) {
 }
 
 func TestRunBenchmarkUnknown(t *testing.T) {
-	s, _ := NewSimulator(quickOpts(DesignMonolithicSTV, ProfileStaticFirstN))
+	s, _ := NewSimulator(quickOpts("mrf-stv", ProfileStaticFirstN))
 	if _, err := s.RunBenchmark("nope"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
 
 func TestBaselineHasNoFRF(t *testing.T) {
-	s, _ := NewSimulator(quickOpts(DesignMonolithicSTV, ProfileStaticFirstN))
+	s, _ := NewSimulator(quickOpts("mrf-stv", ProfileStaticFirstN))
 	res, err := s.RunBenchmark("BFS")
 	if err != nil {
 		t.Fatalf("RunBenchmark: %v", err)
@@ -106,7 +112,7 @@ func TestCustomKernelViaBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	s, _ := NewSimulator(quickOpts(DesignPartitioned, ProfilePilot))
+	s, _ := NewSimulator(quickOpts("part", ProfilePilot))
 	res, err := s.RunKernels("custom", []Kernel{{Prog: prog, ThreadsPerCTA: 64, NumCTAs: 4}})
 	if err != nil {
 		t.Fatalf("RunKernels: %v", err)
@@ -117,13 +123,13 @@ func TestCustomKernelViaBuilder(t *testing.T) {
 }
 
 func TestConfigEscapeHatch(t *testing.T) {
-	s, _ := NewSimulator(quickOpts(DesignPartitionedAdaptive, ProfileHybrid))
+	s, _ := NewSimulator(quickOpts("part-adaptive", ProfileHybrid))
 	s.Config().MemLatency = 400
 	res, err := s.RunBenchmark("BFS")
 	if err != nil {
 		t.Fatalf("RunBenchmark: %v", err)
 	}
-	s2, _ := NewSimulator(quickOpts(DesignPartitionedAdaptive, ProfileHybrid))
+	s2, _ := NewSimulator(quickOpts("part-adaptive", ProfileHybrid))
 	res2, err := s2.RunBenchmark("BFS")
 	if err != nil {
 		t.Fatalf("RunBenchmark: %v", err)
@@ -134,7 +140,7 @@ func TestConfigEscapeHatch(t *testing.T) {
 }
 
 func TestRunAll(t *testing.T) {
-	s, _ := NewSimulator(Options{SMs: 1, Design: DesignMonolithicSTV, Profiling: ProfileStaticFirstN, Scale: 0.05})
+	s, _ := NewSimulator(Options{SMs: 1, Scheme: "mrf-stv", Profiling: ProfileStaticFirstN, Scale: 0.05})
 	all, err := s.RunAll()
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -174,7 +180,7 @@ func TestAssembleFacade(t *testing.T) {
 	if back.Len() != prog.Len() {
 		t.Error("round trip changed the program")
 	}
-	s, _ := NewSimulator(quickOpts(DesignPartitioned, ProfilePilot))
+	s, _ := NewSimulator(quickOpts("part", ProfilePilot))
 	res, err := s.RunKernels("facade", []Kernel{{Prog: prog, ThreadsPerCTA: 64, NumCTAs: 2}})
 	if err != nil {
 		t.Fatalf("RunKernels: %v", err)
@@ -185,7 +191,7 @@ func TestAssembleFacade(t *testing.T) {
 }
 
 func TestTracerFacade(t *testing.T) {
-	s, _ := NewSimulator(quickOpts(DesignPartitionedAdaptive, ProfileHybrid))
+	s, _ := NewSimulator(quickOpts("part-adaptive", ProfileHybrid))
 	tr := NewRingTracer(1024)
 	s.Config().Tracer = tr
 	if _, err := s.RunBenchmark("WP"); err != nil {
@@ -197,8 +203,8 @@ func TestTracerFacade(t *testing.T) {
 }
 
 func TestDesignComparison(t *testing.T) {
-	run := func(d Design, p Technique) Result {
-		s, err := NewSimulator(quickOpts(d, p))
+	run := func(scheme string, p Technique) Result {
+		s, err := NewSimulator(quickOpts(scheme, p))
 		if err != nil {
 			t.Fatalf("NewSimulator: %v", err)
 		}
@@ -208,9 +214,9 @@ func TestDesignComparison(t *testing.T) {
 		}
 		return res
 	}
-	base := run(DesignMonolithicSTV, ProfileStaticFirstN)
-	ntv := run(DesignMonolithicNTV, ProfileStaticFirstN)
-	part := run(DesignPartitionedAdaptive, ProfileHybrid)
+	base := run("mrf-stv", ProfileStaticFirstN)
+	ntv := run("mrf-ntv", ProfileStaticFirstN)
+	part := run("part-adaptive", ProfileHybrid)
 	if ntv.Cycles() <= base.Cycles() {
 		t.Error("NTV should be slower than STV")
 	}
