@@ -79,13 +79,6 @@ type Config struct {
 	// Seed drives the injection RNG. Zero is remapped to a fixed
 	// constant (the stats.RNG convention).
 	Seed uint64
-	// NTVFactor multiplies the raw rate of near-threshold arrays (the
-	// SRF, and the MRF in the monolithic-NTV design). Default 25: Qcrit
-	// collapse at 0.3 V makes NTV SRAM far more upset-prone than STV.
-	NTVFactor float64
-	// LowPowerFactor multiplies the FRF rate while the adaptive design
-	// holds the FRF in its back-gated low-power mode. Default 4.
-	LowPowerFactor float64
 	// StuckAtFrac is the fraction of injected cell faults that are
 	// stuck-at (split evenly between stuck-at-0 and stuck-at-1) rather
 	// than transient. Zero selects the default 0.05; a negative value
@@ -96,33 +89,34 @@ type Config struct {
 	// re-issued read observes clean data. Zero selects the default 0.15;
 	// a negative value means exactly zero.
 	ReadPathFrac float64
-	// MaxRetries bounds warp-level re-issue attempts per detected
-	// uncorrectable fault before the kernel aborts. Default 3.
-	MaxRetries int
-	// RetryPenalty is the stall, in cycles, charged to a warp per
-	// re-issue (parity detection + scoreboard replay). Default 8.
-	RetryPenalty int
 }
 
 // Defaults for zero-valued Config fields.
 const (
-	DefaultNTVFactor      = 25.0
-	DefaultLowPowerFactor = 4.0
-	DefaultStuckAtFrac    = 0.05
-	DefaultReadPathFrac   = 0.15
-	DefaultMaxRetries     = 3
-	DefaultRetryPenalty   = 8
+	DefaultStuckAtFrac  = 0.05
+	DefaultReadPathFrac = 0.15
+)
+
+// Fixed fault-model parameters.
+const (
+	// NTVFactor multiplies the raw rate of near-threshold arrays (the
+	// SRF, and the MRF in the monolithic-NTV design): Qcrit collapse at
+	// 0.3 V makes NTV SRAM far more upset-prone than STV.
+	NTVFactor = 25.0
+	// LowPowerFactor multiplies the FRF rate while the adaptive design
+	// holds the FRF in its back-gated low-power mode.
+	LowPowerFactor = 4.0
+	// MaxRetries bounds warp-level re-issue attempts per detected
+	// uncorrectable fault before the kernel aborts.
+	MaxRetries = 3
+	// RetryPenalty is the stall, in cycles, charged to a warp per
+	// re-issue (parity detection + scoreboard replay).
+	RetryPenalty = 8
 )
 
 // WithDefaults returns the config with zero-valued tuning fields
 // replaced by their defaults. Rate and Seed are never defaulted.
 func (c Config) WithDefaults() Config {
-	if c.NTVFactor == 0 {
-		c.NTVFactor = DefaultNTVFactor
-	}
-	if c.LowPowerFactor == 0 {
-		c.LowPowerFactor = DefaultLowPowerFactor
-	}
 	switch {
 	case c.StuckAtFrac == 0:
 		c.StuckAtFrac = DefaultStuckAtFrac
@@ -135,12 +129,6 @@ func (c Config) WithDefaults() Config {
 	case c.ReadPathFrac < 0:
 		c.ReadPathFrac = 0
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.RetryPenalty == 0 {
-		c.RetryPenalty = DefaultRetryPenalty
-	}
 	return c
 }
 
@@ -152,17 +140,8 @@ func (c Config) Validate() error {
 	if c.Rate < 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
 		return fmt.Errorf("fault: rate must be a finite non-negative upsets/bit/cycle, got %v", c.Rate)
 	}
-	if c.NTVFactor < 1 || c.LowPowerFactor < 1 {
-		return fmt.Errorf("fault: voltage factors must be >= 1 (NTV %v, low-power %v): NTV operation cannot lower the raw fault rate", c.NTVFactor, c.LowPowerFactor)
-	}
 	if c.StuckAtFrac < 0 || c.ReadPathFrac < 0 || c.StuckAtFrac+c.ReadPathFrac > 1 {
 		return fmt.Errorf("fault: kind fractions must satisfy 0 <= stuck-at (%v) + read-path (%v) <= 1", c.StuckAtFrac, c.ReadPathFrac)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("fault: max retries must be non-negative, got %d", c.MaxRetries)
-	}
-	if c.RetryPenalty <= 0 {
-		return fmt.Errorf("fault: retry penalty must be positive cycles, got %d", c.RetryPenalty)
 	}
 	return nil
 }
@@ -224,17 +203,17 @@ func NewInjector(cfg Config, d regfile.Design, smID int, camBits int) (*Injector
 	}
 	if d.Partitioned() {
 		in.low[TargetFRF] = cfg.Rate * frfBits
-		in.low[TargetSRF] = cfg.Rate * srfBits * cfg.NTVFactor
+		in.low[TargetSRF] = cfg.Rate * srfBits * NTVFactor
 		in.low[TargetCAM] = cfg.Rate * float64(camBits)
 	} else {
 		in.low[TargetMRF] = cfg.Rate * mrfBits
 		if d == regfile.DesignMonolithicNTV {
-			in.low[TargetMRF] *= cfg.NTVFactor
+			in.low[TargetMRF] *= NTVFactor
 		}
 	}
 	in.high = in.low
 	if d == regfile.DesignPartitionedAdaptive {
-		in.high[TargetFRF] = in.low[TargetFRF] * cfg.LowPowerFactor
+		in.high[TargetFRF] = in.low[TargetFRF] * LowPowerFactor
 	}
 	for _, l := range in.high {
 		in.lambdaMax += l
@@ -340,6 +319,3 @@ func (in *Injector) Intn(n int) int { return in.det.Intn(n) }
 // increments protection/recovery outcomes directly as it adjudicates
 // each fault.
 func (in *Injector) Stats() *Stats { return &in.st }
-
-// Config returns the injector's effective (post-default) configuration.
-func (in *Injector) Config() Config { return in.cfg }

@@ -33,11 +33,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{Rate: -1},
-		{NTVFactor: 0.5},
-		{LowPowerFactor: 0.1},
 		{StuckAtFrac: 0.9, ReadPathFrac: 0.9}, // sum > 1
-		{MaxRetries: -1},
-		{RetryPenalty: -3},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -52,8 +48,7 @@ func TestWithDefaultsNegativeFracsMeanZero(t *testing.T) {
 		t.Errorf("negative fracs defaulted to %v/%v, want 0/0", c.StuckAtFrac, c.ReadPathFrac)
 	}
 	c = Config{}.WithDefaults()
-	if c.StuckAtFrac != DefaultStuckAtFrac || c.ReadPathFrac != DefaultReadPathFrac ||
-		c.NTVFactor != DefaultNTVFactor || c.MaxRetries != DefaultMaxRetries {
+	if c.StuckAtFrac != DefaultStuckAtFrac || c.ReadPathFrac != DefaultReadPathFrac {
 		t.Errorf("zero config defaults wrong: %+v", c)
 	}
 }

@@ -175,7 +175,6 @@ func (s *sm) faultPreExec(w *warpCtx, in *isa.Instruction, execMask uint32) bool
 	var srcs [3]isa.Reg
 	reads := in.SrcRegs(srcs[:0])
 	st := s.inj.Stats()
-	cfg := s.inj.Config()
 
 	// Detection pass: parity-protected rows squash before any state
 	// changes, so a squashed issue leaves storage exactly as it was.
@@ -192,11 +191,11 @@ func (s *sm) faultPreExec(w *warpCtx, in *isa.Instruction, execMask uint32) bool
 			// The stored row is clean; the re-issued read succeeds.
 			st.RetrySuccess++
 			s.dropFault(fi)
-			w.blockedUntil = s.now + int64(cfg.RetryPenalty)
+			w.blockedUntil = s.now + fault.RetryPenalty
 			return true
 		}
 		pf.Retries++
-		if pf.Retries > cfg.MaxRetries {
+		if pf.Retries > fault.MaxRetries {
 			st.Unrecoverable++
 			s.run.fatal = &fault.UnrecoverableError{
 				Cycle: s.now, SM: s.id, Warp: w.slot,
@@ -204,7 +203,7 @@ func (s *sm) faultPreExec(w *warpCtx, in *isa.Instruction, execMask uint32) bool
 			}
 			return true
 		}
-		w.blockedUntil = s.now + int64(cfg.RetryPenalty)
+		w.blockedUntil = s.now + fault.RetryPenalty
 		return true
 	}
 

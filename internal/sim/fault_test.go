@@ -302,8 +302,8 @@ func TestParityStuckAtExhaustsRetries(t *testing.T) {
 	if ks.Fault.Unrecoverable == 0 {
 		t.Error("abort not counted in Stats.Unrecoverable")
 	}
-	if ks.Fault.DetectedRetry <= uint64(fault.DefaultMaxRetries) {
-		t.Errorf("retries before abort = %d, want > %d", ks.Fault.DetectedRetry, fault.DefaultMaxRetries)
+	if ks.Fault.DetectedRetry <= uint64(fault.MaxRetries) {
+		t.Errorf("retries before abort = %d, want > %d", ks.Fault.DetectedRetry, fault.MaxRetries)
 	}
 }
 
