@@ -59,27 +59,20 @@ func main() {
 		fmt.Printf("%s: OK (%d instructions, %d registers/thread, reconvergence points verified)\n",
 			prog.Name, prog.Len(), prog.NumRegs)
 	case *runFile != "":
-		prog := mustAssemble(*runFile)
 		sch, err := design.Resolve(*designName)
 		if err != nil {
-			fatal(err)
+			badFlag(err)
 		}
+		tech, err := profile.ParseTechnique(*prof)
+		if err != nil {
+			badFlag(err)
+		}
+		prog := mustAssemble(*runFile)
 		cfg, err := sim.DefaultConfig().WithScheme(sch, sch.DefaultKnobs())
 		if err != nil {
 			fatal(err)
 		}
-		switch *prof {
-		case "static":
-			cfg.Profiling = profile.TechniqueStaticFirstN
-		case "compiler":
-			cfg.Profiling = profile.TechniqueCompiler
-		case "pilot":
-			cfg.Profiling = profile.TechniquePilot
-		case "hybrid":
-			cfg.Profiling = profile.TechniqueHybrid
-		default:
-			fatal(fmt.Errorf("unknown profile %q", *prof))
-		}
+		cfg.Profiling = tech
 		g, err := sim.New(cfg)
 		if err != nil {
 			fatal(err)
@@ -121,4 +114,11 @@ func mustAssemble(path string) *kernel.Program {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// badFlag reports an invalid flag value and exits 2, the status every
+// command uses for a command-line error.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

@@ -294,17 +294,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return usageError{err}
 	}
-	switch *prof {
-	case "static":
-		cfg.Profiling = profile.TechniqueStaticFirstN
-	case "compiler":
-		cfg.Profiling = profile.TechniqueCompiler
-	case "pilot":
-		cfg.Profiling = profile.TechniquePilot
-	case "hybrid":
-		cfg.Profiling = profile.TechniqueHybrid
-	default:
-		return usageError{fmt.Errorf("unknown profile %q", *prof)}
+	if cfg.Profiling, err = profile.ParseTechnique(*prof); err != nil {
+		return usageError{err}
 	}
 	switch *sched {
 	case "gto":

@@ -55,6 +55,23 @@ func (t Technique) String() string {
 	}
 }
 
+// ParseTechnique maps a command-line -profile name to its technique:
+// static, compiler, pilot or hybrid. An unknown name is an error listing
+// the valid ones.
+func ParseTechnique(name string) (Technique, error) {
+	switch name {
+	case "static":
+		return TechniqueStaticFirstN, nil
+	case "compiler":
+		return TechniqueCompiler, nil
+	case "pilot":
+		return TechniquePilot, nil
+	case "hybrid":
+		return TechniqueHybrid, nil
+	}
+	return 0, fmt.Errorf("unknown profile %q (valid: static, compiler, pilot, hybrid)", name)
+}
+
 // CompilerTopN returns the n registers appearing most often in the kernel
 // binary — the instrumented-compiler profile.
 func CompilerTopN(p *kernel.Program, n int) []isa.Reg {

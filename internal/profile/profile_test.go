@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"strings"
 	"testing"
 
 	"pilotrf/internal/isa"
@@ -27,6 +28,27 @@ func loopProgram(t *testing.T) *kernel.Program {
 		t.Fatalf("Build: %v", err)
 	}
 	return p
+}
+
+// TestParseTechnique: each -profile name maps to its technique, and an
+// unknown name is an error that lists the valid ones.
+func TestParseTechnique(t *testing.T) {
+	for name, want := range map[string]Technique{
+		"static":   TechniqueStaticFirstN,
+		"compiler": TechniqueCompiler,
+		"pilot":    TechniquePilot,
+		"hybrid":   TechniqueHybrid,
+	} {
+		if got, err := ParseTechnique(name); err != nil || got != want {
+			t.Errorf("ParseTechnique(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "nonesuch", "optimal", "Hybrid"} {
+		_, err := ParseTechnique(bad)
+		if err == nil || !strings.Contains(err.Error(), "static, compiler, pilot, hybrid") {
+			t.Errorf("ParseTechnique(%q) error = %v, want one listing the valid names", bad, err)
+		}
+	}
 }
 
 func TestCompilerTopNReflectsStaticText(t *testing.T) {
