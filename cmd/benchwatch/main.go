@@ -235,18 +235,15 @@ func gate(w io.Writer, old, cur benchstore.Record, alpha, minEffect float64, ver
 
 		// Deterministic metrics: exact bit match, or it is a violation.
 		for _, k := range sortedKeys(ob.Metrics) {
+			if benchstore.Informational(k) {
+				continue
+			}
 			ov := ob.Metrics[k]
 			cv, ok := cb.Metrics[k]
 			if !ok {
 				header()
 				fmt.Fprintf(w, "  metric %-30s %12.6g -> MISSING\n", k, ov)
 				violations++
-				continue
-			}
-			if benchstore.Informational(k) {
-				if verbose && math.Float64bits(ov) != math.Float64bits(cv) {
-					fmt.Fprintf(w, "  metric %-30s %12.6g -> %-12.6g (informational)\n", k, ov, cv)
-				}
 				continue
 			}
 			if math.Float64bits(ov) != math.Float64bits(cv) {

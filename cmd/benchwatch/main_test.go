@@ -151,6 +151,32 @@ func TestGateMetricMismatch(t *testing.T) {
 	}
 }
 
+// TestGateVerboseSkipsRateMetrics: a per-second rate keeps only its
+// first sample's value, so gate -v never prints it beside the
+// many-sample ns/op verdict, and never gates it, whether it moved or
+// was dropped; the gated metrics still print.
+func TestGateVerboseSkipsRateMetrics(t *testing.T) {
+	for _, newRate := range []map[string]float64{{"Mwinstr/s": 0.6989}, {}} {
+		newRate["cycles"] = 500
+		hist := writeHistory(t,
+			record("old", 1, benchstore.BenchmarkSamples{Name: "BenchmarkA", NsPerOp: baseSamples,
+				Metrics: map[string]float64{"cycles": 500, "Mwinstr/s": 0.4197}}),
+			record("new", 2, benchstore.BenchmarkSamples{Name: "BenchmarkA", NsPerOp: baseSamples,
+				Metrics: newRate}),
+		)
+		var out bytes.Buffer
+		if code := run([]string{"gate", "-v", "-history", hist, "old", "new"}, &out); code != 0 {
+			t.Fatalf("exit = %d, want 0\n%s", code, out.String())
+		}
+		if strings.Contains(out.String(), "Mwinstr/s") {
+			t.Errorf("gate -v printed a one-sample rate metric:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), "cycles") {
+			t.Errorf("gate -v dropped the gated metric:\n%s", out.String())
+		}
+	}
+}
+
 // TestGateHostMismatchInformational: differing host fingerprints demote
 // wall-clock verdicts to informational, but metric gating still bites.
 func TestGateHostMismatchInformational(t *testing.T) {
