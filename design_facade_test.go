@@ -111,16 +111,19 @@ func TestNewSimulatorRejectsUnknownDesign(t *testing.T) {
 	}
 }
 
-// TestNewSimulatorRejectsUnknownEnums: an unknown Scheduler or
-// Profiling technique is an error at construction, not a panic once a
-// run starts or a silent fallback to static-first-n.
+// TestNewSimulatorRejectsUnknownEnums: under every registered scheme,
+// an unknown Scheduler or Profiling technique is an error at
+// construction, not a panic once a run starts, a silent fallback to
+// static-first-n, or a scheduler a two-level scheme quietly replaces.
 func TestNewSimulatorRejectsUnknownEnums(t *testing.T) {
-	sched, prof := PaperOptions(), PaperOptions()
-	sched.Scheduler, prof.Profiling = Scheduler(9), Technique(9)
-	for name, opts := range map[string]Options{"scheduler": sched, "profiling": prof} {
-		opts.SMs, opts.Scale = 1, 0.02
-		if _, err := NewSimulator(opts); err == nil {
-			t.Errorf("NewSimulator accepted %s 9", name)
+	for _, scheme := range SchemeNames() {
+		sched, prof := PaperOptions(), PaperOptions()
+		sched.Scheduler, prof.Profiling = Scheduler(9), Technique(9)
+		for name, opts := range map[string]Options{"scheduler": sched, "profiling": prof} {
+			opts.Scheme, opts.SMs, opts.Scale = scheme, 1, 0.02
+			if _, err := NewSimulator(opts); err == nil {
+				t.Errorf("NewSimulator accepted %s 9 under %s", name, scheme)
+			}
 		}
 	}
 }

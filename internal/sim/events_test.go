@@ -2,10 +2,10 @@ package sim
 
 import (
 	"container/heap"
+	"reflect"
 	"slices"
 	"testing"
-
-	"pilotrf/internal/isa"
+	"unsafe"
 )
 
 // refEvent is what the reference queue keeps of an event: its firing
@@ -42,7 +42,7 @@ func (h *refHeap) Pop() any {
 // one of the delays, or advances the clock one cycle at a time, as the
 // SM ticks, and fires everything due in each cycle; a fired event may
 // schedule another, as a writeback or a memory return does. An event's
-// instruction carries its scheduling number, which names it.
+// pc carries its scheduling number, which names it.
 func FuzzEventRing(f *testing.F) {
 	// The default config's delays, then the longest delay a 256-slot
 	// ring takes beside the shortest.
@@ -67,7 +67,7 @@ func FuzzEventRing(f *testing.F) {
 		seq := 0
 		push := func(delay int) {
 			seq++
-			q.push(now, delay, event{in: &isa.Instruction{Target: seq}})
+			q.push(now, delay, event{pc: int32(seq)})
 			heap.Push(&ref, refEvent{now + int64(delay), seq})
 		}
 		// budget bounds the events fired events may schedule.
@@ -84,9 +84,9 @@ func FuzzEventRing(f *testing.F) {
 				}
 				// The clock never skips a cycle, so nothing is overdue.
 				want := heap.Pop(&ref).(refEvent)
-				if want.cycle != now || e.in.Target != want.seq {
+				if want.cycle != now || int(e.pc) != want.seq {
 					t.Fatalf("cycle %d: ring fired event %d, reference heap event %d due at cycle %d",
-						now, e.in.Target, want.seq, want.cycle)
+						now, e.pc, want.seq, want.cycle)
 				}
 				if chain && budget > 0 && want.seq%3 == 0 {
 					budget--
@@ -115,6 +115,34 @@ func FuzzEventRing(f *testing.F) {
 			t.Fatalf("after draining: %d events in the ring, %d in the reference heap", q.n, ref.Len())
 		}
 	})
+}
+
+// TestQueuedStateHoldsNoPointers: the events, bank requests, collector
+// units, memory requests and read-path flips the SM copies through its
+// queues and lists name warps, collectors and instructions by index, so
+// they hold no pointer and copying one never runs a write barrier; and
+// an event fits in 32 bytes.
+func TestQueuedStateHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[i]", ty.Elem())
+		}
+	}
+	for _, v := range []any{event{}, bankReq{}, collectorUnit{}, memReq{}, appliedFlip{}} {
+		walk(reflect.TypeOf(v).Name(), reflect.TypeOf(v))
+	}
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Errorf("event is %d bytes, want at most 32", n)
+	}
 }
 
 // BenchmarkEventQueue schedules and fires events at the default

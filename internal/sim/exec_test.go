@@ -220,7 +220,9 @@ func execFixture() (*sm, *warpCtx) {
 	b.EXIT()
 	k := &kernel.Kernel{Prog: b.MustBuild(), ThreadsPerCTA: 96, NumCTAs: 4}
 	s := &sm{cfg: &cfg, run: &runState{cfg: &cfg, kern: k}}
-	return s, newWarpCtx(3, 17, &ctaCtx{id: 5}, 2, k.Prog, fullMask)
+	w := &warpCtx{regs: make([][32]uint32, k.Prog.NumRegs)}
+	w.launch(3, 17, &ctaCtx{id: 5}, 2, fullMask)
+	return s, w
 }
 
 // specialLanes are float and integer values where a row unit can go

@@ -38,7 +38,7 @@ type pendingFault struct {
 // appliedFlip is a transient read-path corruption applied to storage
 // for the duration of one execute, restored immediately after.
 type appliedFlip struct {
-	w    *warpCtx
+	slot int
 	reg  isa.Reg
 	lane int
 	bit  uint8
@@ -237,7 +237,7 @@ func (s *sm) faultPreExec(w *warpCtx, in *isa.Instruction, execMask uint32) bool
 			if pf.Kind == fault.KindReadPath {
 				// One-shot: flip for this execute, restore right after.
 				w.regs[pf.Reg][pf.Lane] ^= mask
-				s.flips = append(s.flips, appliedFlip{w: w, reg: pf.Reg, lane: pf.Lane, bit: pf.Bit})
+				s.flips = append(s.flips, appliedFlip{slot: w.slot, reg: pf.Reg, lane: pf.Lane, bit: pf.Bit})
 				s.dropFault(fi)
 				fi--
 			}
@@ -251,7 +251,7 @@ func (s *sm) faultPreExec(w *warpCtx, in *isa.Instruction, execMask uint32) bool
 // and clears transient faults healed by a destination overwrite.
 func (s *sm) faultPostExec(w *warpCtx, in *isa.Instruction, execMask uint32) {
 	for _, fl := range s.flips {
-		fl.w.regs[fl.reg][fl.lane] ^= 1 << fl.bit
+		s.warps[fl.slot].regs[fl.reg][fl.lane] ^= 1 << fl.bit
 	}
 	s.flips = s.flips[:0]
 

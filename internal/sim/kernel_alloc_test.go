@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"pilotrf/internal/design"
@@ -87,5 +89,95 @@ func TestWholeKernelAllocsIndependentOfLength(t *testing.T) {
 			t.Errorf("%s observed: %d more warp-instructions cost %.0f more allocations (%.0f -> %.0f), want at most %d",
 				sch.Name(), nLong-nShort, oLong-oShort, oShort, oLong, slack)
 		}
+	}
+}
+
+// TestWholeKernelAllocsIndependentOfCTAs asserts that, with every
+// observer detached, CTA waves allocate nothing: on every registered
+// scheme, running four times as many CTAs through one SM (each wave
+// launched into the slots the last one vacated) may add the same few
+// allocations as a longer loop, never a number that grows with the
+// extra CTAs. A slot keeps its warp's storage for the next warp
+// launched into it, and an exited CTA's record serves the next CTA.
+//
+// An attached tracer stays out of this test: it renders each CTA
+// launch's and each warp retire's detail string.
+func TestWholeKernelAllocsIndependentOfCTAs(t *testing.T) {
+	const (
+		ctas  = 16
+		slack = 8 // as in TestWholeKernelAllocsIndependentOfLength
+	)
+	few, many := ldgLoopKernel(4), ldgLoopKernel(4)
+	few.ThreadsPerCTA, many.ThreadsPerCTA = 256, 256
+	few.NumCTAs, many.NumCTAs = ctas, 4*ctas
+	for _, sch := range design.All() {
+		cfg, err := testConfig().WithScheme(sch, sch.DefaultKnobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(k *kernel.Kernel) float64 {
+			return testing.AllocsPerRun(3, func() { mustRun(t, cfg, k) })
+		}
+		aFew, aMany := allocs(few), allocs(many)
+		if aMany-aFew > slack {
+			t.Errorf("%s: %d more CTAs cost %.0f more allocations (%.0f -> %.0f), want at most %d",
+				sch.Name(), many.NumCTAs-few.NumCTAs, aMany-aFew, aFew, aMany, slack)
+		}
+	}
+}
+
+// TestRelaunchedSlotStartsClean: a CTA launched into the slots an
+// exited CTA vacated reuses their warp storage and the exited CTA's
+// record, and each of its warps starts as a fresh one would, whatever
+// the last warp left behind: zero rows, a one-entry SIMT stack, no
+// pending bits, execSeq 0 and every other field zero.
+func TestRelaunchedSlotStartsClean(t *testing.T) {
+	cfg := testConfig()
+	cfg.Record = &countingSink{} // the read digest advances execSeq
+	k := ldgLoopKernel(2)
+	k.ThreadsPerCTA, k.NumCTAs = 48, 1 // the second warp has 16 lanes
+	s := loadSM(t, &cfg, k)
+	wp := k.WarpsPerCTA()
+	old, oldCTA := slices.Clone(s.warps[:wp]), s.warps[0].cta
+	for s.busy() {
+		s.tick()
+	}
+	for slot, w := range old {
+		if !w.vacant() || w.execSeq == 0 {
+			t.Fatalf("slot %d: vacant %v, execSeq %d after the CTA exited; want a vacant slot whose warp executed",
+				slot, w.vacant(), w.execSeq)
+		}
+		for r := range w.regs {
+			w.regs[r][r%32] = ^uint32(0)
+		}
+		w.stack = append(w.stack, simtEntry{pc: 5, rpc: 9, mask: 3}, simtEntry{pc: 7, rpc: 9, mask: 1})
+		w.preds[1] = 6
+		w.pendingRegs, w.pendingPreds, w.execSeq = 1<<3, 1<<2, 40
+		w.blockedUntil, w.atBarrier, w.done, w.inFlight, w.memInFlight = 99, true, true, 2, 1
+		w.finishCycle, w.lastIssue = 50, 60
+	}
+	k.NumCTAs = 2
+	s.launchCTA(1)
+	for slot, w := range s.warps[:wp] {
+		if w != old[slot] || w.cta != oldCTA {
+			t.Fatalf("slot %d: the relaunched warp got new storage or a new CTA record", slot)
+		}
+		threads := fullMask
+		if slot == 1 {
+			threads = 1<<16 - 1
+		}
+		want := warpCtx{slot: slot, globalID: wp + slot, cta: oldCTA, inCTA: slot, regs: w.regs,
+			stack: []simtEntry{{pc: 0, rpc: -1, mask: threads}}}
+		if !reflect.DeepEqual(*w, want) {
+			t.Errorf("slot %d: relaunched warp %+v, want %+v", slot, *w, want)
+		}
+		for r, row := range w.regs {
+			if row != ([32]uint32{}) {
+				t.Errorf("slot %d: R%d not cleared: %v", slot, r, row)
+			}
+		}
+	}
+	if oldCTA.id != 1 || oldCTA.live != wp || oldCTA.arrived != 0 || len(oldCTA.warps) != wp {
+		t.Errorf("relaunched CTA record %+v, want id 1 with %d live warps", *oldCTA, wp)
 	}
 }

@@ -11,19 +11,23 @@ type eventKind uint8
 
 const (
 	evBankDone  eventKind = iota // a bank transaction completes: req
-	evWriteback                  // an execution pipe finishes: w, in
-	evMemDone                    // a global-memory transaction returns: w, in
+	evWriteback                  // an execution pipe finishes: slot, pc
+	evMemDone                    // a global-memory transaction returns: slot, pc
 )
 
 // event is one scheduled occurrence in the SM's timing model: a kind and
-// the payload its handler reads. It is plain data, so scheduling one
-// allocates nothing once the queue's pool has grown to the SM's peak
-// number of events in flight.
+// the payload its handler reads. It holds no pointers: it names its warp
+// by slot and its instruction by pc, which stay valid while it is in
+// flight, because a warp with an instruction in flight cannot retire and
+// a slot is refilled only after its whole CTA has exited. Scheduling
+// one copies plain data, with no write barrier, and allocates nothing
+// once the queue's pool has grown to the SM's peak number of events in
+// flight.
 type event struct {
 	kind eventKind
 	next int32 // pool index of the next event in its slot or the free list; -1 ends it
-	w    *warpCtx
-	in   *isa.Instruction
+	slot int32
+	pc   int32
 	req  bankReq
 }
 
@@ -112,13 +116,17 @@ const (
 // write that releases or completes an instruction keeps the warp's
 // inFlight above zero, so its slot still holds the issuing warp.
 type bankReq struct {
-	slot    int
-	arch    isa.Reg // architected register (for routing stats)
-	phys    isa.Reg // physical register (fixes the bank)
-	isWrite bool
-	done    writeDone      // what a write does when it retires
-	col     *collectorUnit // collector awaiting this read; nil for writes
+	slot int32
+	col  int32   // index of the collector awaiting this read; -1 for writes
+	arch isa.Reg // architected register (for routing stats)
+	phys isa.Reg // physical register (fixes the bank)
+	done writeDone
 }
+
+// bankShare is how many requests each bank queue holds in its share of
+// the block newSM makes for all of them; a queue that outgrows its
+// share grows on its own.
+const bankShare = 8
 
 // bankState is one RF bank: a FIFO of requests served one at a time; the
 // service latency depends on the partition (FRF/SRF/MRF) and, for the
@@ -127,37 +135,32 @@ type bankState struct {
 	queue []bankReq
 }
 
-// collectorUnit buffers one issued instruction while its source operands
-// are gathered from the banks (or the RFC).
+// collectorUnit buffers one issued instruction, the warp in slot at pc,
+// while its source operands are gathered from the banks (or the RFC).
 type collectorUnit struct {
-	warp         *warpCtx
-	in           *isa.Instruction
-	execMask     uint32
-	pendingReads int
+	slot, pc     int32
+	pendingReads int32
 	// readyAt delays dispatch until the given cycle even when no bank
 	// reads are pending — the RFC's own read stage.
 	readyAt int64
 }
 
-// newCollector returns a cleared collector unit for an issuing
-// instruction, reusing one that dispatch freed when there is one; at
-// most OperandCollectors units are ever allocated.
-func (s *sm) newCollector(w *warpCtx, in *isa.Instruction, execMask uint32) *collectorUnit {
-	var col *collectorUnit
-	if n := len(s.freeCollectors); n > 0 {
-		col = s.freeCollectors[n-1]
-		s.freeCollectors = s.freeCollectors[:n-1]
-	} else {
-		col = new(collectorUnit)
-	}
-	*col = collectorUnit{warp: w, in: in, execMask: execMask}
-	return col
+// newCollector takes an idle unit of the SM's collector file for the
+// instruction at pc of the warp in slot and returns its index; it joins
+// the pending list behind every unit issued before it.
+func (s *sm) newCollector(slot, pc int) int32 {
+	n := len(s.freeCols) - 1
+	c := s.freeCols[n]
+	s.freeCols = s.freeCols[:n]
+	s.collectors[c] = collectorUnit{slot: int32(slot), pc: int32(pc)}
+	s.pendingCols = append(s.pendingCols, c)
+	return c
 }
 
-// memReq is one global-memory transaction: the warp and its instruction.
+// memReq is one global-memory transaction: the warp's slot and the pc of
+// its instruction.
 type memReq struct {
-	w  *warpCtx
-	in *isa.Instruction
+	slot, pc int32
 }
 
 // memUnit is the SM's global-memory interface: fixed latency with a
@@ -189,17 +192,17 @@ func (s *sm) tickBanks() {
 		if s.pf != nil {
 			s.pf.bankOps++
 		}
-		s.countPartAccess(part, req.slot, req.arch)
+		s.countPartAccess(part, int(req.slot), req.arch)
 		if s.cfg.Tracer != nil {
-			s.trace(TraceBankAccess, req.slot, -1, s.run.bankDetail(b, req.isWrite, req.arch, part, lat))
+			s.trace(TraceBankAccess, int(req.slot), -1, s.run.bankDetail(b, req.col < 0, req.arch, part, lat))
 		}
 		s.schedule(lat, event{kind: evBankDone, req: req})
 	}
 }
 
 func (s *sm) completeBankReq(req bankReq) {
-	if req.col != nil {
-		req.col.pendingReads--
+	if req.col >= 0 {
+		s.collectors[req.col].pendingReads--
 		// Dispatch happens in the collector sweep, keeping ordering
 		// deterministic.
 		return
@@ -215,24 +218,24 @@ func (s *sm) completeBankReq(req bankReq) {
 	}
 }
 
-// enqueueBankRead queues a source-operand read for a collector.
-func (s *sm) enqueueBankRead(col *collectorUnit, arch isa.Reg) {
-	phys := s.rf.PhysicalReg(arch)
-	s.enqueueBank(bankReq{slot: col.warp.slot, arch: arch, phys: phys, col: col})
+// enqueueBankRead queues a source-operand read for collector c.
+func (s *sm) enqueueBankRead(c int32, arch isa.Reg) {
+	col := &s.collectors[c]
+	col.pendingReads++
+	s.enqueueBank(bankReq{slot: col.slot, col: c, arch: arch, phys: s.rf.PhysicalReg(arch)})
 }
 
 // enqueueBankWrite queues a destination write for the warp in slot;
 // done says what its retirement does (scoreboard release, instruction
 // completion).
 func (s *sm) enqueueBankWrite(slot int, arch isa.Reg, done writeDone) {
-	phys := s.rf.PhysicalReg(arch)
-	s.enqueueBank(bankReq{slot: slot, arch: arch, phys: phys, isWrite: true, done: done})
+	s.enqueueBank(bankReq{slot: int32(slot), col: -1, arch: arch, phys: s.rf.PhysicalReg(arch), done: done})
 }
 
 // enqueueBank appends req to the queue of the bank its warp slot and
 // physical register map to.
 func (s *sm) enqueueBank(req bankReq) {
-	b := s.rf.BankOf(req.slot, req.phys)
+	b := s.rf.BankOf(int(req.slot), req.phys)
 	s.banks[b].queue = append(s.banks[b].queue, req)
 	s.busyBanks |= 1 << uint(b)
 	s.queued++
@@ -257,28 +260,28 @@ func (s *sm) runEvents() {
 		case evBankDone:
 			s.completeBankReq(e.req)
 		case evWriteback:
-			s.writeback(e.w, e.in)
+			s.writeback(s.warps[e.slot], &s.instrs[e.pc])
 		case evMemDone:
-			s.memDone(e.w, e.in)
+			s.memDone(s.warps[e.slot], &s.instrs[e.pc])
 		}
 	}
 }
 
-// memDispatch issues warp w's global-memory instruction in; it returns
+// memDispatch issues req, a global-memory instruction; it returns
 // (memDone) after the memory latency. Excess transactions wait for a
 // free slot.
-func (s *sm) memDispatch(w *warpCtx, in *isa.Instruction) {
+func (s *sm) memDispatch(req memReq) {
 	if s.mem.inflight < s.cfg.MaxMemInflight {
-		s.memStart(w, in)
+		s.memStart(req)
 	} else {
-		s.mem.waiting = append(s.mem.waiting, memReq{w: w, in: in})
+		s.mem.waiting = append(s.mem.waiting, req)
 	}
 }
 
 // memStart occupies a memory slot for one transaction.
-func (s *sm) memStart(w *warpCtx, in *isa.Instruction) {
+func (s *sm) memStart(req memReq) {
 	s.mem.inflight++
-	s.schedule(s.cfg.MemLatency, event{kind: evMemDone, w: w, in: in})
+	s.schedule(s.cfg.MemLatency, event{kind: evMemDone, slot: req.slot, pc: req.pc})
 }
 
 // memDone retires a global-memory transaction: its slot passes to the
@@ -289,7 +292,7 @@ func (s *sm) memDone(w *warpCtx, in *isa.Instruction) {
 		next := s.mem.waiting[0]
 		copy(s.mem.waiting, s.mem.waiting[1:])
 		s.mem.waiting = s.mem.waiting[:len(s.mem.waiting)-1]
-		s.memStart(next.w, next.in)
+		s.memStart(next)
 	}
 	if s.cfg.Tracer != nil {
 		s.trace(TraceMemDone, w.slot, -1, in.Op.String())

@@ -57,7 +57,7 @@ func (s *sm) recordChecksum() {
 	rf := uint64(fnvOffset)
 	ctl := uint64(fnvOffset)
 	for _, w := range s.warps {
-		if w == nil {
+		if w.vacant() {
 			continue
 		}
 		ctl = fnvAdd(ctl, uint64(w.slot))

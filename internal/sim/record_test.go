@@ -423,7 +423,7 @@ func TestChecksumSeparatesRegistersFromControl(t *testing.T) {
 	}
 	warps := 0
 	for _, w := range s.warps {
-		if w == nil {
+		if w.vacant() {
 			continue
 		}
 		warps++
@@ -451,7 +451,7 @@ func BenchmarkChecksum(b *testing.B) {
 	s, _ := checksumState(b)
 	values := 0
 	for _, w := range s.warps {
-		if w != nil {
+		if !w.vacant() {
 			values += 32 * len(w.regs)
 		}
 	}

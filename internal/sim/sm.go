@@ -21,13 +21,21 @@ type sm struct {
 	cfg *Config
 	run *runState
 
-	warps             []*warpCtx // indexed by slot; nil when free
-	schedulers        []*schedState
-	banks             []bankState
-	collectors        int // units currently in use
-	pendingCollectors []*collectorUnit
-	freeCollectors    []*collectorUnit // dispatched units, reused by newCollector
-	mem               memUnit
+	// warps is indexed by slot. A slot keeps the warpCtx of its last
+	// warp, which the next warp launched into it reuses (launchCTA), so
+	// a slot is vacant when it holds nil or a warp whose CTA has exited.
+	warps      []*warpCtx
+	schedulers []*schedState
+	banks      []bankState
+	// instrs is the kernel's program text: events, bank requests and
+	// collectors name an instruction by its pc in it.
+	instrs []isa.Instruction
+	// collectors is the SM's operand collector file. freeCols lists the
+	// idle units, pendingCols the busy ones in issue order.
+	collectors  []collectorUnit
+	freeCols    []int32
+	pendingCols []int32
+	mem         memUnit
 	// flushBuf receives the registers an RFC flush writes back; one
 	// buffer serves every two-level-scheduler demote.
 	flushBuf []isa.Reg
@@ -48,15 +56,18 @@ type sm struct {
 
 	residentCTAs int
 	liveWarps    int
+	// spareCTA is the record of the last CTA to exit, which the next CTA
+	// launched reuses.
+	spareCTA *ctaCtx
 
 	// Pilot bookkeeping (per SM, as in the paper's hardware). The pilot
 	// is the first warp launched on the SM for the kernel; its finish
 	// time is recorded for every technique (Table I), and the profiling
 	// controller reacts only when the technique uses a pilot.
-	pilotWarp    *warpCtx
+	pilotID      int // global id of the pilot warp
 	pilotFinish  int64
-	ranPilot     bool
 	issuedEpoch  int // issues this cycle, fed to the adaptive controller
+	ranPilot     bool
 	kernelLaunch bool
 	wasLowPower  bool // previous adaptive mode, for trace transitions
 
@@ -102,15 +113,28 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 	// The event ring spans the longest delay an event is scheduled
 	// with: a bank, pipe or memory latency.
 	lat := cfg.RF.Lat
+	n := cfg.OperandCollectors
 	s := &sm{
-		id:    id,
-		cfg:   cfg,
-		run:   run,
-		warps: make([]*warpCtx, cfg.WarpSlotsPerSM),
-		banks: make([]bankState, cfg.RF.Banks),
-		rf:    rf,
+		id:         id,
+		cfg:        cfg,
+		run:        run,
+		warps:      make([]*warpCtx, cfg.WarpSlotsPerSM),
+		banks:      make([]bankState, cfg.RF.Banks),
+		instrs:     run.kern.Prog.Instrs,
+		collectors: make([]collectorUnit, n),
+		rf:         rf,
 		events: newEventQueue(max(lat.MRF, lat.FRFHigh, lat.FRFLow, lat.SRF,
 			cfg.ALULatency, cfg.FPULatency, cfg.SFULatency, cfg.SharedLatency, cfg.MemLatency)),
+	}
+	// The free and pending lists share one block; neither outgrows n.
+	cols := make([]int32, n, 2*n)
+	for i := range cols {
+		cols[i] = int32(i)
+	}
+	s.freeCols, s.pendingCols = cols[:n:n], cols[n:]
+	block := make([]bankReq, len(s.banks)*bankShare)
+	for b := range s.banks {
+		s.banks[b].queue = block[b*bankShare : b*bankShare : (b+1)*bankShare]
 	}
 	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.RF.FRFRegs, s.rf.SwapTable())
 	if err != nil {
@@ -199,24 +223,31 @@ func (s *sm) ctaCapacity() int {
 	return n
 }
 
-// freeWarpSlots counts unoccupied warp slots.
+// freeWarpSlots counts vacant warp slots.
 func (s *sm) freeWarpSlots() int {
 	n := 0
 	for _, w := range s.warps {
-		if w == nil {
+		if w.vacant() {
 			n++
 		}
 	}
 	return n
 }
 
-// launchCTA places a CTA's warps into free slots. When the first CTA of
+// launchCTA places a CTA's warps into vacant slots, reusing the storage
+// each slot kept from its last warp and the record of the last CTA to
+// exit, so only a slot's first launch allocates. When the first CTA of
 // a kernel lands on the SM, the configured warp of that CTA becomes the
 // pilot (the first warp by default).
 func (s *sm) launchCTA(ctaID int) {
 	k := s.run.kern
 	warpsPer := k.WarpsPerCTA()
-	cta := &ctaCtx{id: ctaID, live: warpsPer}
+	cta := s.spareCTA
+	if cta == nil {
+		cta = new(ctaCtx)
+	}
+	s.spareCTA = nil
+	*cta = ctaCtx{id: ctaID, warps: cta.warps[:0], live: warpsPer}
 	for i := 0; i < warpsPer; i++ {
 		slot := s.takeSlot()
 		threads := fullMask
@@ -224,9 +255,13 @@ func (s *sm) launchCTA(ctaID int) {
 		if remaining < 32 {
 			threads = (1 << uint(remaining)) - 1
 		}
-		w := newWarpCtx(slot, s.run.nextWarpID(), cta, i, k.Prog, threads)
+		w := s.warps[slot]
+		if w == nil {
+			w = &warpCtx{regs: make([][32]uint32, k.Prog.NumRegs)}
+			s.warps[slot] = w
+		}
+		w.launch(slot, s.run.nextWarpID(), cta, i, threads)
 		cta.warps = append(cta.warps, w)
-		s.warps[slot] = w
 		s.unpark(w)
 		s.liveWarps++
 		if s.cfg.CollectPerWarpCTAs > 0 && ctaID < s.cfg.CollectPerWarpCTAs*s.cfg.NumSMs {
@@ -239,7 +274,7 @@ func (s *sm) launchCTA(ctaID int) {
 		s.kernelLaunch = true
 		pilot := cta.warps[s.cfg.PilotWarpIndex%len(cta.warps)]
 		s.profCtl.KernelLaunch(k.Prog, pilot.slot)
-		s.pilotWarp = pilot
+		s.pilotID = pilot.globalID
 		if s.rec != nil {
 			s.record(flightrec.KindSwapInstall, pilot.slot, -1, s.mappingHash(), 0, "kernel-launch")
 		}
@@ -262,7 +297,7 @@ func (s *sm) launchCTA(ctaID int) {
 
 func (s *sm) takeSlot() int {
 	for i, w := range s.warps {
-		if w == nil {
+		if w.vacant() {
 			return i
 		}
 	}
@@ -389,13 +424,13 @@ func (s *sm) canIssue(sc *schedState, i int) bool {
 	if w.atBarrier || w.blockedUntil > s.now {
 		return false
 	}
-	in := s.run.kern.Prog.At(w.pc())
+	in := &s.instrs[w.pc()]
 	if scoreboardHazard(w, in) {
 		sc.parked |= 1 << uint(i)
 		return false
 	}
 	// Non-control instructions need a collector unit.
-	if in.Op.ClassOf() != isa.ClassCtrl && s.collectors >= s.cfg.OperandCollectors {
+	if in.Op.ClassOf() != isa.ClassCtrl && len(s.freeCols) == 0 {
 		s.run.stats.CollectorStalls++
 		return false
 	}
@@ -438,16 +473,17 @@ func (s *sm) unpark(w *warpCtx) {
 // execution happens now; collectors, banks, and execution latencies model
 // the timing.
 func (s *sm) issue(sc *schedState, w *warpCtx) {
-	in := s.run.kern.Prog.At(w.pc())
+	pc := w.pc()
+	in := &s.instrs[pc]
 	activeMask := w.activeMask()
 	s.issuedEpoch++
 	w.lastIssue = s.now
 	s.run.stats.ThreadInstrs += uint64(bits.OnesCount32(activeMask))
 	if s.cfg.Tracer != nil {
-		s.trace(TraceIssue, w.slot, w.pc(), s.run.issueDetail(w.pc(), bits.OnesCount32(activeMask)))
+		s.trace(TraceIssue, w.slot, pc, s.run.issueDetail(pc, bits.OnesCount32(activeMask)))
 	}
 	if s.recEvents {
-		s.record(flightrec.KindIssue, w.slot, w.pc(), uint64(in.Op), uint64(activeMask), in.Op.String())
+		s.record(flightrec.KindIssue, w.slot, pc, uint64(in.Op), uint64(activeMask), in.Op.String())
 	}
 
 	if in.Op.ClassOf() == isa.ClassCtrl {
@@ -502,24 +538,20 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	w.inFlight++
 
 	// Operand collection: reads via the RFC (if enabled) or the banks.
-	col := s.newCollector(w, in, execMask)
+	c := s.newCollector(w.slot, pc)
 	if s.rfcCache != nil {
 		// The RFC read stage takes a cycle of its own; hits are
 		// cheap in energy, not free in time.
-		col.readyAt = s.now + 1
+		s.collectors[c].readyAt = s.now + 1
 	}
-	s.collectors++
 	var srcs [3]isa.Reg
-	reads := in.SrcRegs(srcs[:0])
-	for _, r := range reads {
-		if s.rfcCache != nil {
-			s.readViaRFC(col, r)
-		} else {
-			col.pendingReads++
-			s.enqueueBankRead(col, r)
+	for _, r := range in.SrcRegs(srcs[:0]) {
+		// An RFC hit is read in the issue cycle, with no bank
+		// transaction; a miss falls through to an MRF bank access.
+		if s.rfcCache == nil || !s.rfcCache.Read(w.slot, r) {
+			s.enqueueBankRead(c, r)
 		}
 	}
-	s.pendingCollectors = append(s.pendingCollectors, col)
 
 	w.advance()
 	if in.Op.IsGlobalMemory() {
@@ -529,17 +561,6 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 		}
 	}
 	s.afterAdvance(sc, w)
-}
-
-// readViaRFC performs the RFC tag check for a source read; hits are
-// satisfied immediately (the RFC reads in the issue cycle), misses fall
-// through to an MRF bank access.
-func (s *sm) readViaRFC(col *collectorUnit, r isa.Reg) {
-	if s.rfcCache.Read(col.warp.slot, r) {
-		return // hit: operand available without a bank transaction
-	}
-	col.pendingReads++
-	s.enqueueBankRead(col, r)
 }
 
 // issueControl handles BRA/EXIT/BAR/NOP, which bypass the collectors.
@@ -600,7 +621,7 @@ func (s *sm) retireWarp(w *warpCtx) {
 	if s.rec != nil {
 		s.record(flightrec.KindWarpRetire, w.slot, -1, uint64(w.cta.id), 0, "")
 	}
-	if w == s.pilotWarp && !s.ranPilot {
+	if w.globalID == s.pilotID && !s.ranPilot {
 		s.profCtl.OnWarpComplete(w.slot)
 		s.pilotFinish = s.now
 		s.ranPilot = true
@@ -653,11 +674,13 @@ func (s *sm) checkBarrier(cta *ctaCtx) {
 	}
 }
 
-// finishCTA frees the CTA's slots and pulls the next CTA from the grid.
+// finishCTA frees the CTA's slots, keeping their storage and its record
+// for the next CTA, and pulls the next CTA from the grid.
 func (s *sm) finishCTA(cta *ctaCtx) {
 	for _, w := range cta.warps {
-		s.warps[w.slot] = nil
+		w.cta = nil
 	}
+	s.spareCTA = cta
 	s.residentCTAs--
 	s.run.ctaDone(s)
 }
@@ -706,39 +729,39 @@ func (s *sm) countPartAccess(p regfile.Partition, warp int, arch isa.Reg) {
 // tickCollectors dispatches instructions whose operands are all gathered:
 // the collector is freed and the instruction enters its execution pipe.
 func (s *sm) tickCollectors() {
-	kept := s.pendingCollectors[:0]
-	for _, col := range s.pendingCollectors {
+	kept := s.pendingCols[:0]
+	for _, c := range s.pendingCols {
+		col := s.collectors[c]
 		if col.pendingReads > 0 || col.readyAt > s.now {
-			kept = append(kept, col)
+			kept = append(kept, c)
 			continue
 		}
-		s.collectors--
 		if s.pf != nil {
 			s.pf.dispatched++
 		}
-		s.dispatch(col)
-		s.freeCollectors = append(s.freeCollectors, col)
+		s.dispatch(col.slot, col.pc)
+		s.freeCols = append(s.freeCols, c)
 	}
-	s.pendingCollectors = kept
+	s.pendingCols = kept
 }
 
-// dispatch models the execution stage of a collected instruction and its
-// writeback.
-func (s *sm) dispatch(col *collectorUnit) {
-	w, in := col.warp, col.in
+// dispatch models the execution stage of a collected instruction, the
+// one at pc of the warp in slot, and its writeback.
+func (s *sm) dispatch(slot, pc int32) {
+	in := &s.instrs[pc]
 	if s.cfg.Tracer != nil {
-		s.trace(TraceDispatch, w.slot, -1, dispatchDetails[in.Op])
+		s.trace(TraceDispatch, int(slot), -1, dispatchDetails[in.Op])
 	}
 	switch {
 	case in.Op.IsGlobalMemory():
 		if s.cfg.Tracer != nil {
-			s.trace(TraceMemStart, w.slot, -1, in.Op.String())
+			s.trace(TraceMemStart, int(slot), -1, in.Op.String())
 		}
-		s.memDispatch(w, in)
+		s.memDispatch(memReq{slot: slot, pc: pc})
 	case in.Op == isa.OpLDS || in.Op == isa.OpSTS:
-		s.schedule(s.cfg.SharedLatency, event{kind: evWriteback, w: w, in: in})
+		s.schedule(s.cfg.SharedLatency, event{kind: evWriteback, slot: slot, pc: pc})
 	default:
-		s.schedule(s.unitLatency(in), event{kind: evWriteback, w: w, in: in})
+		s.schedule(s.unitLatency(in), event{kind: evWriteback, slot: slot, pc: pc})
 	}
 }
 

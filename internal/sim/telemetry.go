@@ -176,8 +176,8 @@ func (s *sm) classifyStall() telemetry.StallCause {
 	if memPending {
 		return telemetry.StallMemoryPending
 	}
-	for _, col := range s.pendingCollectors {
-		if col.pendingReads > 0 {
+	for _, c := range s.pendingCols {
+		if s.collectors[c].pendingReads > 0 {
 			return telemetry.StallBankConflict
 		}
 	}

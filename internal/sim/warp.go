@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"pilotrf/internal/isa"
-	"pilotrf/internal/kernel"
-)
+import "pilotrf/internal/isa"
 
 // fullMask covers all 32 lanes of a warp.
 const fullMask = ^uint32(0)
@@ -54,16 +51,25 @@ type warpCtx struct {
 	execSeq uint64
 }
 
-func newWarpCtx(slot, globalID int, cta *ctaCtx, inCTA int, prog *kernel.Program, threads uint32) *warpCtx {
-	return &warpCtx{
+// launch starts a new warp in w, the storage of slot: its register rows
+// are cleared, its SIMT stack holds one entry at pc 0 with the threads'
+// lanes, and every other field is zero. A pending stuck-at fault in the
+// slot therefore meets zero rows, as it would meet fresh ones.
+func (w *warpCtx) launch(slot, globalID int, cta *ctaCtx, inCTA int, threads uint32) {
+	clear(w.regs)
+	*w = warpCtx{
 		slot:     slot,
 		globalID: globalID,
 		cta:      cta,
 		inCTA:    inCTA,
-		regs:     make([][32]uint32, prog.NumRegs),
-		stack:    []simtEntry{{pc: 0, rpc: -1, mask: threads}},
+		regs:     w.regs,
+		stack:    append(w.stack[:0], simtEntry{pc: 0, rpc: -1, mask: threads}),
 	}
 }
+
+// vacant reports whether a slot holding w has no resident warp: nothing
+// was ever launched into it (w is nil), or its warp's CTA has exited.
+func (w *warpCtx) vacant() bool { return w == nil || w.cta == nil }
 
 // top returns the active SIMT stack entry.
 func (w *warpCtx) top() *simtEntry { return &w.stack[len(w.stack)-1] }

@@ -131,7 +131,9 @@ type Simulator struct {
 // NewSimulator validates the options and returns a simulator running
 // opts.Scheme at opts.Knobs; an unknown scheme is an error listing the
 // valid names. The scheme applies after the scheduler, so a scheme that
-// mandates its own (the RFC schemes run two-level, per the paper) wins.
+// mandates its own (the RFC schemes run two-level, per the paper) wins;
+// the options' own scheduler is validated first, so an unknown one is
+// an error under every scheme.
 func NewSimulator(opts Options) (*Simulator, error) {
 	opts = opts.withDefaults()
 	scheme, err := design.Resolve(opts.Scheme)
@@ -140,6 +142,9 @@ func NewSimulator(opts Options) (*Simulator, error) {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.NumSMs, cfg.Profiling, cfg.Policy = opts.SMs, opts.Profiling, opts.Scheduler
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg, err = cfg.WithScheme(scheme, opts.Knobs); err != nil {
 		return nil, err
 	}
